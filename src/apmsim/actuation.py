@@ -6,15 +6,20 @@ restoring forces -> net actuator force F_spa -> contraction force through
 the actin angle -> deformed geometry and length ratio. Pressures and
 stresses are in MPa and lengths in mm, so forces come out in newtons.
 
-Grid points of a pressure sweep are independent pure evaluations; they are
-computed in ascending order and the output order is deterministic.
+Every stage takes a float or an ndarray of pressures, so a pressure sweep is
+one pass of the chain over the whole grid; a single pressure is the size-1
+case. Grid points are independent: each point's values do not depend on the
+rest of the grid, and the output order is the grid order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+import numpy as np
+
+from ._numeric import first_index, flatten, unflatten
 from .errors import DataError, DomainError, UnbracketedRootError
 from .geometry import (
     MyofibrilSpec,
@@ -67,7 +72,9 @@ class ActuationState:
 
     pressure in MPa; lambda_jz dimensionless; forces in N; theta in rad;
     r1 and l_mf in mm; length_ratio relative to the zero-pressure length;
-    ratio_flag is the check_length_ratio classification.
+    ratio_flag is the check_length_ratio classification. simulate_pressure
+    given an ndarray of pressures fills every field with an ndarray of the
+    same shape.
     """
 
     pressure: float
@@ -106,40 +113,45 @@ class LoadedTrial:
 
 
 def junction_stretch(
-    pressure: float,
+    pressure: float | np.ndarray,
     spa: SpaGeometry,
     material: YeohMaterial,
     lambda_max: float = DEFAULT_LAMBDA_MAX,
-) -> float:
+) -> float | np.ndarray:
     """Junction-zone stretch lambda_jz >= 1 at a fluid pressure (MPa).
 
     The chamber walls push on each other with force 2*sigma_w*a_ch*b_ch;
     spreading that force over the H-zone cross-section a_hz*b_hz gives the
     junction stress, and inverting the material's stress curve gives the
     stretch. Strictly increasing in pressure; exactly 1 at zero pressure.
+    Takes a float or an ndarray of pressures.
     """
-    if pressure < 0.0:
-        raise DomainError(f"pressure must be non-negative, got {pressure}")
+    _check_pressure(pressure)
     sigma_w = pressure * wall_stress_factor(spa.t_w, spa.h_ch)
     sigma_jz = 2.0 * sigma_w * spa.a_ch * spa.b_ch / (spa.a_hz * spa.b_hz)
     try:
         return inverse_cauchy_stress(material, sigma_jz, lambda_max)
     except UnbracketedRootError as err:
         raise UnbracketedRootError(
-            f"pressure {pressure:.6g} MPa out of range: {err}"
+            f"pressure {np.ravel(pressure)[err.index]:.6g} MPa out of range: {err}", err.index
         ) from err
 
 
-def adjustment_coefficient(tw_hch_ratio: float, pressure: float) -> float:
+def _check_pressure(pressure: float | np.ndarray) -> None:
+    bad = first_index(np.ravel(pressure) < 0.0)
+    if bad is not None:
+        raise DomainError(f"pressure must be non-negative, got {np.ravel(pressure)[bad]}")
+
+
+def adjustment_coefficient(tw_hch_ratio: float, pressure: float | np.ndarray) -> float | np.ndarray:
     """Fitted expansion-force adjustment coefficient c_m.
 
-    Affine in the wall ratio and the pressure:
+    Affine in the wall ratio and the pressure (a float or an ndarray):
     c_m = -2.49*(t_w/h_ch) - 6.101*P + 11.457.
     """
     if tw_hch_ratio < 0.0:
         raise DomainError(f"wall ratio must be non-negative, got {tw_hch_ratio}")
-    if pressure < 0.0:
-        raise DomainError(f"pressure must be non-negative, got {pressure}")
+    _check_pressure(pressure)
     return _CM_RATIO_SLOPE * tw_hch_ratio + _CM_PRESSURE_SLOPE * pressure + _CM_INTERCEPT
 
 
@@ -171,18 +183,23 @@ def restoring_force(lambda_jz: float, spa: SpaGeometry, material: YeohMaterial) 
     return cauchy_stress(material, lambda_jz) * spa.a_hz * spa.b_hz
 
 
-def contraction_force(f_spa: float, theta: float) -> float:
+def contraction_force(f_spa: float | np.ndarray, theta: float | np.ndarray) -> float | np.ndarray:
     """Contraction force F_contr = F_spa * tan(theta), theta in (0, pi/2)."""
-    if not 0.0 < theta < math.pi / 2.0:
-        raise DomainError(f"theta must lie in (0, pi/2), got {theta}")
-    return f_spa * math.tan(theta)
+    shape, (force, angle) = flatten(f_spa, theta)
+    bad = first_index(~((0.0 < angle) & (angle < math.pi / 2.0)))
+    if bad is not None:
+        raise DomainError(f"theta must lie in (0, pi/2), got {angle[bad]}")
+    return unflatten(force * np.tan(angle), shape)
 
 
-def simulate_pressure(spec: MyofibrilSpec, pressure: float) -> ActuationState:
-    """Evaluate the full pipeline at one pressure and return the state.
+def simulate_pressure(spec: MyofibrilSpec, pressure: float | np.ndarray) -> ActuationState:
+    """Evaluate the full pipeline at a pressure and return the state.
 
-    The length ratio is taken against the zero-deformation length of the same
-    design (identical to resting_length for rule-conforming geometries), so
+    For an ndarray of pressures every field of the state is an ndarray of
+    that shape, computed in one pass over the whole array; a float pressure
+    is the size-1 case and gives plain floats. The length ratio is taken
+    against the zero-deformation length of the same design (identical to
+    resting_length for rule-conforming geometries), solved once per call;
     it is exactly 1 at zero pressure.
     """
     spa = spec.spa
@@ -216,15 +233,38 @@ def simulate_pressure(spec: MyofibrilSpec, pressure: float) -> ActuationState:
 def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationState]:
     """One ActuationState per grid point, in ascending pressure order.
 
-    Any model error aborts the sweep and reports the offending pressure.
+    The whole grid is one simulate_pressure call. Any model error aborts the
+    sweep and reports the lowest failing pressure with the error that
+    simulate_pressure raises at that pressure alone.
     """
-    states = []
-    for pressure in sweep.pressures():
+    pressures = np.array(sweep.pressures())
+    try:
+        grid = simulate_pressure(spec, pressures)
+    except DomainError:
+        _raise_lowest_failure(spec, pressures)
+        raise
+    columns = [getattr(grid, f.name).tolist() for f in fields(ActuationState)]
+    return list(map(ActuationState, *columns))
+
+
+def _raise_lowest_failure(spec: MyofibrilSpec, pressures: np.ndarray) -> None:
+    # A prefix of the grid fails exactly when one of its points does, so
+    # bisect on the prefix length for the lowest failing point, then raise
+    # that point's own error. Returns only if that point passes alone, which
+    # element independence rules out; the caller then re-raises the grid's.
+    passing, failing = 0, len(pressures)
+    while failing - passing > 1:
+        mid = (passing + failing) // 2
         try:
-            states.append(simulate_pressure(spec, pressure))
-        except DomainError as err:
-            raise DomainError(f"at pressure {pressure:.6f} MPa: {err}") from err
-    return states
+            simulate_pressure(spec, pressures[:mid])
+            passing = mid
+        except DomainError:
+            failing = mid
+    pressure = float(pressures[passing])
+    try:
+        simulate_pressure(spec, pressure)
+    except DomainError as err:
+        raise DomainError(f"at pressure {pressure:.6f} MPa: {err}") from err
 
 
 def actuation_strain(trial: LoadedTrial, pressure: float) -> float:

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from pathlib import Path
 
@@ -19,58 +20,35 @@ from .geometry import MyofibrilSpec
 from .material import MATERIALS
 from .validation import Curve, compare_curves, write_qq_csv
 
-SIMULATE_COLUMNS = (
-    "pressure_mpa",
-    "lambda_jz",
-    "c_m",
-    "f_e_n",
-    "f_r_n",
-    "f_spa_n",
-    "theta_rad",
-    "f_contr_n",
-    "r1_mm",
-    "l_mf_mm",
-    "length_ratio",
-    "ratio_flag",
+# (output column, ActuationState attribute) of every simulate column, in
+# output order; the CSV header, CSV rows and JSON states all derive from it.
+STATE_COLUMNS = (
+    ("pressure_mpa", "pressure"),
+    ("lambda_jz", "lambda_jz"),
+    ("c_m", "c_m"),
+    ("f_e_n", "f_e"),
+    ("f_r_n", "f_r"),
+    ("f_spa_n", "f_spa"),
+    ("theta_rad", "theta"),
+    ("f_contr_n", "f_contr"),
+    ("r1_mm", "r1"),
+    ("l_mf_mm", "l_mf"),
+    ("length_ratio", "length_ratio"),
+    ("ratio_flag", "ratio_flag"),
 )
+_STATE_KEYS = tuple(column for column, _ in STATE_COLUMNS)
+_state_values = operator.attrgetter(*(attr for _, attr in STATE_COLUMNS))
+# One CSV row per state, `_STATE_ROW % _state_values(state)`: numbers to six
+# decimals, the flag as is.
+_STATE_ROW = ",".join("%s" if attr == "ratio_flag" else "%.6f" for _, attr in STATE_COLUMNS)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
-def _state_fields(state: ActuationState) -> list[str]:
-    return [
-        _fmt(state.pressure),
-        _fmt(state.lambda_jz),
-        _fmt(state.c_m),
-        _fmt(state.f_e),
-        _fmt(state.f_r),
-        _fmt(state.f_spa),
-        _fmt(state.theta),
-        _fmt(state.f_contr),
-        _fmt(state.r1),
-        _fmt(state.l_mf),
-        _fmt(state.length_ratio),
-        state.ratio_flag,
-    ]
-
-
 def _state_json(state: ActuationState) -> dict:
-    return {
-        "pressure_mpa": state.pressure,
-        "lambda_jz": state.lambda_jz,
-        "c_m": state.c_m,
-        "f_e_n": state.f_e,
-        "f_r_n": state.f_r,
-        "f_spa_n": state.f_spa,
-        "theta_rad": state.theta,
-        "f_contr_n": state.f_contr,
-        "r1_mm": state.r1,
-        "l_mf_mm": state.l_mf,
-        "length_ratio": state.length_ratio,
-        "ratio_flag": state.ratio_flag,
-    }
+    return dict(zip(_STATE_KEYS, _state_values(state)))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -118,8 +96,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
     else:
-        lines = [",".join(SIMULATE_COLUMNS)]
-        lines.extend(",".join(_state_fields(s)) for s in states)
+        lines = [",".join(_STATE_KEYS)]
+        lines.extend(_STATE_ROW % _state_values(s) for s in states)
         _emit("\n".join(lines) + "\n", out_path)
     return 0
 
@@ -153,13 +131,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             known = ", ".join(sorted(MATERIALS))
             raise ConfigError(f"unknown material {name!r}; known: {known}")
 
-    header = (
-        ["material", "tw_hch_ratio", "assumed_h_ch_mm"]
-        + list(SIMULATE_COLUMNS)
-        + ["max_f_spa_n", "mean_max_f_spa_n"]
-    )
-    rows: list[list[str]] = []
-    json_cells = []
+    cells: list[tuple[str, float, list[ActuationState], float, float]] = []
     for name in materials:
         material = MATERIALS[name]
         sweep = config.sweep_for_material(name)
@@ -175,31 +147,40 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cell_states.append((ratio, simulate_sweep(spec, sweep)))
         maxima = {ratio: max(s.f_spa for s in states) for ratio, states in cell_states}
         mean_max = math.fsum(maxima.values()) / len(maxima)
-        for ratio, states in cell_states:
-            for state in states:
-                rows.append(
-                    [name, _fmt(ratio), _fmt(config.assumed_h_ch)]
-                    + _state_fields(state)
-                    + [_fmt(maxima[ratio]), _fmt(mean_max)]
-                )
-            json_cells.append(
-                {
-                    "material": name,
-                    "tw_hch_ratio": ratio,
-                    "assumed_h_ch_mm": config.assumed_h_ch,
-                    "max_f_spa_n": maxima[ratio],
-                    "mean_max_f_spa_n": mean_max,
-                    "states": [_state_json(s) for s in states],
-                }
-            )
+        cells.extend(
+            (name, ratio, states, maxima[ratio], mean_max) for ratio, states in cell_states
+        )
 
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
+    h_ch = config.assumed_h_ch
     if fmt == "json":
+        json_cells = [
+            {
+                "material": name,
+                "tw_hch_ratio": ratio,
+                "assumed_h_ch_mm": h_ch,
+                "max_f_spa_n": top,
+                "mean_max_f_spa_n": mean_max,
+                "states": [_state_json(s) for s in states],
+            }
+            for name, ratio, states, top, mean_max in cells
+        ]
         _emit(json.dumps({"cells": json_cells}, indent=2, sort_keys=True) + "\n", out_path)
     else:
+        header = (
+            "material",
+            "tw_hch_ratio",
+            "assumed_h_ch_mm",
+            *_STATE_KEYS,
+            "max_f_spa_n",
+            "mean_max_f_spa_n",
+        )
         lines = [",".join(header)]
-        lines.extend(",".join(row) for row in rows)
+        for name, ratio, states, top, mean_max in cells:
+            head = f"{name},{ratio:.6f},{h_ch:.6f},"
+            tail = f",{top:.6f},{mean_max:.6f}"
+            lines.extend(head + _STATE_ROW % _state_values(s) + tail for s in states)
         _emit("\n".join(lines) + "\n", out_path)
     return 0
 

@@ -6,7 +6,15 @@ class DomainError(ValueError):
 
 
 class UnbracketedRootError(DomainError):
-    """A root solve failed because the target lies outside the search bracket."""
+    """A root solve failed because the target lies outside the search bracket.
+
+    index is the flat index of the first such target when the solve was given
+    an array, and 0 for a single target.
+    """
+
+    def __init__(self, message: str, index: int = 0) -> None:
+        super().__init__(message)
+        self.index = index
 
 
 class DataError(ValueError):

@@ -5,7 +5,9 @@ of the A-band, the actin thread rests as a semicircle spanning the I-band,
 and the myosin height is bounded by the rest and fully-contracted actin
 shapes. Lengths are in mm. The deformed actin is treated as a half ellipse
 whose vertical chord grows with inflation; its horizontal semi-axis is
-recovered numerically from the (fixed) arc length.
+recovered numerically from the (fixed) arc length, for a whole array of
+chords at once, by Newton steps on the elliptic-integral slope kept inside a
+bisection bracket.
 
 All functions are pure and thread-safe.
 """
@@ -16,9 +18,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
-from scipy.special import ellipe
+import numpy as np
+from scipy.special import ellipe, ellipk
 
+from ._numeric import bracketed_newton, first_index, flatten, unflatten
 from .errors import DomainError
 from .material import YeohMaterial
 
@@ -34,7 +37,8 @@ RATIO_OVER_STRETCHED = "over-stretched"
 # semicircle; keeps the zero-deformation rest state bit-exact.
 _CIRCLE_SNAP_REL = 1e-12
 
-_ARC_SOLVE_XTOL = 1e-12
+# Relative arc-length residual at which the axis solve stops.
+_ARC_SOLVE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -132,8 +136,7 @@ class EllipseHalf:
 
     def arc_length(self) -> float:
         """Arc length of the half ellipse, 2*r1*E(e)."""
-        e = self.eccentricity
-        return 2.0 * self.r1 * float(ellipe(e * e))
+        return semi_ellipse_arc_length(self.r1, self.r2)
 
 
 @dataclass(frozen=True)
@@ -166,20 +169,26 @@ def resting_length(spec: MyofibrilSpec) -> float:
     return spec.n * (spec.sarcomere.a_band + spec.sarcomere.i_band)
 
 
-def check_length_ratio(current: float, resting: float) -> str:
+def check_length_ratio(
+    current: float | np.ndarray, resting: float | np.ndarray
+) -> str | np.ndarray:
     """Classify a length ratio against the allowed contraction/stretch band.
 
     Returns "valid" for 0.6 <= current/resting <= 1.7, otherwise
-    "over-contracted" or "over-stretched".
+    "over-contracted" or "over-stretched"; an array of these strings for
+    ndarray input.
     """
-    if resting <= 0.0:
-        raise DomainError(f"resting length must be positive, got {resting}")
-    ratio = current / resting
-    if ratio < LENGTH_RATIO_MIN:
-        return RATIO_OVER_CONTRACTED
-    if ratio > LENGTH_RATIO_MAX:
-        return RATIO_OVER_STRETCHED
-    return RATIO_VALID
+    shape, (cur, rest) = flatten(current, resting)
+    bad = first_index(rest <= 0.0)
+    if bad is not None:
+        raise DomainError(f"resting length must be positive, got {rest[bad]}")
+    ratio = cur / rest
+    flags = np.where(
+        ratio < LENGTH_RATIO_MIN,
+        RATIO_OVER_CONTRACTED,
+        np.where(ratio > LENGTH_RATIO_MAX, RATIO_OVER_STRETCHED, RATIO_VALID),
+    )
+    return unflatten(flags, shape)
 
 
 def design_from_a_band(a_band: float) -> SarcomereGeometry:
@@ -211,61 +220,86 @@ def myosin_height_bounds(a_band: float, t_w: float, h_ch: float) -> tuple[float,
     return 2.0 * a_band / 3.0 + stack, math.pi / 3.0 * a_band + stack
 
 
-def semi_ellipse_arc_length(r1: float, r2: float) -> float:
+def semi_ellipse_arc_length(r1: float | np.ndarray, r2: float | np.ndarray) -> float | np.ndarray:
     """Arc length of a half ellipse with semi-axes r1 >= r2 > 0, in mm.
 
-    Equals 2*r1*E(e) with E the complete elliptic integral of the second
-    kind and e the eccentricity; ranges from 2*r1 (degenerate) to pi*r1
-    (circle).
+    Equals 2*r1*E(m) with E the complete elliptic integral of the second
+    kind and m = 1 - (r2/r1)^2 the squared eccentricity; ranges from 2*r1
+    (degenerate) to pi*r1 (circle). Takes floats or ndarrays that broadcast
+    together.
     """
-    return EllipseHalf(r1, r2).arc_length()
+    shape, (major, minor) = flatten(r1, r2)
+    bad = first_index(~(minor > 0.0))
+    if bad is not None:
+        raise DomainError(f"minor semi-axis must be positive, got {minor[bad]}")
+    bad = first_index(major < minor)
+    if bad is not None:
+        raise DomainError(
+            f"major semi-axis {major[bad]} must not be smaller than minor {minor[bad]}; "
+            "orient the axes before constructing"
+        )
+    ratio = minor / major
+    return unflatten(2.0 * major * ellipe(1.0 - ratio * ratio), shape)
 
 
-def solve_major_axis(arc_length: float, minor_diameter: float) -> float:
+def solve_major_axis(
+    arc_length: float | np.ndarray, minor_diameter: float | np.ndarray
+) -> float | np.ndarray:
     """Horizontal semi-axis of the half ellipse with a given arc and vertical chord.
 
-    minor_diameter is the vertical chord (twice the vertical semi-axis). In
-    the usual regime (arc_length > pi/2 * minor_diameter) the horizontal
-    semi-axis is the major one and satisfies
-    semi_ellipse_arc_length(r1, minor_diameter/2) = arc_length. Past the
-    semicircle point the ellipse is taller than wide and the swapped problem
-    is solved instead; the returned horizontal semi-axis may then be smaller
-    than minor_diameter/2 and tends to zero at full contraction. An exact
-    semicircle (to 1e-12 relative) returns minor_diameter/2 directly.
+    minor_diameter is the vertical chord (twice the vertical semi-axis b).
+    Floats or ndarrays that broadcast together; the result has their shape.
+    The arc length 2*max(x, b)*E(1 - (min(x, b)/max(x, b))^2) increases in
+    the horizontal semi-axis x, so one solve covers both regimes: wider than
+    tall (arc_length > pi*b, x > b) and, past the semicircle point, taller
+    than wide (x < b, tending to zero at full contraction). Every element is
+    solved on the bracket [0, arc_length/2] by Newton steps, with the slope
+    from dE/dm = (E - K)/(2m), kept inside the bracket by bisection, until the
+    arc residual is at most 1e-12 * arc_length, keeping the Newton step from
+    there; each element's result does not depend on the others. An exact
+    semicircle (to 1e-12 relative) returns b directly.
 
-    Raises DomainError when arc_length <= minor_diameter: no half ellipse has
-    an arc that short for that chord.
+    Raises DomainError when arc_length <= minor_diameter (no half ellipse has
+    an arc that short for that chord), for non-positive or NaN inputs, and
+    when the solve misses its tolerance within the iteration cap.
     """
-    if arc_length <= 0.0 or minor_diameter <= 0.0:
+    shape, (arc, chord) = flatten(arc_length, minor_diameter)
+    if first_index(~((arc > 0.0) & (chord > 0.0))) is not None:
         raise DomainError("arc length and chord must be positive")
-    if arc_length <= minor_diameter:
+    bad = first_index(arc <= chord)
+    if bad is not None:
         raise DomainError(
-            f"arc length {arc_length:.6g} must exceed the vertical chord "
-            f"{minor_diameter:.6g}"
+            f"arc length {arc[bad]:.6g} must exceed the vertical chord {chord[bad]:.6g}"
         )
-    b = minor_diameter / 2.0
-    circle_arc = math.pi * b
-    if abs(arc_length - circle_arc) <= _CIRCLE_SNAP_REL * arc_length:
-        return b
+    b = chord / 2.0
+    circle = np.abs(arc - math.pi * b) <= _CIRCLE_SNAP_REL * arc
+    # pi*(x + b)/2 approximates the arc near the circle; off the bracket,
+    # start from its midpoint instead.
+    guess = 2.0 * arc / math.pi - b
+    guess = np.where((guess > 0.0) & (guess < arc / 2.0), guess, arc / 4.0)
+    x = bracketed_newton(
+        lambda x: _arc_residual(x, b, arc),
+        0.0,
+        arc / 2.0,
+        np.where(circle, b, guess),
+        np.where(circle, np.inf, _ARC_SOLVE_RTOL * arc),
+    )
+    return unflatten(x, shape)
 
-    if arc_length > circle_arc:
-        # Wide regime: horizontal semi-axis is the major one, in (b, arc/2].
-        lo, hi = b, arc_length / 2.0
-        func = lambda r1: semi_ellipse_arc_length(r1, b) - arc_length
-    else:
-        # Tall regime: the chord is the major axis; solve for the horizontal
-        # minor semi-axis in (0, b).
-        lo, hi = 0.0, b
-        func = lambda rh: _tall_arc_length(b, rh) - arc_length
-    return brentq(func, lo, hi, xtol=_ARC_SOLVE_XTOL, rtol=8.9e-16, maxiter=200)
 
-
-def _tall_arc_length(b: float, rh: float) -> float:
-    # Arc length with vertical major semi-axis b and horizontal minor rh;
-    # continuous limit 2*b at rh = 0.
-    if rh <= 0.0:
-        return 2.0 * b
-    return semi_ellipse_arc_length(b, rh)
+def _arc_residual(x: np.ndarray, b: np.ndarray, arc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Arc length minus the target for horizontal semi-axis x and vertical b,
+    # and its slope in x. With E, K at m = 1 - ratio^2 and dE/dm = (E - K)/(2m):
+    # wide (x > b): d/dx 2x*E = 2E + 2(E - K)*ratio^2/m;
+    # tall (x < b): d/dx 2b*E = 2(K - E)*ratio/m.
+    major, minor = np.maximum(x, b), np.minimum(x, b)
+    length = semi_ellipse_arc_length(major, minor)
+    ratio = minor / major
+    m = 1.0 - ratio * ratio
+    e = length / (2.0 * major)
+    k = ellipk(m)
+    slope = np.where(x > b, 2.0 * e + 2.0 * (e - k) * ratio * ratio / m, 2.0 * (k - e) * ratio / m)
+    return length - arc, slope
 
 
 def _rest_chord(spec: MyofibrilSpec) -> float:
@@ -283,16 +317,19 @@ def _rest_chord(spec: MyofibrilSpec) -> float:
     return spec.sarcomere.i_band
 
 
-def current_major_axis(spec: MyofibrilSpec, delta_hm: float) -> float:
-    """Horizontal semi-axis r1 (mm) of the actin after the myosin grew by delta_hm."""
-    if delta_hm < 0.0:
-        raise DomainError(f"delta_hm must be non-negative, got {delta_hm}")
+def current_major_axis(spec: MyofibrilSpec, delta_hm: float | np.ndarray) -> float | np.ndarray:
+    """Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
+    delta_hm (a float or an ndarray; the result has its shape)."""
+    bad = first_index(np.ravel(delta_hm) < 0.0)
+    if bad is not None:
+        raise DomainError(f"delta_hm must be non-negative, got {np.ravel(delta_hm)[bad]}")
     chord = _rest_chord(spec) + delta_hm
     return solve_major_axis(spec.sarcomere.actin_arc, chord)
 
 
-def myofibril_length(spec: MyofibrilSpec, delta_hm: float) -> float:
-    """Myofibril length n * (a_band + 2*r1) in mm after a myosin height change.
+def myofibril_length(spec: MyofibrilSpec, delta_hm: float | np.ndarray) -> float | np.ndarray:
+    """Myofibril length n * (a_band + 2*r1) in mm after a myosin height change
+    (a float or an ndarray).
 
     Strictly decreasing in delta_hm: a taller myosin pulls the actin ends
     together. At delta_hm = 0 a rule-conforming design reproduces
@@ -303,22 +340,28 @@ def myofibril_length(spec: MyofibrilSpec, delta_hm: float) -> float:
     return spec.n * (spec.sarcomere.a_band + 2.0 * r1)
 
 
-def contraction_angle(spa: SpaGeometry, lambda_jz: float, actin_arc: float) -> float:
+def contraction_angle(
+    spa: SpaGeometry, lambda_jz: float | np.ndarray, actin_arc: float
+) -> float | np.ndarray:
     """Angle theta (rad) between the actin chord approximation and the horizontal.
 
     theta = arccos((2*t_w + h_ch + 2*lambda_jz*h_jz) / actin_arc), strictly
-    decreasing in lambda_jz. Raises DomainError when the stacked height
-    reaches the arc length (argument >= 1) or the argument is non-positive.
+    decreasing in lambda_jz (a float or an ndarray). Raises DomainError when
+    the stacked height reaches the arc length (argument >= 1) or the argument
+    is non-positive.
     """
     if actin_arc <= 0.0:
         raise DomainError(f"actin arc must be positive, got {actin_arc}")
-    stacked = 2.0 * spa.t_w + spa.h_ch + 2.0 * lambda_jz * spa.h_jz
+    shape, (lam,) = flatten(lambda_jz)
+    stacked = 2.0 * spa.t_w + spa.h_ch + 2.0 * lam * spa.h_jz
     ratio = stacked / actin_arc
-    if ratio >= 1.0:
+    bad = first_index(ratio >= 1.0)
+    if bad is not None:
         raise DomainError(
             f"actin arc {actin_arc:.6g} mm too short for the stacked height "
-            f"{stacked:.6g} mm (cos(theta) >= 1)"
+            f"{stacked[bad]:.6g} mm (cos(theta) >= 1)"
         )
-    if ratio <= 0.0:
-        raise DomainError(f"cos(theta) must be positive, got {ratio:.6g}")
-    return math.acos(ratio)
+    bad = first_index(ratio <= 0.0)
+    if bad is not None:
+        raise DomainError(f"cos(theta) must be positive, got {ratio[bad]:.6g}")
+    return unflatten(np.arccos(ratio), shape)

@@ -6,6 +6,10 @@ W = sum_i Ci * (I1 - 3)^i (up to three terms) and Cauchy stress
 sigma = dW/dlambda. Stresses are in MPa throughout, so stress times an area
 in mm^2 yields newtons.
 
+Stretches and stresses may be floats or ndarrays; the stress inverse solves a
+whole array at once with Newton steps on the closed-form stress slope, kept
+inside a bisection bracket.
+
 All functions are pure and thread-safe.
 """
 
@@ -13,8 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from scipy.optimize import brentq
+import numpy as np
 
+from ._numeric import bracketed_newton, first_index, flatten, unflatten
 from .errors import DomainError, UnbracketedRootError
 
 # Default upper end of the stretch bracket used for stress inversion and for
@@ -28,17 +33,19 @@ _MONOTONICITY_SAMPLES = 256
 class StretchState:
     """A validated principal stretch ratio and its first invariant.
 
-    lambda_ is the dominant stretch (>= 1 up to solver noise); i1 is derived
-    under the incompressible uniaxial assumption.
+    lambda_ is the dominant stretch (>= 1 up to solver noise), a float or an
+    ndarray; i1 is derived under the incompressible uniaxial assumption and
+    has the same shape.
     """
 
-    lambda_: float
-    i1: float = field(init=False)
+    lambda_: float | np.ndarray
+    i1: float | np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.lambda_ < 1.0 - 1e-9:
-            raise DomainError(f"stretch ratio must be >= 1, got {self.lambda_}")
         lam = self.lambda_
+        low = first_index(np.ravel(lam) < 1.0 - 1e-9)
+        if low is not None:
+            raise DomainError(f"stretch ratio must be >= 1, got {np.ravel(lam)[low]}")
         object.__setattr__(self, "i1", lam * lam + 1.0 / (lam * lam) + 1.0)
 
 
@@ -60,86 +67,90 @@ class YeohMaterial:
     def __post_init__(self) -> None:
         if self.c1 <= 0.0:
             raise DomainError(f"{self.name}: c1 must be positive, got {self.c1}")
-        prev = 0.0
-        for k in range(1, _MONOTONICITY_SAMPLES + 1):
-            lam = 1.0 + (DEFAULT_LAMBDA_MAX - 1.0) * k / _MONOTONICITY_SAMPLES
-            cur = cauchy_stress(self, lam)
-            if cur <= prev:
-                raise DomainError(
-                    f"{self.name}: Cauchy stress is not strictly increasing on "
-                    f"[1, {DEFAULT_LAMBDA_MAX}] (sampled near lambda={lam:.4f})"
-                )
-            prev = cur
+        k = np.arange(1, _MONOTONICITY_SAMPLES + 1)
+        lam = 1.0 + (DEFAULT_LAMBDA_MAX - 1.0) * k / _MONOTONICITY_SAMPLES
+        stress = cauchy_stress(self, lam)
+        # Each sample must exceed the one before it; the first one, sigma(1) = 0.
+        fold = first_index(stress <= np.concatenate(([0.0], stress[:-1])))
+        if fold is not None:
+            raise DomainError(
+                f"{self.name}: Cauchy stress is not strictly increasing on "
+                f"[1, {DEFAULT_LAMBDA_MAX}] (sampled near lambda={lam[fold]:.4f})"
+            )
 
 
-def strain_energy(material: YeohMaterial, lambda_: float) -> float:
+def strain_energy(material: YeohMaterial, lambda_: float | np.ndarray) -> float | np.ndarray:
     """Strain energy density W (MPa) at a uniaxial stretch ratio lambda_ >= 1.
 
     W = c1*u + c2*u^2 + c3*u^3 with u = I1 - 3 = lambda^2 + 1/lambda^2 - 2;
-    W(1) = 0.
+    W(1) = 0. Takes a float or an ndarray of stretches.
     """
     u = StretchState(lambda_).i1 - 3.0
     return material.c1 * u + material.c2 * u * u + material.c3 * u * u * u
 
 
-def cauchy_stress(material: YeohMaterial, lambda_: float) -> float:
+def cauchy_stress(material: YeohMaterial, lambda_: float | np.ndarray) -> float | np.ndarray:
     """Uniaxial Cauchy stress sigma (MPa) at a stretch ratio lambda_ >= 1.
 
     sigma = dW/dlambda = (lambda - 1/lambda^3) * (2*c1 + 4*c2*u + 6*c3*u^2)
     with u = (lambda - 1/lambda)^2; sigma(1) = 0 and sigma is strictly
-    increasing for any constructible material.
+    increasing for any constructible material. Takes a float or an ndarray
+    of stretches.
     """
     u = StretchState(lambda_).i1 - 3.0
-    geo = lambda_ - 1.0 / lambda_**3
+    geo = lambda_ - 1.0 / (lambda_ * lambda_ * lambda_)
     return geo * (2.0 * material.c1 + 4.0 * material.c2 * u + 6.0 * material.c3 * u * u)
 
 
-def _cauchy_stress_slope(material: YeohMaterial, lam: float) -> float:
-    # d(sigma)/d(lambda); used to polish the inverse. At lambda = 1 this is 8*c1.
-    u = lam * lam + 1.0 / (lam * lam) - 2.0
-    geo = lam - 1.0 / lam**3
+def _cauchy_stress_slope(material: YeohMaterial, lam: np.ndarray) -> np.ndarray:
+    # d(sigma)/d(lambda), the Newton slope of the inverse. At lambda = 1 this is 8*c1.
+    lam2 = lam * lam
+    u = lam2 + 1.0 / lam2 - 2.0
+    geo = lam - 1.0 / (lam2 * lam)
     poly = 2.0 * material.c1 + 4.0 * material.c2 * u + 6.0 * material.c3 * u * u
     dpoly = 4.0 * material.c2 + 12.0 * material.c3 * u
-    return (1.0 + 3.0 / lam**4) * poly + 2.0 * geo * geo * dpoly
+    return (1.0 + 3.0 / (lam2 * lam2)) * poly + 2.0 * geo * geo * dpoly
 
 
 def inverse_cauchy_stress(
-    material: YeohMaterial, sigma: float, lambda_max: float = DEFAULT_LAMBDA_MAX
-) -> float:
-    """Stretch ratio lambda in [1, lambda_max] such that cauchy_stress(lambda) = sigma.
+    material: YeohMaterial,
+    sigma: float | np.ndarray,
+    lambda_max: float = DEFAULT_LAMBDA_MAX,
+) -> float | np.ndarray:
+    """Stretch ratio lambda in [1, lambda_max] with cauchy_stress(lambda) = sigma.
 
-    Solved by a bracketed root search (guaranteed for the monotone stress
-    curve) and polished with Newton steps until the stress residual is below
-    1e-12 * max(1, sigma); the contract is 1e-9 * max(1, sigma). Raises
-    UnbracketedRootError when sigma exceeds the stress at lambda_max, in which
-    case the caller may retry with a larger bracket.
+    sigma is a float or an ndarray; the result has its shape. All elements
+    are solved together by Newton steps on the closed-form stress slope,
+    started from the tangent at lambda = 1 (slope 8*c1) and kept inside the
+    bracket [1, lambda_max] by bisection. Each element stops once its stress
+    residual is at most 1e-12 * max(1, sigma), inside the
+    1e-9 * max(1, sigma) contract, and keeps the Newton step from there; its
+    result does not depend on the other elements. sigma = 0 gives exactly 1.
+
+    Raises DomainError for a negative or NaN stress or when the solve misses
+    its tolerance within the iteration cap, and UnbracketedRootError when
+    sigma exceeds the stress at lambda_max.
     """
-    if sigma < 0.0:
-        raise DomainError(f"stress must be non-negative, got {sigma}")
-    if sigma == 0.0:
-        return 1.0
+    shape, (target,) = flatten(sigma)
+    bad = first_index(~(target >= 0.0))
+    if bad is not None:
+        raise DomainError(f"stress must be non-negative, got {target[bad]}")
     sigma_cap = cauchy_stress(material, lambda_max)
-    if sigma > sigma_cap:
+    over = first_index(target > sigma_cap)
+    if over is not None:
         raise UnbracketedRootError(
-            f"{material.name}: stress {sigma:.6g} MPa exceeds "
-            f"{sigma_cap:.6g} MPa reachable at lambda_max={lambda_max}"
+            f"{material.name}: stress {target[over]:.6g} MPa exceeds "
+            f"{sigma_cap:.6g} MPa reachable at lambda_max={lambda_max}",
+            index=over,
         )
-    lam = brentq(
-        lambda x: cauchy_stress(material, x) - sigma,
+    lam = bracketed_newton(
+        lambda x: (cauchy_stress(material, x) - target, _cauchy_stress_slope(material, x)),
         1.0,
         lambda_max,
-        xtol=1e-13,
-        rtol=8.9e-16,
-        maxiter=200,
+        np.minimum(1.0 + target / (8.0 * material.c1), lambda_max),
+        1e-12 * np.maximum(1.0, target),
     )
-    tol = 1e-12 * max(1.0, sigma)
-    for _ in range(3):
-        resid = cauchy_stress(material, lam) - sigma
-        if abs(resid) <= tol:
-            break
-        step = resid / _cauchy_stress_slope(material, lam)
-        lam = min(max(lam - step, 1.0), lambda_max)
-    return lam
+    return unflatten(lam, shape)
 
 
 def wall_stress_factor(t_w: float, h_ch: float) -> float:

@@ -1,0 +1,191 @@
+"""Property tests of the numeric contracts of the array pipeline.
+
+Both root solves (the stress inverse and the half-ellipse axis solve) must
+give each element of an array the same bits as a call with that element
+alone, and meet their residual tolerances; the pressure pipeline must keep
+lambda_jz strictly increasing, the rest state exact, and report the lowest
+failing pressure of a sweep.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from apmsim import _numeric
+from apmsim.actuation import PressureSweep, junction_stretch, simulate_pressure, simulate_sweep
+from apmsim.errors import DomainError
+from apmsim.geometry import (
+    MyofibrilSpec,
+    SarcomereGeometry,
+    SpaGeometry,
+    design_from_a_band,
+    semi_ellipse_arc_length,
+    solve_major_axis,
+)
+from apmsim.material import (
+    DEFAULT_LAMBDA_MAX,
+    MATERIALS,
+    YeohMaterial,
+    cauchy_stress,
+    inverse_cauchy_stress,
+    wall_stress_factor,
+)
+
+PROTO_SPA = SpaGeometry(t_w=1.5, a_ch=9.5, b_ch=10.0, h_ch=5.0, h_jz=2.0, a_hz=6.0, b_hz=15.0)
+# Rigid chamber sandwich 2*t_w + h_ch of PROTO_SPA, below the actin chord.
+PROTO_STACK = 8.0
+
+fractions = st.floats(0.0, 1.0)
+
+
+@st.composite
+def yeoh_materials(draw):
+    """A built-in material or a constructible Yeoh fit of elastomer stiffness."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(list(MATERIALS.values())))
+    try:
+        return YeohMaterial(
+            "drawn",
+            c1=draw(st.floats(0.005, 2.0)),
+            c2=draw(st.floats(-0.01, 0.1)),
+            c3=draw(st.floats(0.0, 0.01)),
+        )
+    except DomainError:
+        reject()
+
+
+@st.composite
+def prototype_specs(draw, arc=st.floats(30.0, 34.0), chord_share=st.floats(0.55, 0.7)):
+    """A prototype-like design with a drawn actin arc, rest chord and material,
+    or a rule-conforming one (rest semicircle)."""
+    material = draw(yeoh_materials())
+    if draw(st.booleans()):
+        sarcomere = design_from_a_band(draw(st.floats(20.0, 40.0)))
+    else:
+        actin_arc = draw(arc)
+        sarcomere = SarcomereGeometry(
+            a_band=30.0,
+            i_band=20.0,
+            actin_arc=actin_arc,
+            myosin_height=PROTO_STACK + draw(chord_share) * actin_arc,
+        )
+    n = draw(st.integers(1, 3))
+    return MyofibrilSpec(n=n, sarcomere=sarcomere, spa=PROTO_SPA, material=material)
+
+
+# ------------------------------------------------------------- stress inverse
+
+
+@given(yeoh_materials(), st.lists(fractions, min_size=1, max_size=30))
+def test_stress_inverse_array_equals_elementwise(material, shares):
+    sigmas = np.array(shares) * cauchy_stress(material, DEFAULT_LAMBDA_MAX)
+    batch = inverse_cauchy_stress(material, sigmas)
+    assert batch.tolist() == [inverse_cauchy_stress(material, s) for s in sigmas.tolist()]
+
+
+@given(yeoh_materials(), fractions)
+def test_stress_residual_within_contract(material, share):
+    sigma = share * cauchy_stress(material, DEFAULT_LAMBDA_MAX)
+    lam = inverse_cauchy_stress(material, sigma)
+    assert 1.0 <= lam <= DEFAULT_LAMBDA_MAX
+    assert abs(cauchy_stress(material, lam) - sigma) <= 1e-9 * max(1.0, sigma)
+
+
+# ------------------------------------------------------------ axis solve
+
+
+chord_shares = st.one_of(st.floats(0.001, 1.0, exclude_max=True), st.just(2.0 / math.pi))
+
+
+@given(st.floats(0.01, 100.0), st.lists(chord_shares, min_size=1, max_size=30))
+def test_axis_solve_array_equals_elementwise(arc, shares):
+    chords = np.array(shares) * arc
+    batch = solve_major_axis(arc, chords)
+    assert batch.tolist() == [solve_major_axis(arc, c) for c in chords.tolist()]
+
+
+@given(st.floats(0.01, 100.0), chord_shares)
+def test_axis_solve_residual_both_regimes_and_circle(arc, share):
+    chord = share * arc
+    b = chord / 2.0
+    x = solve_major_axis(arc, chord)
+    if abs(arc - math.pi * b) <= 1e-12 * arc:
+        assert x == b
+        return
+    assert 0.0 < x <= arc / 2.0
+    if abs(arc - math.pi * b) > 1e-9 * arc:
+        # wider than tall exactly when the arc exceeds the semicircle's
+        assert (x > b) == (arc > math.pi * b)
+    assert abs(semi_ellipse_arc_length(max(x, b), min(x, b)) - arc) <= 1e-12 * arc
+
+
+# -------------------------------------------------------------- pipeline
+
+
+@given(yeoh_materials(), st.lists(st.integers(0, 999), min_size=2, max_size=40, unique=True))
+def test_junction_stretch_strictly_increasing_in_pressure(material, steps):
+    spa = PROTO_SPA
+    # Pressure at which the junction stress reaches the stress at lambda_max.
+    p_cap = (
+        cauchy_stress(material, DEFAULT_LAMBDA_MAX)
+        * spa.a_hz
+        * spa.b_hz
+        / (2.0 * wall_stress_factor(spa.t_w, spa.h_ch) * spa.a_ch * spa.b_ch)
+    )
+    pressures = np.array(sorted(steps)) / 1000.0 * p_cap
+    lam = junction_stretch(pressures, spa, material)
+    assert np.all(np.diff(lam) > 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@given(prototype_specs(), st.integers(1, 60))
+def test_length_ratio_exactly_one_at_zero_pressure(spec, points):
+    states = simulate_sweep(spec, PressureSweep(0.0, 1e-3, 1e-3 / points))
+    assert states[0].pressure == 0.0
+    assert states[0].length_ratio == 1.0
+    assert simulate_pressure(spec, 0.0).length_ratio == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    prototype_specs(arc=st.floats(12.0, 40.0), chord_share=st.floats(0.3, 0.95)),
+    st.floats(0.05, 3.0),
+)
+def test_sweep_reports_lowest_failing_pressure(spec, end):
+    sweep = PressureSweep(0.0, end, end / 30)
+    expected = None
+    for p in sweep.pressures():
+        try:
+            simulate_pressure(spec, p)
+        except DomainError as err:
+            expected = f"at pressure {p:.6f} MPa: {err}"
+            break
+    if expected is None:
+        assert len(simulate_sweep(spec, sweep)) == len(sweep.pressures())
+    else:
+        with pytest.raises(DomainError) as info:
+            simulate_sweep(spec, sweep)
+        assert str(info.value) == expected
+
+
+# ---------------------------------------------------------- iteration cap
+
+
+def test_iteration_cap_raises_domain_error(monkeypatch):
+    monkeypatch.setattr(_numeric, "MAX_ITERATIONS", 1)
+    with pytest.raises(DomainError, match="iterations"):
+        inverse_cauchy_stress(MATERIALS["dragonskin-30"], 0.5)
+    with pytest.raises(DomainError, match="iterations"):
+        solve_major_axis(32.0, 24.0)
+
+
+def test_iteration_cap_ends_a_solve_that_cannot_converge():
+    # No double squares to exactly 2, so a zero tolerance is never met.
+    with pytest.raises(DomainError, match="iterations"):
+        _numeric.bracketed_newton(
+            lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, np.array([1.0, 1.5]), 0.0
+        )
