@@ -42,22 +42,38 @@ _CM_RATIO_SLOPE = -2.49
 _CM_PRESSURE_SLOPE = -6.101
 _CM_INTERCEPT = 11.457
 
+# Largest pressure grid a PressureSweep accepts.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class PressureSweep:
-    """An inclusive pressure grid start..end (MPa) in increments of step."""
+    """An inclusive pressure grid start..end (MPa) in increments of step,
+    of at most MAX_GRID_POINTS points. Every value must be finite."""
 
     start: float
     end: float
     step: float
 
     def __post_init__(self) -> None:
-        if self.start < 0.0 or self.end < self.start:
+        # Written so that NaN fails every check.
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise DomainError(
+                f"start and end must be finite, got start={self.start}, end={self.end}"
+            )
+        if not 0.0 <= self.start <= self.end:
             raise DomainError(
                 f"need 0 <= start <= end, got start={self.start}, end={self.end}"
             )
-        if self.step <= 0.0:
-            raise DomainError(f"step must be positive, got {self.step}")
+        if not (self.step > 0.0 and math.isfinite(self.step)):
+            raise DomainError(f"step must be positive and finite, got {self.step}")
+        # pressures() has floor(q + 0.5) + 1 points; q + 0.5 is checked as a
+        # float, so an overflowing count is rejected before any grid is built.
+        if not (self.end - self.start) / self.step + 0.5 < MAX_GRID_POINTS:
+            raise DomainError(
+                f"grid start={self.start}, end={self.end}, step={self.step} "
+                f"has more than {MAX_GRID_POINTS} points"
+            )
 
     def pressures(self) -> list[float]:
         """Grid points start + i*step; the end point is kept when it lands

@@ -60,8 +60,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_design(args: argparse.Namespace) -> int:
     for label, value in (("a-band", args.a_band), ("t-w", args.t_w), ("h-ch", args.h_ch)):
-        if value <= 0.0:
-            print(f"error: --{label} must be positive, got {value}", file=sys.stderr)
+        if not (value > 0.0 and math.isfinite(value)):
+            print(f"error: --{label} must be positive and finite, got {value}", file=sys.stderr)
             return 2
     sarc = geometry.design_from_a_band(args.a_band)
     low, high = geometry.myosin_height_bounds(args.a_band, args.t_w, args.h_ch)

@@ -54,17 +54,26 @@ class Curve:
 
     @classmethod
     def from_csv(cls, path: str | Path, label: str = "") -> "Curve":
-        """Read a two-column CSV with the mandatory header row ``x,y``."""
+        """Read a two-column CSV with the mandatory header row ``x,y``.
+
+        Blank lines are skipped; every other row must have exactly two fields.
+        """
         path = Path(path)
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         if not rows or tuple(c.strip() for c in rows[0]) != CURVE_CSV_HEADER:
             raise DomainError(f"{path}: expected header row 'x,y'")
+        body = [r for r in rows[1:] if r]
+        for r in body:
+            if len(r) != 2:
+                raise DomainError(
+                    f"{path}: malformed data row {r!r}: expected 2 fields, got {len(r)}"
+                )
         try:
-            data = [(float(r[0]), float(r[1])) for r in rows[1:] if r]
-        except (ValueError, IndexError) as err:
+            pts = np.array([(float(x), float(y)) for x, y in body]).reshape(-1, 2)
+        except ValueError as err:
             raise DomainError(f"{path}: malformed data row ({err})") from None
-        return cls.from_points(data, label or path.stem)
+        return cls(pts[:, 0], pts[:, 1], label or path.stem)
 
 
 @dataclass
@@ -106,29 +115,42 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     """Discrete Frechet distance between two curves.
 
     The minimum over monotone couplings of the maximum paired Euclidean
-    point distance, via the standard O(m*n) dynamic program. Symmetric, and
-    zero exactly when the point sequences coincide.
+    point distance, via the Eiter & Mannila (1994) dynamic program
+    dp[i, j] = max(min(dp[i-1, j], dp[i, j-1], dp[i-1, j-1]), d(i, j))
+    swept as an anti-diagonal wavefront: every cell on diagonal k = i + j
+    depends only on diagonals k-1 and k-2, so one numpy min/max step fills
+    a whole diagonal. O(m*n) time, O(m+n) memory: two diagonal buffers and
+    one diagonal of distances at a time, no m x n array. Each d(i, j) is
+    math.hypot of the float64 coordinate differences, and min/max do not
+    round, so the result is exactly that of the row-by-row DP. Symmetric,
+    and zero exactly when the point sequences coincide.
     """
-    pa = np.column_stack((a.x, a.y))
-    pb = np.column_stack((b.x, b.y))
-    m, n = len(pa), len(pb)
-    dist = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            dist[i, j] = math.hypot(pa[i, 0] - pb[j, 0], pa[i, 1] - pb[j, 1])
-    dp = np.empty((m, n))
-    dp[0, 0] = dist[0, 0]
-    for i in range(1, m):
-        dp[i, 0] = max(dp[i - 1, 0], dist[i, 0])
-    for j in range(1, n):
-        dp[0, j] = max(dp[0, j - 1], dist[0, j])
-    for i in range(1, m):
-        for j in range(1, n):
-            dp[i, j] = max(
-                min(dp[i - 1, j], dp[i, j - 1], dp[i - 1, j - 1]),
-                dist[i, j],
-            )
-    return float(dp[m - 1, n - 1])
+    m, n = len(a), len(b)
+    # b reversed, so the j = k - i of diagonal k run as a forward slice.
+    bx, by = b.x[::-1], b.y[::-1]
+    # Diagonal buffers indexed by i + 1. Slot 0 and the slots past a
+    # diagonal's end are never written, so they stay +inf and the three
+    # neighbours of a diagonal are plain slices. Slots before a diagonal's
+    # start may hold older diagonals but are never read: a slice reaches
+    # below the start of the diagonal it reads only while lo = 0, and then
+    # only slot 0.
+    prev2 = np.full(m + 1, math.inf)
+    prev = np.full(m + 1, math.inf)
+    prev[1] = math.hypot(a.x[0] - b.x[0], a.y[0] - b.y[0])
+    # prev holds diagonal k - 1 and prev2 diagonal k - 2, which diagonal k
+    # overwrites.
+    for k in range(1, m + n - 1):
+        lo, hi = max(0, k - n + 1), min(m - 1, k)
+        size = hi - lo + 1
+        dx = a.x[lo : hi + 1] - bx[n - 1 - k + lo : n - k + hi]
+        dy = a.y[lo : hi + 1] - by[n - 1 - k + lo : n - k + hi]
+        dist = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, size)
+        best = np.minimum(prev[lo : hi + 1], prev[lo + 1 : hi + 2])
+        np.minimum(best, prev2[lo : hi + 1], out=best)
+        np.maximum(best, dist, out=best)
+        prev2[lo + 1 : hi + 2] = best
+        prev2, prev = prev, prev2
+    return float(prev[m])
 
 
 def _rescale_by_reference(curve: Curve, reference: Curve) -> Curve:
@@ -215,7 +237,7 @@ def compare_curves(
         frechet_normalized=normalized_frechet(model, reference),
         frechet_raw=discrete_frechet(model, reference),
         r_squared=r_squared(pairs),
-        qq_pairs=qq_pairs(reference.y, model.y, qq) if qq else None,
+        qq_pairs=qq_pairs(reference.y, model.y, qq) if qq is not None else None,
         resampled=resample,
     )
     return report

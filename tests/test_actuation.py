@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from apmsim import actuation
 from apmsim.actuation import (
+    MAX_GRID_POINTS,
     LoadedTrial,
     PressureSweep,
     actuation_strain,
@@ -80,6 +82,44 @@ def test_sweep_invariants():
         PressureSweep(0.2, 0.1, 0.01)
     with pytest.raises(DomainError):
         PressureSweep(0.0, 0.1, 0.0)
+
+
+@pytest.mark.parametrize(
+    "start, end, step",
+    [
+        (math.nan, 0.1, 0.01),
+        (0.0, math.nan, 0.01),
+        (0.0, 0.1, math.nan),
+        (0.0, math.inf, 0.01),
+        (math.inf, math.inf, 0.01),
+        (0.0, 0.1, math.inf),
+        (0.0, 0.1, -math.inf),
+    ],
+)
+def test_sweep_rejects_non_finite_values(start, end, step):
+    with pytest.raises(DomainError, match="finite"):
+        PressureSweep(start, end, step)
+
+
+def test_sweep_point_cap_is_checked_before_any_grid_is_built():
+    # Exact binary values: end/step whole steps give end/step + 1 points.
+    # Only the constructor runs, so no grid is allocated.
+    PressureSweep(0.0, MAX_GRID_POINTS - 1.0, 1.0)
+    for end, step in ((float(MAX_GRID_POINTS), 1.0), (0.1, 1e-12), (1e308, 5e-324)):
+        with pytest.raises(DomainError, match=f"more than {MAX_GRID_POINTS} points"):
+            PressureSweep(0.0, end, step)
+
+
+def test_sweep_cap_counts_the_points_pressures_builds(monkeypatch):
+    # A small cap, so the grids at it are cheap to build; 0.6 / 0.1 rounds
+    # below 6 in floating point, and the check must count it as pressures()
+    # does.
+    monkeypatch.setattr(actuation, "MAX_GRID_POINTS", 7)
+    assert len(PressureSweep(0.0, 0.6, 0.1).pressures()) == 7
+    assert len(PressureSweep(0.1, 0.74, 0.1).pressures()) == 7
+    for end in (0.7, 0.76):
+        with pytest.raises(DomainError, match="more than 7 points"):
+            PressureSweep(0.0, end, 0.1)
 
 
 # ---------------------------------------------------------- junction stretch

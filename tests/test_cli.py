@@ -91,6 +91,16 @@ def test_design_rejects_nonpositive(capsys):
     assert "a-band" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--a-band", "--t-w", "--h-ch"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_design_rejects_non_finite(flag, value, capsys):
+    values = {"--a-band": "30", "--t-w": "1.5", "--h-ch": "5", flag: value}
+    assert main(["design", *(f"{name}={v}" for name, v in values.items())]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag[2:] in captured.err
+
+
 # ------------------------------------------------------------------ simulate
 
 def test_simulate_prototype_rows(proto_config, tmp_path):
@@ -177,6 +187,30 @@ def test_simulate_model_domain_error_exit_3(tmp_path, capsys):
     assert "2.000000" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("step", "nan"),
+        ("start", "nan"),
+        ("end", "nan"),
+        ("end", "inf"),
+        ("step", "inf"),
+        ("step", "1e-12"),
+    ],
+)
+def test_simulate_rejects_bad_sweep_grid_exit_2(tmp_path, capsys, key, value):
+    config = tmp_path / "grid.ini"
+    lines = [
+        f"{key} = {value}" if line.startswith(f"{key} = ") else line
+        for line in PROTOTYPE_CONFIG.splitlines()
+    ]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid [sweep]" in captured.err
+
+
 # ------------------------------------------------------------------ validate
 
 def write_curve(path, x, y):
@@ -238,6 +272,31 @@ def test_validate_missing_header_exit_2(tmp_path, capsys):
     write_curve(ref, [0.0, 1.0], [1.0, 2.0])
     assert main(["validate", str(model), str(ref)]) == 2
     assert "header" in capsys.readouterr().err
+
+
+def test_validate_qq_zero_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.csv"
+    write_curve(model, [0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
+    assert main(["validate", str(model), str(model), "--qq", "0"]) == 2
+    assert "quantile count must be >= 2" in capsys.readouterr().err
+
+
+def test_validate_three_field_row_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.csv"
+    ref = tmp_path / "r.csv"
+    model.write_text("x,y\n0,0,7\n1,1\n", encoding="utf-8")
+    write_curve(ref, [0.0, 1.0], [0.0, 1.0])
+    assert main(["validate", str(model), str(ref)]) == 2
+    assert "expected 2 fields" in capsys.readouterr().err
+
+
+def test_validate_header_only_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.csv"
+    ref = tmp_path / "r.csv"
+    model.write_text("x,y\n", encoding="utf-8")
+    write_curve(ref, [0.0, 1.0], [0.0, 1.0])
+    assert main(["validate", str(model), str(ref)]) == 2
+    assert "at least 2 points" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- sweep

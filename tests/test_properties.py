@@ -4,7 +4,9 @@ Both root solves (the stress inverse and the half-ellipse axis solve) must
 give each element of an array the same bits as a call with that element
 alone, and meet their residual tolerances; the pressure pipeline must keep
 lambda_jz strictly increasing, the rest state exact, and report the lowest
-failing pressure of a sweep.
+failing pressure of a sweep. The wavefront Frechet DP must give exactly the
+row-by-row DP's result, be exactly symmetric, and be zero only on identical
+point sequences.
 """
 
 import math
@@ -33,6 +35,7 @@ from apmsim.material import (
     inverse_cauchy_stress,
     wall_stress_factor,
 )
+from apmsim.validation import Curve, discrete_frechet
 
 PROTO_SPA = SpaGeometry(t_w=1.5, a_ch=9.5, b_ch=10.0, h_ch=5.0, h_jz=2.0, a_hz=6.0, b_hz=15.0)
 # Rigid chamber sandwich 2*t_w + h_ch of PROTO_SPA, below the actin chord.
@@ -189,3 +192,94 @@ def test_iteration_cap_ends_a_solve_that_cannot_converge():
         _numeric.bracketed_newton(
             lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, np.array([1.0, 1.5]), 0.0
         )
+
+
+# ------------------------------------------------------------ Frechet DP
+
+
+def row_by_row_frechet(a, b):
+    """The Eiter & Mannila DP filled row by row in plain Python (oracle)."""
+    pa = list(zip(a.x.tolist(), a.y.tolist()))
+    pb = list(zip(b.x.tolist(), b.y.tolist()))
+    row = []
+    for i, (ax, ay) in enumerate(pa):
+        new = []
+        for j, (bx, by) in enumerate(pb):
+            d = math.hypot(ax - bx, ay - by)
+            if i == 0 and j == 0:
+                new.append(d)
+            elif i == 0:
+                new.append(max(new[j - 1], d))
+            elif j == 0:
+                new.append(max(row[0], d))
+            else:
+                new.append(max(min(row[j], new[j - 1], row[j - 1]), d))
+        row = new
+    return row[-1]
+
+
+# Very unequal shapes put the diagonal bounds at both edges of the grid.
+curve_sizes = st.one_of(
+    st.tuples(st.integers(2, 3), st.integers(2, 400)),
+    st.tuples(st.integers(2, 400), st.integers(2, 3)),
+    st.tuples(st.integers(2, 400), st.integers(2, 400)),
+)
+
+
+def seeded_curve(rng, size):
+    scale = 10.0 ** rng.integers(-6, 7)
+    x = np.cumsum(rng.uniform(0.01, 1.0, size)) * scale
+    return Curve(x - rng.uniform(0.0, x[-1]), rng.normal(0.0, scale, size))
+
+
+@st.composite
+def curve_pairs(draw):
+    """Two curves; b may reuse points of a, which makes exact distance ties."""
+    m, n = draw(curve_sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = seeded_curve(rng, m)
+    if n <= m and draw(st.booleans()):
+        idx = np.sort(rng.choice(m, n, replace=False))
+        keep = rng.random(n) < 0.5
+        return a, Curve(a.x[idx], np.where(keep, a.y[idx], rng.normal(0.0, 1.0, n)))
+    return a, seeded_curve(rng, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_pairs())
+def test_frechet_equals_row_by_row_dp(pair):
+    a, b = pair
+    assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(curve_pairs())
+def test_frechet_exactly_symmetric(pair):
+    a, b = pair
+    assert discrete_frechet(a, b) == discrete_frechet(b, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 400),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["same", "x_ulp", "y_ulp", "other_length"]),
+)
+def test_frechet_zero_only_on_identical_sequences(size, seed, change):
+    rng = np.random.default_rng(seed)
+    a = seeded_curve(rng, size)
+    x, y = a.x.copy(), a.y.copy()
+    k = int(rng.integers(0, size))
+    if change == "x_ulp":
+        # Stays strictly increasing: the next point is at least a step away.
+        x[k] = np.nextafter(x[k], -math.inf)
+    elif change == "y_ulp":
+        y[k] = np.nextafter(y[k], math.inf)
+    elif change == "other_length":
+        x, y = np.delete(x, k), np.delete(y, k)
+        if x.size < 2:
+            x, y = np.append(a.x, a.x[-1] + 1.0), np.append(a.y, 0.0)
+    b = Curve(x, y)
+    identical = np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert (discrete_frechet(a, b) == 0.0) == identical
+    assert identical == (change == "same")

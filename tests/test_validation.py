@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ def test_curve_from_csv_rejects_bad_row(tmp_path):
         Curve.from_csv(path)
 
 
+def test_curve_from_csv_rejects_rows_without_two_fields(tmp_path):
+    for i, row in enumerate(("0,0,7", "0", "1,1,")):
+        path = tmp_path / f"fields{i}.csv"
+        path.write_text(f"x,y\n{row}\n2,1\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="expected 2 fields"):
+            Curve.from_csv(path)
+
+
 # ----------------------------------------------------------- discrete Frechet
 
 def test_frechet_identical_curves():
@@ -130,6 +139,20 @@ def test_frechet_triangle_inequality():
         dbc = discrete_frechet(b, c)
         dac = discrete_frechet(a, c)
         assert dac <= dab + dbc + 1e-12
+
+
+def test_frechet_memory_is_linear():
+    # An m x n float64 table would be 8 MB at 1000 x 1000; the wavefront
+    # keeps a few arrays of length m + 1.
+    x = np.linspace(0.0, 1.0, 1000)
+    a, b = Curve(x, np.sin(7.0 * x)), Curve(x + 0.5, np.cos(5.0 * x))
+    tracemalloc.start()
+    try:
+        discrete_frechet(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --------------------------------------------------------- normalized Frechet
