@@ -4,10 +4,13 @@ The public model functions take a float or an ndarray. They compute on flat
 float arrays, where a float is the size-1 case, and return an array of the
 input's shape, or a plain Python value for a float input. bracketed_newton is
 the one root solver behind the stress inverse and the half-ellipse axis
-solve.
+solve; check_positive_finite is the one check behind every dimension and
+coefficient that must be a finite positive number.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +35,13 @@ def unflatten(flat: np.ndarray, shape: tuple[int, ...]):
     """The Python value of the only element for the empty shape, else flat
     reshaped to shape."""
     return flat[0].item() if shape == () else flat.reshape(shape)
+
+
+def check_positive_finite(label: str, value: float) -> None:
+    """Raise DomainError unless value is a finite number above zero; NaN and
+    +-inf fail."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{label} must be positive and finite, got {value}")
 
 
 def first_index(mask: np.ndarray) -> int | None:

@@ -15,11 +15,12 @@ rest of the grid, and the output order is the grid order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import first_index, flatten, unflatten
+from ._numeric import check_positive_finite, first_index, flatten, unflatten
 from .errors import DataError, DomainError, UnbracketedRootError
 from .geometry import (
     MyofibrilSpec,
@@ -82,15 +83,16 @@ class PressureSweep:
         return [self.start + i * self.step for i in range(count + 1)]
 
 
-@dataclass(frozen=True)
-class ActuationState:
-    """Every computed quantity at one pressure point.
+class ActuationState(NamedTuple):
+    """Every computed quantity at one pressure point, as an immutable
+    NamedTuple.
 
     pressure in MPa; lambda_jz dimensionless; forces in N; theta in rad;
     r1 and l_mf in mm; length_ratio relative to the zero-pressure length;
-    ratio_flag is the check_length_ratio classification. simulate_pressure
-    given an ndarray of pressures fills every field with an ndarray of the
-    same shape.
+    ratio_flag is the check_length_ratio classification. The field order is
+    the output column order (cli.STATE_COLUMNS), so the CLI formats a state
+    as a plain tuple. simulate_pressure given an ndarray of pressures fills
+    every field with an ndarray of the same shape.
     """
 
     pressure: float
@@ -121,11 +123,9 @@ class LoadedTrial:
     resting_unloaded: float
 
     def __post_init__(self) -> None:
-        if self.resting_unloaded <= 0.0:
-            raise DomainError("resting unloaded length must be positive")
+        check_positive_finite("resting unloaded length", self.resting_unloaded)
         for p, length in self.lengths.items():
-            if length <= 0.0:
-                raise DomainError(f"length at P={p} must be positive, got {length}")
+            check_positive_finite(f"length at P={p}", length)
 
 
 def junction_stretch(
@@ -259,8 +259,8 @@ def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationS
     except DomainError:
         _raise_lowest_failure(spec, pressures)
         raise
-    columns = [getattr(grid, f.name).tolist() for f in fields(ActuationState)]
-    return list(map(ActuationState, *columns))
+    # Transpose the array-valued state into per-point tuples at C speed.
+    return list(map(ActuationState._make, zip(*(column.tolist() for column in grid))))
 
 
 def _raise_lowest_failure(spec: MyofibrilSpec, pressures: np.ndarray) -> None:

@@ -6,9 +6,9 @@ and design-space sweeps. Deterministic machine-readable output; exit codes
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 
@@ -21,7 +21,8 @@ from .material import MATERIALS
 from .validation import Curve, compare_curves, write_qq_csv
 
 # (output column, ActuationState attribute) of every simulate column, in
-# output order; the CSV header, CSV rows and JSON states all derive from it.
+# output order, which is also ActuationState's field order; the CSV header,
+# CSV rows and JSON states all derive from it.
 STATE_COLUMNS = (
     ("pressure_mpa", "pressure"),
     ("lambda_jz", "lambda_jz"),
@@ -37,18 +38,13 @@ STATE_COLUMNS = (
     ("ratio_flag", "ratio_flag"),
 )
 _STATE_KEYS = tuple(column for column, _ in STATE_COLUMNS)
-_state_values = operator.attrgetter(*(attr for _, attr in STATE_COLUMNS))
-# One CSV row per state, `_STATE_ROW % _state_values(state)`: numbers to six
-# decimals, the flag as is.
+# One CSV row per state, `_STATE_ROW % state`: numbers to six decimals, the
+# flag as is. A JSON state is `dict(zip(_STATE_KEYS, state))`.
 _STATE_ROW = ",".join("%s" if attr == "ratio_flag" else "%.6f" for _, attr in STATE_COLUMNS)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
-
-
-def _state_json(state: ActuationState) -> dict:
-    return dict(zip(_STATE_KEYS, _state_values(state)))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -92,12 +88,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 "n": spec.n,
                 "sweep": {"start": sweep.start, "end": sweep.end, "step": sweep.step},
             },
-            "states": [_state_json(s) for s in states],
+            "states": [dict(zip(_STATE_KEYS, s)) for s in states],
         }
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
     else:
         lines = [",".join(_STATE_KEYS)]
-        lines.extend(_STATE_ROW % _state_values(s) for s in states)
+        lines.extend(_STATE_ROW % s for s in states)
         _emit("\n".join(lines) + "\n", out_path)
     return 0
 
@@ -162,7 +158,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "assumed_h_ch_mm": h_ch,
                 "max_f_spa_n": top,
                 "mean_max_f_spa_n": mean_max,
-                "states": [_state_json(s) for s in states],
+                "states": [dict(zip(_STATE_KEYS, s)) for s in states],
             }
             for name, ratio, states, top, mean_max in cells
         ]
@@ -180,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for name, ratio, states, top, mean_max in cells:
             head = f"{name},{ratio:.6f},{h_ch:.6f},"
             tail = f",{top:.6f},{mean_max:.6f}"
-            lines.extend(head + _STATE_ROW % _state_values(s) + tail for s in states)
+            lines.extend(head + _STATE_ROW % s + tail for s in states)
         _emit("\n".join(lines) + "\n", out_path)
     return 0
 
@@ -229,8 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main call, not at import, and reused by later calls in
+# the same process; parse_args leaves the parser unchanged.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as err:

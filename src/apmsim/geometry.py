@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ellipe, ellipk
 
-from ._numeric import bracketed_newton, first_index, flatten, unflatten
+from ._numeric import bracketed_newton, check_positive_finite, first_index, flatten, unflatten
 from .errors import DomainError
 from .material import YeohMaterial
 
@@ -47,7 +47,7 @@ class SpaGeometry:
 
     t_w: chamber wall thickness; a_ch/b_ch/h_ch: inner channel length, width
     and height; h_jz: junction-zone height between chamber arrays; a_hz/b_hz:
-    H-zone cross-section length and width.
+    H-zone cross-section length and width. Each must be positive and finite.
     """
 
     t_w: float
@@ -60,8 +60,7 @@ class SpaGeometry:
 
     def __post_init__(self) -> None:
         for name in ("t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"SPA dimension {name} must be positive, got {getattr(self, name)}")
+            check_positive_finite(f"SPA dimension {name}", getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,8 @@ class SarcomereGeometry:
     (None when not yet chosen); sarcomere_height is informational and never
     enters computations; junctions_per_myosin counts the junction zones
     stacked through the myosin height (two in the reference chamber stack).
+    a_band, i_band, actin_arc and a given myosin_height must be positive and
+    finite.
     """
 
     a_band: float
@@ -84,10 +85,9 @@ class SarcomereGeometry:
 
     def __post_init__(self) -> None:
         for name in ("a_band", "i_band", "actin_arc"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"sarcomere dimension {name} must be positive")
-        if self.myosin_height is not None and self.myosin_height <= 0.0:
-            raise DomainError("myosin_height must be positive when given")
+            check_positive_finite(f"sarcomere dimension {name}", getattr(self, name))
+        if self.myosin_height is not None:
+            check_positive_finite("myosin_height", self.myosin_height)
         if self.junctions_per_myosin < 1:
             raise DomainError("junctions_per_myosin must be >= 1")
 
@@ -117,15 +117,15 @@ class SarcomereGeometry:
 
 @dataclass(frozen=True)
 class EllipseHalf:
-    """A half ellipse with major semi-axis r1 >= minor semi-axis r2 > 0 (mm)."""
+    """A half ellipse with finite major semi-axis r1 >= minor semi-axis r2 > 0 (mm)."""
 
     r1: float
     r2: float
     eccentricity: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.r2 <= 0.0:
-            raise DomainError(f"minor semi-axis must be positive, got {self.r2}")
+        check_positive_finite("minor semi-axis", self.r2)
+        check_positive_finite("major semi-axis", self.r1)
         if self.r1 < self.r2:
             raise DomainError(
                 f"major semi-axis {self.r1} must not be smaller than minor {self.r2}; "
@@ -197,9 +197,9 @@ def design_from_a_band(a_band: float) -> SarcomereGeometry:
     i_band = (2/3)*a_band, the rest actin forms a semicircle of radius
     a_band/3 so actin_arc = (pi/3)*a_band. The myosin height is left unset;
     pick it within myosin_height_bounds once the chamber stack is known.
+    Raises DomainError unless a_band and the derived lengths are positive
+    and finite (a_band near the float maximum overflows i_band).
     """
-    if a_band <= 0.0:
-        raise DomainError(f"a_band must be positive, got {a_band}")
     i_band = 2.0 * a_band / 3.0
     return SarcomereGeometry(
         a_band=a_band,
@@ -212,12 +212,16 @@ def myosin_height_bounds(a_band: float, t_w: float, h_ch: float) -> tuple[float,
     """Feasible [low, high] myosin height in mm for a given chamber stack.
 
     low corresponds to the rest semicircle, high to the fully contracted
-    actin; both include the rigid 2*t_w + h_ch chamber sandwich.
+    actin; both include the rigid 2*t_w + h_ch chamber sandwich. Raises
+    DomainError unless the inputs and both bounds are positive and finite.
     """
-    if a_band <= 0.0 or t_w <= 0.0 or h_ch <= 0.0:
-        raise DomainError("myosin height bounds require positive dimensions")
+    for name, value in (("a_band", a_band), ("t_w", t_w), ("h_ch", h_ch)):
+        check_positive_finite(name, value)
     stack = 2.0 * t_w + h_ch
-    return 2.0 * a_band / 3.0 + stack, math.pi / 3.0 * a_band + stack
+    low, high = 2.0 * a_band / 3.0 + stack, math.pi / 3.0 * a_band + stack
+    for bound in (low, high):
+        check_positive_finite("myosin height bound", bound)
+    return low, high
 
 
 def semi_ellipse_arc_length(r1: float | np.ndarray, r2: float | np.ndarray) -> float | np.ndarray:

@@ -15,11 +15,12 @@ All functions are pure and thread-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numeric import bracketed_newton, first_index, flatten, unflatten
+from ._numeric import bracketed_newton, check_positive_finite, first_index, flatten, unflatten
 from .errors import DomainError, UnbracketedRootError
 
 # Default upper end of the stretch bracket used for stress inversion and for
@@ -53,8 +54,9 @@ class StretchState:
 class YeohMaterial:
     """Yeoh coefficients (MPa) and density (kg/m^3, informational) of one elastomer.
 
-    c3 is zero for second-order fits. The constructor rejects materials whose
-    uniaxial Cauchy stress is not strictly increasing on the inversion bracket
+    c3 is zero for second-order fits. c1 must be positive and finite, c2, c3
+    and density finite. The constructor also rejects materials whose uniaxial
+    Cauchy stress is not strictly increasing on the inversion bracket
     [1, DEFAULT_LAMBDA_MAX], since stress inversion requires a monotone curve.
     """
 
@@ -65,8 +67,10 @@ class YeohMaterial:
     density: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.c1 <= 0.0:
-            raise DomainError(f"{self.name}: c1 must be positive, got {self.c1}")
+        check_positive_finite(f"{self.name}: c1", self.c1)
+        for name in ("c2", "c3", "density"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{self.name}: {name} must be finite, got {getattr(self, name)}")
         k = np.arange(1, _MONOTONICITY_SAMPLES + 1)
         lam = 1.0 + (DEFAULT_LAMBDA_MAX - 1.0) * k / _MONOTONICITY_SAMPLES
         stress = cauchy_stress(self, lam)

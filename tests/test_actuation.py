@@ -352,3 +352,11 @@ def test_actuation_strain_missing_records():
 def test_loaded_trial_rejects_nonpositive_lengths():
     with pytest.raises(DomainError):
         LoadedTrial(load_mass_g=10.0, lengths={0.0: -1.0}, resting_unloaded=165.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_loaded_trial_rejects_non_finite_lengths(value):
+    with pytest.raises(DomainError, match="positive and finite"):
+        LoadedTrial(load_mass_g=10.0, lengths={0.0: value}, resting_unloaded=165.0)
+    with pytest.raises(DomainError, match="positive and finite"):
+        LoadedTrial(load_mass_g=10.0, lengths={0.0: 165.0}, resting_unloaded=value)

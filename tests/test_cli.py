@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import apmsim
+from apmsim import cli
+from apmsim.actuation import ActuationState
 from apmsim.cli import main
 
 PROTOTYPE_CONFIG = """\
@@ -101,7 +108,81 @@ def test_design_rejects_non_finite(flag, value, capsys):
     assert flag[2:] in captured.err
 
 
+def test_design_rejects_overflowing_lengths(capsys):
+    # Finite flags whose derived lengths overflow to inf.
+    for argv in (["--a-band", "1e308", "--t-w", "1", "--h-ch", "1"],
+                 ["--a-band", "30", "--t-w", "1e308", "--h-ch", "1"]):
+        assert main(["design", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be positive and finite, got inf" in captured.err
+
+
 # ------------------------------------------------------------------ simulate
+
+def test_state_columns_follow_actuation_state_fields():
+    # Rows are formatted straight from the tuple, so the column table must
+    # list the fields in their declared order.
+    assert tuple(attr for _, attr in cli.STATE_COLUMNS) == ActuationState._fields
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("a_band", "nan", "a_band must be positive and finite, got nan"),
+        ("a_band", "inf", "a_band must be positive and finite, got inf"),
+        # 2 * 1e308 overflows, so the derived i_band is inf.
+        ("a_band", "1e308", "i_band must be positive and finite, got inf"),
+        ("actin_arc", "nan", "actin_arc must be positive and finite, got nan"),
+        ("myosin_height", "inf", "myosin_height must be positive and finite, got inf"),
+        ("t_w", "nan", "t_w must be positive and finite, got nan"),
+        ("h_ch", "inf", "h_ch must be positive and finite, got inf"),
+        ("c1", "nan", "c1 must be positive and finite, got nan"),
+        ("c2", "inf", "c2 must be finite, got inf"),
+    ],
+)
+def test_simulate_rejects_non_finite_design_exit_2(tmp_path, capsys, key, value, message):
+    config = tmp_path / "design.ini"
+    text = PROTOTYPE_CONFIG.replace("name = dragonskin-30", "name = lot\nc1 = 0.096\nc2 = 0.0095")
+    lines = [
+        f"{key} = {value}" if line.startswith(f"{key} = ") else line
+        for line in text.splitlines()
+    ]
+    config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_main_reuses_one_parser_across_calls(proto_config, tmp_path, capsys):
+    # One process: a rejected argv, then simulate, then validate, all through
+    # the parser built on the first call; each must print what a fresh
+    # interpreter prints for the same argv.
+    curve = tmp_path / "curve.csv"
+    write_curve(curve, [0.0, 0.5, 1.0], [0.0, 0.3, 1.0])
+    runs = [
+        ["simulate", "--format", "xml", "--config", str(proto_config)],
+        ["simulate", "--config", str(proto_config)],
+        ["validate", str(curve), str(curve), "--qq", "3"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(apmsim.__file__).parents[1])}
+    codes = []
+    for argv in runs:
+        try:
+            codes.append(main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-W", "ignore", "-m", "apmsim", *argv],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert (codes[-1], captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        )
+    assert codes == [2, 0, 0]
+
 
 def test_simulate_prototype_rows(proto_config, tmp_path):
     out = tmp_path / "run.csv"

@@ -310,3 +310,44 @@ def test_spa_geometry_rejects_nonpositive():
 def test_sarcomere_rejects_bad_junction_count():
     with pytest.raises(DomainError):
         SarcomereGeometry(a_band=30.0, i_band=20.0, actin_arc=31.0, junctions_per_myosin=0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz"])
+def test_spa_geometry_rejects_non_finite(name, value):
+    dims = dict(t_w=1.5, a_ch=9.5, b_ch=10.0, h_ch=5.0, h_jz=2.0, a_hz=6.0, b_hz=15.0)
+    dims[name] = value
+    with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        SpaGeometry(**dims)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["a_band", "i_band", "actin_arc", "myosin_height"])
+def test_sarcomere_rejects_non_finite(name, value):
+    dims = dict(a_band=30.0, i_band=20.0, actin_arc=31.0, myosin_height=28.0)
+    dims[name] = value
+    with pytest.raises(DomainError, match=f"{name} must be positive and finite"):
+        SarcomereGeometry(**dims)
+
+
+@pytest.mark.parametrize("a_band", [math.nan, math.inf, 1e308])
+def test_design_from_a_band_rejects_non_finite_and_overflow(a_band):
+    # 2 * 1e308 overflows, so the derived i_band is inf.
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        design_from_a_band(a_band)
+
+
+@pytest.mark.parametrize(
+    "a_band, t_w, h_ch",
+    [(math.nan, 1.0, 1.0), (30.0, math.inf, 1.0), (1e308, 1.0, 1.0), (30.0, 1e308, 1.0)],
+)
+def test_myosin_height_bounds_rejects_non_finite_and_overflow(a_band, t_w, h_ch):
+    with pytest.raises(DomainError, match="must be positive and finite"):
+        myosin_height_bounds(a_band, t_w, h_ch)
+
+
+@pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)])
+def test_ellipse_half_rejects_non_finite(r1, r2):
+    # A NaN major axis used to pass the r1 < r2 check with eccentricity 0.
+    with pytest.raises(DomainError, match="semi-axis must be positive and finite"):
+        EllipseHalf(r1, r2)

@@ -189,3 +189,20 @@ def test_wall_stress_factor_branch_monotonicity():
     assert all(b < a for a, b in zip(thick, thick[1:]))
     assert all(k > 2.0 for k in thin)
     assert all(k > 1.0 for k in thick)
+
+
+@pytest.mark.parametrize(
+    "coefficients, name",
+    [
+        ({"c1": math.nan}, "c1"),
+        ({"c1": math.inf}, "c1"),
+        ({"c1": 0.1, "c2": math.nan}, "c2"),
+        ({"c1": 0.1, "c3": math.inf}, "c3"),
+        ({"c1": 0.1, "density": math.nan}, "density"),
+    ],
+)
+def test_material_rejects_non_finite_coefficients(coefficients, name):
+    # A NaN c2 or c3 makes every stress sample NaN, which no ordering
+    # comparison flags, so finiteness is checked on its own.
+    with pytest.raises(DomainError, match=f"{name} must be"):
+        YeohMaterial("bad", **coefficients)

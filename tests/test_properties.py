@@ -3,8 +3,9 @@
 Both root solves (the stress inverse and the half-ellipse axis solve) must
 give each element of an array the same bits as a call with that element
 alone, and meet their residual tolerances; the pressure pipeline must keep
-lambda_jz strictly increasing, the rest state exact, and report the lowest
-failing pressure of a sweep. The wavefront Frechet DP must give exactly the
+lambda_jz strictly increasing, the rest state exact, give each sweep point
+the state of its own pressure, and report the lowest failing pressure of a
+sweep. The wavefront Frechet DP must give exactly the
 row-by-row DP's result, be exactly symmetric, and be zero only on identical
 point sequences.
 """
@@ -17,7 +18,13 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from apmsim import _numeric
-from apmsim.actuation import PressureSweep, junction_stretch, simulate_pressure, simulate_sweep
+from apmsim.actuation import (
+    ActuationState,
+    PressureSweep,
+    junction_stretch,
+    simulate_pressure,
+    simulate_sweep,
+)
 from apmsim.errors import DomainError
 from apmsim.geometry import (
     MyofibrilSpec,
@@ -173,6 +180,25 @@ def test_sweep_reports_lowest_failing_pressure(spec, end):
         with pytest.raises(DomainError) as info:
             simulate_sweep(spec, sweep)
         assert str(info.value) == expected
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=60, deadline=None)
+@given(prototype_specs(), st.floats(1e-4, 0.3), st.integers(1, 40))
+def test_sweep_states_equal_single_pressure_states(spec, end, intervals):
+    # simulate_sweep transposes one array-valued state into per-point
+    # tuples; each must be the state of its own pressure, field by field.
+    sweep = PressureSweep(0.0, end, end / intervals)
+    try:
+        states = simulate_sweep(spec, sweep)
+    except DomainError:
+        reject()
+    assert [s.pressure for s in states] == sweep.pressures()
+    for state in states:
+        assert type(state) is ActuationState
+        alone = simulate_pressure(spec, state.pressure)
+        for name in ActuationState._fields:
+            assert getattr(state, name) == getattr(alone, name), name
 
 
 # ---------------------------------------------------------- iteration cap
