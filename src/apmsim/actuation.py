@@ -9,13 +9,18 @@ stresses are in MPa and lengths in mm, so forces come out in newtons.
 Every stage takes a float or an ndarray of pressures, so a pressure sweep is
 one pass of the chain over the whole grid; a single pressure is the size-1
 case. Grid points are independent: each point's values do not depend on the
-rest of the grid, and the output order is the grid order.
+rest of the grid, and the output order is the grid order. A batch of
+designs is one pass too: simulate_pressure concatenates their grids and
+repeats each design's parameters over its own grid points, and
+simulate_cells runs a batch of sweeps that way.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -25,9 +30,12 @@ from .errors import DataError, DomainError, UnbracketedRootError
 from .geometry import (
     MyofibrilSpec,
     SpaGeometry,
+    _major_axis,
+    _per_design,
+    _rest_chord,
+    _rest_stack,
     check_length_ratio,
     contraction_angle,
-    current_major_axis,
     myofibril_length,
 )
 from .material import (
@@ -154,19 +162,25 @@ def junction_stretch(
 
 
 def _check_pressure(pressure: float | np.ndarray) -> None:
-    bad = first_index(np.ravel(pressure) < 0.0)
+    flat = np.ravel(pressure)
+    bad = first_index(~(flat >= 0.0))
     if bad is not None:
-        raise DomainError(f"pressure must be non-negative, got {np.ravel(pressure)[bad]}")
+        raise DomainError(f"pressure must be non-negative, got {flat[bad]}")
 
 
-def adjustment_coefficient(tw_hch_ratio: float, pressure: float | np.ndarray) -> float | np.ndarray:
+def adjustment_coefficient(
+    tw_hch_ratio: float | np.ndarray, pressure: float | np.ndarray
+) -> float | np.ndarray:
     """Fitted expansion-force adjustment coefficient c_m.
 
-    Affine in the wall ratio and the pressure (a float or an ndarray):
-    c_m = -2.49*(t_w/h_ch) - 6.101*P + 11.457.
+    Affine in the wall ratio and the pressure (floats or ndarrays that
+    broadcast together): c_m = -2.49*(t_w/h_ch) - 6.101*P + 11.457. A
+    negative or NaN ratio or pressure raises DomainError.
     """
-    if tw_hch_ratio < 0.0:
-        raise DomainError(f"wall ratio must be non-negative, got {tw_hch_ratio}")
+    ratio = np.ravel(tw_hch_ratio)
+    bad = first_index(~(ratio >= 0.0))
+    if bad is not None:
+        raise DomainError(f"wall ratio must be non-negative, got {ratio[bad]}")
     _check_pressure(pressure)
     return _CM_RATIO_SLOPE * tw_hch_ratio + _CM_PRESSURE_SLOPE * pressure + _CM_INTERCEPT
 
@@ -208,28 +222,96 @@ def contraction_force(f_spa: float | np.ndarray, theta: float | np.ndarray) -> f
     return unflatten(force * np.tan(angle), shape)
 
 
-def simulate_pressure(spec: MyofibrilSpec, pressure: float | np.ndarray) -> ActuationState:
+class _Points(NamedTuple):
+    """Design parameters at the pressure points of one pipeline pass.
+
+    For one design each field holds its value, which broadcasts over the
+    pressures. For a batch of designs each field holds one value per design
+    (see _design_points) or, once _per_point repeated it over the designs'
+    grids, one value per pressure point. The SPA and Yeoh fields carry the
+    SpaGeometry and YeohMaterial field names, so the stage functions read
+    the record as their spa and material; name joins the material names.
+    geometry._rest_chord gives the rest chord from rest_height, rest_t_w and
+    rest_h_ch.
+    """
+
+    t_w: float | np.ndarray
+    a_ch: float | np.ndarray
+    b_ch: float | np.ndarray
+    h_ch: float | np.ndarray
+    h_jz: float | np.ndarray
+    a_hz: float | np.ndarray
+    b_hz: float | np.ndarray
+    name: str
+    c1: float | np.ndarray
+    c2: float | np.ndarray
+    c3: float | np.ndarray
+    actin_arc: float | np.ndarray
+    a_band: float | np.ndarray
+    n: int | np.ndarray
+    junctions_per_myosin: int | np.ndarray
+    rest_height: float | np.ndarray
+    rest_t_w: float | np.ndarray
+    rest_h_ch: float | np.ndarray
+
+
+def _design_values(spec: MyofibrilSpec) -> tuple:
+    spa, sarc, material = spec.spa, spec.sarcomere, spec.material
+    return (
+        spa.t_w, spa.a_ch, spa.b_ch, spa.h_ch, spa.h_jz, spa.a_hz, spa.b_hz,
+        material.name, material.c1, material.c2, material.c3,
+        sarc.actin_arc, sarc.a_band, spec.n, sarc.junctions_per_myosin,
+        *_rest_stack(spec),
+    )
+
+
+def _design_points(spec: MyofibrilSpec | Sequence[MyofibrilSpec]) -> _Points:
+    # The values of one design, or one array per field over a batch.
+    points = _Points(*_per_design(spec, _design_values))
+    if isinstance(spec, MyofibrilSpec):
+        return points
+    return points._replace(name=", ".join(dict.fromkeys(points.name.tolist())))
+
+
+def _per_point(value, counts: Sequence[int]):
+    # A batch's per-design array repeated over the designs' grids, counts[i]
+    # points for design i. One design's value, and a batch of one's, is used
+    # as it is and broadcasts over the grid.
+    return np.repeat(value, counts) if len(counts) > 1 and np.ndim(value) else value
+
+
+def simulate_pressure(
+    spec: MyofibrilSpec | Sequence[MyofibrilSpec], pressure: float | np.ndarray | Sequence[np.ndarray]
+) -> ActuationState:
     """Evaluate the full pipeline at a pressure and return the state.
 
     For an ndarray of pressures every field of the state is an ndarray of
     that shape, computed in one pass over the whole array; a float pressure
-    is the size-1 case and gives plain floats. The length ratio is taken
-    against the zero-deformation length of the same design (identical to
-    resting_length for rule-conforming geometries), solved once per call;
-    it is exactly 1 at zero pressure.
+    is the size-1 case and gives plain floats. A batch of designs is one
+    pass too: for a sequence of specs, pressure is a sequence of 1-d arrays,
+    one per spec, and every field is a flat array over their concatenation.
+    The length ratio is taken against the zero-deformation length of the
+    same design (identical to resting_length for rule-conforming
+    geometries), solved once per design; it is exactly 1 at zero pressure.
     """
-    spa = spec.spa
-    lam = junction_stretch(pressure, spa, spec.material)
-    c_m = adjustment_coefficient(spa.t_w / spa.h_ch, pressure)
-    f_e = expansion_force(pressure, spa, lam, c_m)
-    f_r = restoring_force(lam, spa, spec.material)
+    counts: Sequence[int] = ()
+    if not isinstance(spec, MyofibrilSpec):
+        counts = [len(grid) for grid in pressure]
+        pressure = np.concatenate(pressure)
+    designs = _design_points(spec)
+    d = _Points(*(_per_point(value, counts) for value in designs))
+    lam = junction_stretch(pressure, d, d)
+    c_m = adjustment_coefficient(d.t_w / d.h_ch, pressure)
+    f_e = expansion_force(pressure, d, lam, c_m)
+    f_r = restoring_force(lam, d, d)
     f_spa = f_e - f_r
-    theta = contraction_angle(spa, lam, spec.sarcomere.actin_arc)
+    theta = contraction_angle(d, lam, d.actin_arc)
     f_contr = contraction_force(f_spa, theta)
-    delta_hm = spec.sarcomere.junctions_per_myosin * (lam - 1.0) * spa.h_jz
-    r1 = current_major_axis(spec, delta_hm)
-    l_mf = spec.n * (spec.sarcomere.a_band + 2.0 * r1)
-    l_rest = myofibril_length(spec, 0.0)
+    delta_hm = d.junctions_per_myosin * (lam - 1.0) * d.h_jz
+    rest_chord = _rest_chord(designs.rest_height, designs.rest_t_w, designs.rest_h_ch)
+    r1 = _major_axis(d.actin_arc, _per_point(rest_chord, counts), delta_hm)
+    l_mf = d.n * (d.a_band + 2.0 * r1)
+    l_rest = _per_point(myofibril_length(spec, 0.0), counts)
     return ActuationState(
         pressure=pressure,
         lambda_jz=lam,
@@ -246,21 +328,46 @@ def simulate_pressure(spec: MyofibrilSpec, pressure: float | np.ndarray) -> Actu
     )
 
 
+def simulate_cells(
+    cells: Sequence[tuple[MyofibrilSpec, PressureSweep]],
+) -> list[list[ActuationState]]:
+    """One list of ActuationStates per (spec, sweep) cell, in cell order,
+    each in ascending pressure order.
+
+    All cells are one simulate_pressure pass over the concatenated grids,
+    so cells[i]'s list equals simulate_sweep(*cells[i]). Any model error
+    aborts the whole call: the first cell, in the given order, that fails
+    on its own reports its lowest failing pressure as simulate_sweep does.
+    No cells give an empty list.
+    """
+    if not cells:
+        return []
+    specs = [spec for spec, _ in cells]
+    grids = [np.array(sweep.pressures()) for _, sweep in cells]
+    try:
+        state = simulate_pressure(specs, grids)
+    except DomainError:
+        for spec, pressures in zip(specs, grids):
+            try:
+                simulate_pressure(spec, pressures)
+            except DomainError:
+                _raise_lowest_failure(spec, pressures)
+                raise
+        raise
+    # Transpose the array-valued state into per-point tuples at C speed and
+    # cut them into the cells' grids.
+    points = map(ActuationState._make, zip(*(column.tolist() for column in state)))
+    return [list(islice(points, len(grid))) for grid in grids]
+
+
 def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationState]:
     """One ActuationState per grid point, in ascending pressure order.
 
-    The whole grid is one simulate_pressure call. Any model error aborts the
-    sweep and reports the lowest failing pressure with the error that
+    The one-cell case of simulate_cells. Any model error aborts the sweep
+    and reports the lowest failing pressure with the error that
     simulate_pressure raises at that pressure alone.
     """
-    pressures = np.array(sweep.pressures())
-    try:
-        grid = simulate_pressure(spec, pressures)
-    except DomainError:
-        _raise_lowest_failure(spec, pressures)
-        raise
-    # Transpose the array-valued state into per-point tuples at C speed.
-    return list(map(ActuationState._make, zip(*(column.tolist() for column in grid))))
+    return simulate_cells([(spec, sweep)])[0]
 
 
 def _raise_lowest_failure(spec: MyofibrilSpec, pressures: np.ndarray) -> None:

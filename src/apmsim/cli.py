@@ -13,11 +13,10 @@ import sys
 from pathlib import Path
 
 from . import geometry
-from .actuation import ActuationState, simulate_sweep
-from .config import ConfigError, load_config, parse_ratio
+from .actuation import ActuationState, PressureSweep, simulate_cells, simulate_sweep
+from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
 from .geometry import MyofibrilSpec
-from .material import MATERIALS
 from .validation import Curve, compare_curves, write_qq_csv
 
 # (output column, ActuationState attribute) of every simulate column, in
@@ -118,32 +117,32 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    materials = [m.strip() for m in args.materials.split(",") if m.strip()]
+    names = [m.strip() for m in args.materials.split(",") if m.strip()]
     ratios = [parse_ratio(r) for r in args.ratios.split(",") if r.strip()]
-    if not materials or not ratios:
+    if not names or not ratios:
         raise ConfigError("sweep needs non-empty material and ratio lists")
-    for name in materials:
-        if name not in MATERIALS:
-            known = ", ".join(sorted(MATERIALS))
-            raise ConfigError(f"unknown material {name!r}; known: {known}")
+    materials = [builtin_material(name) for name in names]
 
-    cells: list[tuple[str, float, list[ActuationState], float, float]] = []
-    for name in materials:
-        material = MATERIALS[name]
-        sweep = config.sweep_for_material(name)
-        cell_states: list[tuple[float, list[ActuationState]]] = []
-        for ratio in ratios:
-            spa = config.spa_for_ratio(ratio)
-            try:
-                spec = MyofibrilSpec(
-                    n=config.n, sarcomere=config.sarcomere, spa=spa, material=material
-                )
-            except DomainError as err:
-                raise ConfigError(f"invalid design: {err}") from err
-            cell_states.append((ratio, simulate_sweep(spec, sweep)))
+    # Cells in material-then-ratio order, all evaluated in one pass. A cell
+    # that fails to build is reported only when every cell before it
+    # simulates, so an earlier cell's model error takes precedence.
+    cells: list[tuple[MyofibrilSpec, PressureSweep]] = []
+    try:
+        for material in materials:
+            sweep = config.sweep_for_material(material.name)
+            for ratio in ratios:
+                cells.append((config.spec_with_spa(config.spa_for_ratio(ratio), material), sweep))
+    except ConfigError:
+        simulate_cells(cells)
+        raise
+    results = iter(simulate_cells(cells))
+
+    rows: list[tuple[str, float, list[ActuationState], float, float]] = []
+    for name in names:
+        cell_states = [(ratio, next(results)) for ratio in ratios]
         maxima = {ratio: max(s.f_spa for s in states) for ratio, states in cell_states}
         mean_max = math.fsum(maxima.values()) / len(maxima)
-        cells.extend(
+        rows.extend(
             (name, ratio, states, maxima[ratio], mean_max) for ratio, states in cell_states
         )
 
@@ -160,7 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 "mean_max_f_spa_n": mean_max,
                 "states": [dict(zip(_STATE_KEYS, s)) for s in states],
             }
-            for name, ratio, states, top, mean_max in cells
+            for name, ratio, states, top, mean_max in rows
         ]
         _emit(json.dumps({"cells": json_cells}, indent=2, sort_keys=True) + "\n", out_path)
     else:
@@ -173,7 +172,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "mean_max_f_spa_n",
         )
         lines = [",".join(header)]
-        for name, ratio, states, top, mean_max in cells:
+        for name, ratio, states, top, mean_max in rows:
             head = f"{name},{ratio:.6f},{h_ch:.6f},"
             tail = f",{top:.6f},{mean_max:.6f}"
             lines.extend(head + _STATE_ROW % s + tail for s in states)
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="compare a model curve against a reference curve")
     p_val.add_argument("model_csv", help="model curve CSV (header x,y)")
     p_val.add_argument("reference_csv", help="reference curve CSV (header x,y)")
-    p_val.add_argument("--qq", type=int, help="also compute K paired quantiles")
+    p_val.add_argument("--qq", type=int, help="also compute K paired quantiles, 2 <= K <= 100000")
     p_val.add_argument(
         "--resample",
         action="store_true",

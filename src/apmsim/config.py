@@ -74,9 +74,13 @@ class RunConfig:
         """Complete design from the explicit [spa] section."""
         return self.spec_with_spa(self.build_spa())
 
-    def spec_with_spa(self, spa: SpaGeometry) -> MyofibrilSpec:
+    def spec_with_spa(self, spa: SpaGeometry, material: YeohMaterial | None = None) -> MyofibrilSpec:
+        """Complete design from an SPA geometry and the configured material,
+        or the given one."""
         try:
-            return MyofibrilSpec(n=self.n, sarcomere=self.sarcomere, spa=spa, material=self.material)
+            return MyofibrilSpec(
+                n=self.n, sarcomere=self.sarcomere, spa=spa, material=material or self.material
+            )
         except DomainError as err:
             raise ConfigError(f"invalid design: {err}") from err
 
@@ -109,17 +113,23 @@ def _get_float(section: configparser.SectionProxy, key: str, context: str) -> fl
         raise ConfigError(f"key {key!r} in [{context}] is not a number") from None
 
 
+def builtin_material(name: str) -> YeohMaterial:
+    """The built-in material of that name; ConfigError naming the known ones
+    otherwise."""
+    try:
+        return MATERIALS[name]
+    except KeyError:
+        known = ", ".join(sorted(MATERIALS))
+        raise ConfigError(f"unknown material {name!r}; known: {known}") from None
+
+
 def _resolve_material(section: configparser.SectionProxy) -> YeohMaterial:
     name = section.get("name")
     if name is None:
         raise ConfigError("[material] needs a name")
     name = name.strip()
     if "c1" not in section:
-        try:
-            return MATERIALS[name]
-        except KeyError:
-            known = ", ".join(sorted(MATERIALS))
-            raise ConfigError(f"unknown material {name!r}; known: {known}") from None
+        return builtin_material(name)
     try:
         return YeohMaterial(
             name=name,

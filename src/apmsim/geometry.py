@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -306,66 +307,105 @@ def _arc_residual(x: np.ndarray, b: np.ndarray, arc: np.ndarray) -> tuple[np.nda
     return length - arc, slope
 
 
-def _rest_chord(spec: MyofibrilSpec) -> float:
-    # Deformable vertical chord of the actin half-ellipse at rest: the myosin
-    # height minus the rigid 2*t_w + h_ch sandwich, or the I-band when no
-    # myosin height was chosen (identical for rule-conforming designs).
-    if spec.sarcomere.myosin_height is not None:
-        chord = spec.sarcomere.myosin_height - 2.0 * spec.spa.t_w - spec.spa.h_ch
-        if chord <= 0.0:
-            raise DomainError(
-                "myosin_height leaves no room for the actin chord "
-                f"(chord={chord:.6g} mm)"
-            )
-        return chord
-    return spec.sarcomere.i_band
+def _rest_stack(spec: MyofibrilSpec) -> tuple[float, float, float]:
+    # (height, t_w, h_ch) whose _rest_chord is the design's rest chord: the
+    # myosin height around the 2*t_w + h_ch sandwich or, when no myosin height
+    # was chosen, the I-band around no sandwich (identical for rule-conforming
+    # designs; i_band - 0.0 - 0.0 is i_band exactly).
+    sarc = spec.sarcomere
+    if sarc.myosin_height is None:
+        return sarc.i_band, 0.0, 0.0
+    return sarc.myosin_height, spec.spa.t_w, spec.spa.h_ch
 
 
-def current_major_axis(spec: MyofibrilSpec, delta_hm: float | np.ndarray) -> float | np.ndarray:
-    """Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
-    delta_hm (a float or an ndarray; the result has its shape)."""
+def _rest_chord(
+    height: float | np.ndarray, t_w: float | np.ndarray, h_ch: float | np.ndarray
+) -> float | np.ndarray:
+    # Deformable vertical chord of the actin half-ellipse at rest: the height
+    # minus the rigid 2*t_w + h_ch sandwich. Floats or ndarrays, one element
+    # per design; a NaN chord fails the check.
+    shape, (chord,) = flatten(height - 2.0 * t_w - h_ch)
+    bad = first_index(~(chord > 0.0))
+    if bad is not None:
+        raise DomainError(
+            f"myosin_height leaves no room for the actin chord (chord={chord[bad]:.6g} mm)"
+        )
+    return unflatten(chord, shape)
+
+
+def _major_axis(
+    actin_arc: float | np.ndarray, rest_chord: float | np.ndarray, delta_hm: float | np.ndarray
+) -> float | np.ndarray:
+    # current_major_axis for designs given by their actin arc and rest chord;
+    # floats or ndarrays that broadcast together.
     bad = first_index(np.ravel(delta_hm) < 0.0)
     if bad is not None:
         raise DomainError(f"delta_hm must be non-negative, got {np.ravel(delta_hm)[bad]}")
-    chord = _rest_chord(spec) + delta_hm
-    return solve_major_axis(spec.sarcomere.actin_arc, chord)
+    return solve_major_axis(actin_arc, rest_chord + delta_hm)
 
 
-def myofibril_length(spec: MyofibrilSpec, delta_hm: float | np.ndarray) -> float | np.ndarray:
+def _per_design(spec: MyofibrilSpec | Sequence[MyofibrilSpec], values) -> tuple | list[np.ndarray]:
+    # values(spec) of one design; for a sequence of designs, one ndarray per
+    # value with an element per design.
+    if isinstance(spec, MyofibrilSpec):
+        return values(spec)
+    return [np.array(column) for column in zip(*map(values, spec))]
+
+
+def current_major_axis(
+    spec: MyofibrilSpec | Sequence[MyofibrilSpec], delta_hm: float | np.ndarray
+) -> float | np.ndarray:
+    """Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
+    delta_hm (a float or an ndarray; the result has its shape).
+
+    spec may also be a sequence of designs, one value per design
+    broadcasting against delta_hm, solved together in one pass.
+    """
+    actin_arc, *stack = _per_design(spec, lambda s: (s.sarcomere.actin_arc, *_rest_stack(s)))
+    return _major_axis(actin_arc, _rest_chord(*stack), delta_hm)
+
+
+def myofibril_length(
+    spec: MyofibrilSpec | Sequence[MyofibrilSpec], delta_hm: float | np.ndarray
+) -> float | np.ndarray:
     """Myofibril length n * (a_band + 2*r1) in mm after a myosin height change
     (a float or an ndarray).
 
     Strictly decreasing in delta_hm: a taller myosin pulls the actin ends
     together. At delta_hm = 0 a rule-conforming design reproduces
     resting_length exactly; the feasible range ends where the chord reaches
-    the actin arc length (full contraction, length -> n * a_band).
+    the actin arc length (full contraction, length -> n * a_band). spec may
+    also be a sequence of designs, as for current_major_axis.
     """
     r1 = current_major_axis(spec, delta_hm)
-    return spec.n * (spec.sarcomere.a_band + 2.0 * r1)
+    n, a_band = _per_design(spec, lambda s: (s.n, s.sarcomere.a_band))
+    return n * (a_band + 2.0 * r1)
 
 
 def contraction_angle(
-    spa: SpaGeometry, lambda_jz: float | np.ndarray, actin_arc: float
+    spa: SpaGeometry, lambda_jz: float | np.ndarray, actin_arc: float | np.ndarray
 ) -> float | np.ndarray:
     """Angle theta (rad) between the actin chord approximation and the horizontal.
 
     theta = arccos((2*t_w + h_ch + 2*lambda_jz*h_jz) / actin_arc), strictly
-    decreasing in lambda_jz (a float or an ndarray). Raises DomainError when
-    the stacked height reaches the arc length (argument >= 1) or the argument
-    is non-positive.
+    decreasing in lambda_jz. lambda_jz and actin_arc are floats or ndarrays
+    that broadcast together. Raises DomainError for a non-positive or NaN
+    actin arc, and when the stacked height reaches the arc length (argument
+    >= 1) or the argument is non-positive or NaN.
     """
-    if actin_arc <= 0.0:
-        raise DomainError(f"actin arc must be positive, got {actin_arc}")
-    shape, (lam,) = flatten(lambda_jz)
+    shape, (lam, arc) = flatten(lambda_jz, actin_arc)
+    bad = first_index(~(arc > 0.0))
+    if bad is not None:
+        raise DomainError(f"actin arc must be positive, got {arc[bad]}")
     stacked = 2.0 * spa.t_w + spa.h_ch + 2.0 * lam * spa.h_jz
-    ratio = stacked / actin_arc
+    ratio = stacked / arc
     bad = first_index(ratio >= 1.0)
     if bad is not None:
         raise DomainError(
-            f"actin arc {actin_arc:.6g} mm too short for the stacked height "
+            f"actin arc {arc[bad]:.6g} mm too short for the stacked height "
             f"{stacked[bad]:.6g} mm (cos(theta) >= 1)"
         )
-    bad = first_index(ratio <= 0.0)
+    bad = first_index(~(ratio > 0.0))
     if bad is not None:
         raise DomainError(f"cos(theta) must be positive, got {ratio[bad]:.6g}")
     return unflatten(np.arccos(ratio), shape)

@@ -8,7 +8,10 @@ in mm^2 yields newtons.
 
 Stretches and stresses may be floats or ndarrays; the stress inverse solves a
 whole array at once with Newton steps on the closed-form stress slope, kept
-inside a bisection bracket.
+inside a bisection bracket. The stress functions read a material only through
+its name and c1..c3. Stress is a polynomial in the coefficients, so they
+also take the pressure pipeline's per-point parameter record, whose c1..c3
+are flat arrays with one coefficient per stretch.
 
 All functions are pure and thread-safe.
 """
@@ -135,16 +138,15 @@ def inverse_cauchy_stress(
     its tolerance within the iteration cap, and UnbracketedRootError when
     sigma exceeds the stress at lambda_max.
     """
-    shape, (target,) = flatten(sigma)
+    shape, (target, sigma_cap) = flatten(sigma, cauchy_stress(material, lambda_max))
     bad = first_index(~(target >= 0.0))
     if bad is not None:
         raise DomainError(f"stress must be non-negative, got {target[bad]}")
-    sigma_cap = cauchy_stress(material, lambda_max)
     over = first_index(target > sigma_cap)
     if over is not None:
         raise UnbracketedRootError(
             f"{material.name}: stress {target[over]:.6g} MPa exceeds "
-            f"{sigma_cap:.6g} MPa reachable at lambda_max={lambda_max}",
+            f"{sigma_cap[over]:.6g} MPa reachable at lambda_max={lambda_max}",
             index=over,
         )
     lam = bracketed_newton(
@@ -157,18 +159,20 @@ def inverse_cauchy_stress(
     return unflatten(lam, shape)
 
 
-def wall_stress_factor(t_w: float, h_ch: float) -> float:
+def wall_stress_factor(t_w: float | np.ndarray, h_ch: float | np.ndarray) -> float | np.ndarray:
     """Dimensionless factor K mapping fluid pressure to wall stress, sigma_w = P*K.
 
     Thin-walled chambers (strictly t_w < h_ch/4) use K = h_ch / (2*t_w);
     thicker walls use K = 1 + h_ch^2 / (2*t_w*(t_w + h_ch)). The jump at the
-    branch boundary is intentional and is not smoothed.
+    branch boundary is intentional and is not smoothed. Floats or ndarrays
+    that broadcast together; a non-positive or NaN dimension raises
+    DomainError.
     """
-    if t_w <= 0.0 or h_ch <= 0.0:
-        raise DomainError(f"wall dimensions must be positive, got t_w={t_w}, h_ch={h_ch}")
-    if t_w < h_ch / 4.0:
-        return h_ch / (2.0 * t_w)
-    return 1.0 + h_ch * h_ch / (2.0 * t_w * (t_w + h_ch))
+    shape, (t, h) = flatten(t_w, h_ch)
+    bad = first_index(~((t > 0.0) & (h > 0.0)))
+    if bad is not None:
+        raise DomainError(f"wall dimensions must be positive, got t_w={t[bad]}, h_ch={h[bad]}")
+    return unflatten(np.where(t < h / 4.0, h / (2.0 * t), 1.0 + h * h / (2.0 * t * (t + h))), shape)
 
 
 # Built-in elastomer table. Coefficients in MPa, densities in kg/m^3

@@ -23,6 +23,10 @@ from .errors import DomainError
 
 CURVE_CSV_HEADER = ("x", "y")
 
+# Most paired quantiles qq_pairs computes, the pressure-grid cap's value: the
+# cost grows linearly with the count, so an unbounded one exhausts memory.
+MAX_QUANTILES = 100_000
+
 
 @dataclass
 class Curve:
@@ -197,7 +201,7 @@ def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
 
     Probabilities i/(k-1) for i = 0..k-1; quantiles use linear interpolation
     between order statistics with inclusive endpoints. Pairs are monotone
-    nondecreasing in both coordinates.
+    nondecreasing in both coordinates. k must lie in [2, MAX_QUANTILES].
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -205,6 +209,8 @@ def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
         raise DomainError("q-q pairing needs non-empty samples")
     if k < 2:
         raise DomainError(f"quantile count must be >= 2, got {k}")
+    if k > MAX_QUANTILES:
+        raise DomainError(f"quantile count must be at most {MAX_QUANTILES}, got {k}")
     probs = np.linspace(0.0, 1.0, k)
     qa = np.quantile(a, probs, method="linear")
     qb = np.quantile(b, probs, method="linear")

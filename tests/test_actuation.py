@@ -14,6 +14,7 @@ from apmsim.actuation import (
     expansion_force,
     junction_stretch,
     restoring_force,
+    simulate_cells,
     simulate_pressure,
     simulate_sweep,
 )
@@ -360,3 +361,60 @@ def test_loaded_trial_rejects_non_finite_lengths(value):
         LoadedTrial(load_mass_g=10.0, lengths={0.0: value}, resting_unloaded=165.0)
     with pytest.raises(DomainError, match="positive and finite"):
         LoadedTrial(load_mass_g=10.0, lengths={0.0: 165.0}, resting_unloaded=value)
+
+
+# ------------------------------------------------------------ batched cells
+
+def test_adjustment_coefficient_rejects_nan():
+    with pytest.raises(DomainError, match="wall ratio must be non-negative, got nan"):
+        adjustment_coefficient(math.nan, 0.1)
+    with pytest.raises(DomainError, match="pressure must be non-negative, got nan"):
+        adjustment_coefficient(0.1, math.nan)
+
+
+def test_adjustment_coefficient_array_names_first_bad_ratio():
+    with pytest.raises(DomainError, match="wall ratio must be non-negative, got -0.5"):
+        adjustment_coefficient(np.array([0.1, -0.5, math.nan]), 0.1)
+    ratios = np.array([0.0, 0.3, 1.5])
+    assert adjustment_coefficient(ratios, 0.1).tolist() == [
+        adjustment_coefficient(r, 0.1) for r in ratios.tolist()
+    ]
+
+
+def test_simulate_cells_of_no_cells():
+    assert simulate_cells([]) == []
+
+
+def test_simulate_cells_first_failing_cell_reports():
+    fine = (study_spec("ecoflex-00-30", 0.5), STUDY_GRIDS["ecoflex-00-30"])
+    # The prototype passes below 0.5 MPa and fails from 0.8 MPa on.
+    at_2 = (proto_spec(), PressureSweep(0.1, 2.0, 1.9))
+    at_3 = (proto_spec(), PressureSweep(0.2, 3.0, 2.8))
+    with pytest.raises(DomainError, match="^at pressure 2.000000 MPa"):
+        simulate_cells([fine, at_2, at_3])
+    with pytest.raises(DomainError, match="^at pressure 3.000000 MPa"):
+        simulate_cells([fine, at_3, at_2])
+
+
+def test_simulate_cells_is_one_pipeline_pass(monkeypatch):
+    passes = []
+    simulate = actuation.simulate_pressure
+
+    def counting(spec, pressure):
+        passes.append([len(grid) for grid in pressure])
+        return simulate(spec, pressure)
+
+    monkeypatch.setattr(actuation, "simulate_pressure", counting)
+    cells = [(study_spec(name, r), grid) for name, grid in STUDY_GRIDS.items() for r in (0.2, 1.0)]
+    results = simulate_cells(cells)
+    assert passes == [[len(grid.pressures()) for _, grid in cells]]
+    assert [len(states) for states in results] == passes[0]
+
+
+def test_simulate_pressure_batch_equals_single_designs():
+    specs = [study_spec("ecoflex-00-30", 0.2), proto_spec(n=2), study_spec("smooth-sil-950", 1.5)]
+    grids = [np.linspace(0.0, 0.01, 4), np.array([0.05]), np.linspace(0.02, 0.2, 7)]
+    batch = simulate_pressure(specs, grids)
+    for name in batch._fields:
+        alone = np.concatenate([simulate_pressure(s, g)._asdict()[name] for s, g in zip(specs, grids)])
+        assert batch._asdict()[name].tolist() == alone.tolist(), name

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import apmsim
-from apmsim import cli
+from apmsim import actuation, cli
 from apmsim.actuation import ActuationState
 from apmsim.cli import main
+from apmsim.validation import MAX_QUANTILES
 
 PROTOTYPE_CONFIG = """\
 [material]
@@ -488,3 +489,51 @@ def test_sweep_max_column_consistency(study_config, tmp_path):
     f_spa = [float(l.split(",")[8]) for l in lines]
     max_col = {l.split(",")[-2] for l in lines}
     assert max_col == {f"{max(f_spa):.6f}"}
+
+
+def test_validate_qq_above_cap_exit_2(tmp_path, capsys):
+    model = tmp_path / "m.csv"
+    write_curve(model, [0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
+    assert main(["validate", str(model), str(model), "--qq", str(MAX_QUANTILES + 1)]) == 2
+    assert f"quantile count must be at most {MAX_QUANTILES}" in capsys.readouterr().err
+
+
+SHIPPED_STUDY = Path(__file__).resolve().parents[1] / "configs" / "wall_ratio_study.ini"
+
+
+@pytest.mark.parametrize(
+    "materials, ratios, code, message",
+    [
+        # The model error of the first cell beats the invalid ratio of the second.
+        ("smooth-sil-950", "0.05,0", 3,
+         "model error: at pressure 0.100000 MPa: arc length 62.8319 must exceed the vertical chord 62.8773"),
+        # Cell 2 (smooth-sil-950 at 0.5) passes; cell 1 fails at its own lowest pressure.
+        ("smooth-sil-950,ecoflex-00-30", "0.1,0.5", 3,
+         "model error: at pressure 0.200000 MPa: arc length 62.8319 must exceed the vertical chord 62.8773"),
+        # The invalid ratio of the first cell is reported before the second cell is simulated.
+        ("dragonskin-30", "0,0.05", 2, "error: wall ratio must be positive, got 0.0"),
+    ],
+)
+def test_sweep_first_failing_cell_decides(materials, ratios, code, message, capsys):
+    argv = ["sweep", "--config", str(SHIPPED_STUDY), "--materials", materials, "--ratios", ratios]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [message]
+    assert captured.out == ""
+
+
+def test_sweep_evaluates_the_model_once(study_config, tmp_path, monkeypatch):
+    passes = []
+    simulate = actuation.simulate_pressure
+
+    def counting(spec, pressure):
+        passes.append(len(pressure))
+        return simulate(spec, pressure)
+
+    monkeypatch.setattr(actuation, "simulate_pressure", counting)
+    out = tmp_path / "study.json"
+    assert main(["sweep", "--config", str(study_config), "--materials",
+                 "ecoflex-00-30,smooth-sil-950", "--ratios", "1/4,1/2,1", "--out", str(out),
+                 "--format", "json"]) == 0
+    assert passes == [6]
+    assert len(json.loads(out.read_text(encoding="utf-8"))["cells"]) == 6

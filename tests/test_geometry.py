@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from apmsim.errors import DomainError
 from apmsim.geometry import (
     EllipseHalf,
+    _rest_chord,
     MyofibrilSpec,
     RATIO_OVER_CONTRACTED,
     RATIO_OVER_STRETCHED,
@@ -351,3 +352,33 @@ def test_ellipse_half_rejects_non_finite(r1, r2):
     # A NaN major axis used to pass the r1 < r2 check with eccentricity 0.
     with pytest.raises(DomainError, match="semi-axis must be positive and finite"):
         EllipseHalf(r1, r2)
+
+
+def test_contraction_angle_rejects_nan():
+    with pytest.raises(DomainError, match="actin arc must be positive, got nan"):
+        contraction_angle(PROTO_SPA, 1.1, math.nan)
+    with pytest.raises(DomainError, match="cos\\(theta\\) must be positive, got nan"):
+        contraction_angle(PROTO_SPA, math.nan, 32.0)
+
+
+def test_contraction_angle_array_arc_names_first_bad_element():
+    with pytest.raises(DomainError, match="actin arc must be positive, got -1.0"):
+        contraction_angle(PROTO_SPA, np.full(3, 1.1), np.array([32.0, -1.0, math.nan]))
+
+
+def test_contraction_angle_array_arc_equals_elementwise():
+    arcs = np.linspace(20.0, 60.0, 9)
+    batch = contraction_angle(PROTO_SPA, 1.1, arcs)
+    assert batch.tolist() == [contraction_angle(PROTO_SPA, 1.1, a) for a in arcs.tolist()]
+
+
+def test_rest_chord_rejects_nan():
+    with pytest.raises(DomainError, match="chord=nan mm"):
+        _rest_chord(math.nan, 1.5, 5.0)
+
+
+def test_rest_chord_array_names_first_bad_element():
+    # 28 - 3 - 5 = 20 fits; 7 - 3 - 5 = -1 is the first that does not.
+    with pytest.raises(DomainError, match="chord=-1 mm"):
+        _rest_chord(np.array([28.0, 7.0, math.nan]), 1.5, 5.0)
+    assert _rest_chord(np.array([28.0, 9.0]), 1.5, 5.0).tolist() == [20.0, 1.0]

@@ -206,3 +206,20 @@ def test_material_rejects_non_finite_coefficients(coefficients, name):
     # comparison flags, so finiteness is checked on its own.
     with pytest.raises(DomainError, match=f"{name} must be"):
         YeohMaterial("bad", **coefficients)
+
+
+@pytest.mark.parametrize("t_w, h_ch", [(math.nan, 5.0), (1.0, math.nan)])
+def test_wall_stress_factor_rejects_nan(t_w, h_ch):
+    with pytest.raises(DomainError, match="wall dimensions must be positive"):
+        wall_stress_factor(t_w, h_ch)
+
+
+def test_wall_stress_factor_array_names_first_bad_element():
+    with pytest.raises(DomainError, match=r"got t_w=nan, h_ch=5.0"):
+        wall_stress_factor(np.array([1.0, math.nan, -1.0]), 5.0)
+
+
+def test_wall_stress_factor_array_equals_elementwise():
+    # Both branches and the boundary t_w = h_ch/4 in one array.
+    t_w = np.concatenate((np.linspace(0.2, 6.0, 40), [1.25]))
+    assert wall_stress_factor(t_w, 5.0).tolist() == [wall_stress_factor(t, 5.0) for t in t_w.tolist()]

@@ -5,7 +5,8 @@ give each element of an array the same bits as a call with that element
 alone, and meet their residual tolerances; the pressure pipeline must keep
 lambda_jz strictly increasing, the rest state exact, give each sweep point
 the state of its own pressure, and report the lowest failing pressure of a
-sweep. The wavefront Frechet DP must give exactly the
+sweep; one pass over many cells must give each cell its own sweep's states
+or the first failing cell's error. The wavefront Frechet DP must give exactly the
 row-by-row DP's result, be exactly symmetric, and be zero only on identical
 point sequences.
 """
@@ -22,9 +23,11 @@ from apmsim.actuation import (
     ActuationState,
     PressureSweep,
     junction_stretch,
+    simulate_cells,
     simulate_pressure,
     simulate_sweep,
 )
+from apmsim.config import DEFAULT_PRESSURE_GRIDS
 from apmsim.errors import DomainError
 from apmsim.geometry import (
     MyofibrilSpec,
@@ -199,6 +202,57 @@ def test_sweep_states_equal_single_pressure_states(spec, end, intervals):
         alone = simulate_pressure(spec, state.pressure)
         for name in ActuationState._fields:
             assert getattr(state, name) == getattr(alone, name), name
+
+
+@st.composite
+def study_cells(draw):
+    """A (spec, sweep) cell of the wall-ratio study: a built-in material, a
+    wall ratio in [0.125, 1.5], a rule-conforming sarcomere or one with a
+    drawn myosin height, and a 1-50-point grid that ends below or up to four
+    times past the end of the material's study grid, where some cells fail."""
+    name = draw(st.sampled_from(sorted(MATERIALS)))
+    ratio = draw(st.floats(0.125, 1.5))
+    spa = SpaGeometry(t_w=10.0 * ratio, a_ch=14.0, b_ch=14.0, h_ch=10.0, h_jz=3.0, a_hz=6.0, b_hz=20.0)
+    sarcomere = design_from_a_band(60.0)
+    if draw(st.booleans()):
+        sarcomere = SarcomereGeometry(
+            a_band=60.0,
+            i_band=40.0,
+            actin_arc=sarcomere.actin_arc,
+            myosin_height=2.0 * spa.t_w + spa.h_ch + draw(st.floats(0.5, 0.7)) * sarcomere.actin_arc,
+        )
+    spec = MyofibrilSpec(n=draw(st.integers(1, 3)), sarcomere=sarcomere, spa=spa, material=MATERIALS[name])
+    points = draw(st.integers(1, 50))
+    end = draw(st.floats(0.05, 4.0)) * DEFAULT_PRESSURE_GRIDS[name].end
+    return spec, PressureSweep(end / points, end, end / points)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=80, deadline=None)
+@given(st.lists(study_cells(), min_size=1, max_size=8))
+def test_cells_equal_their_own_sweeps(cells):
+    # One pass over all cells gives each cell the states of its own sweep,
+    # field by field, or the error of the first cell that fails alone.
+    expected, error = [], None
+    for spec, sweep in cells:
+        try:
+            expected.append(simulate_sweep(spec, sweep))
+        except DomainError as err:
+            error = str(err)
+            break
+    if error is not None:
+        with pytest.raises(DomainError) as info:
+            simulate_cells(cells)
+        assert str(info.value) == error
+        return
+    results = simulate_cells(cells)
+    assert len(results) == len(cells)
+    for states, alone in zip(results, expected):
+        assert len(states) == len(alone)
+        for state, reference in zip(states, alone):
+            assert type(state) is ActuationState
+            for field in ActuationState._fields:
+                assert getattr(state, field) == getattr(reference, field), field
 
 
 # ---------------------------------------------------------- iteration cap

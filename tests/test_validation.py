@@ -6,6 +6,7 @@ import pytest
 
 from apmsim.errors import DomainError
 from apmsim.validation import (
+    MAX_QUANTILES,
     AgreementReport,
     Curve,
     compare_curves,
@@ -320,3 +321,9 @@ def test_report_serialization(tmp_path):
 def test_report_rejects_negative_distance():
     with pytest.raises(DomainError):
         AgreementReport(frechet_normalized=-0.1, frechet_raw=0.0, r_squared=1.0)
+
+
+def test_qq_count_capped():
+    with pytest.raises(DomainError, match=f"at most {MAX_QUANTILES}, got {MAX_QUANTILES + 1}"):
+        qq_pairs([0.0, 1.0], [0.0, 2.0], MAX_QUANTILES + 1)
+    assert len(qq_pairs([0.0, 1.0], [0.0, 2.0], MAX_QUANTILES)) == MAX_QUANTILES
