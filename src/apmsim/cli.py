@@ -121,6 +121,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ratios = [parse_ratio(r) for r in args.ratios.split(",") if r.strip()]
     if not names or not ratios:
         raise ConfigError("sweep needs non-empty material and ratio lists")
+    # A repeated ratio would print a second identical cell that the
+    # per-material mean of maxima, keyed by ratio, weighs only once.
+    seen: set[float] = set()
+    for ratio in ratios:
+        if ratio in seen:
+            raise ConfigError(f"duplicate wall ratio {ratio} in --ratios")
+        seen.add(ratio)
     materials = [builtin_material(name) for name in names]
 
     # Cells in material-then-ratio order, all evaluated in one pass. A cell
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="design-space sweep over materials and wall ratios")
     p_sweep.add_argument("--config", required=True, help="run configuration file")
     p_sweep.add_argument("--materials", required=True, help="comma-separated material names")
-    p_sweep.add_argument("--ratios", required=True, help="comma-separated t_w/h_ch ratios (e.g. 1/5,1/4)")
+    p_sweep.add_argument("--ratios", required=True, help="comma-separated distinct t_w/h_ch ratios (e.g. 1/5,1/4)")
     p_sweep.add_argument("--out", help="output file (default: [output] path or stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), help="output format")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -4,10 +4,12 @@ Design rules tie the contraction-unit dimensions together: the I-band is 2/3
 of the A-band, the actin thread rests as a semicircle spanning the I-band,
 and the myosin height is bounded by the rest and fully-contracted actin
 shapes. Lengths are in mm. The deformed actin is treated as a half ellipse
-whose vertical chord grows with inflation; its horizontal semi-axis is
-recovered numerically from the (fixed) arc length, for a whole array of
-chords at once, by Newton steps on the elliptic-integral slope kept inside a
-bisection bracket.
+whose vertical chord grows with inflation; its arc is 2*r1*E with E the
+complete elliptic integral of the second kind, evaluated here (with K, the
+first kind, for the slope) by the Cephes rational-log forms. Its horizontal
+semi-axis is recovered numerically from the (fixed) arc length, for a whole
+array of chords at once, by Newton steps on the elliptic-integral slope kept
+inside a bisection bracket.
 
 All functions are pure and thread-safe.
 """
@@ -20,7 +22,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ellipe, ellipk
 
 from ._numeric import bracketed_newton, check_positive_finite, first_index, flatten, unflatten
 from .errors import DomainError
@@ -40,6 +41,67 @@ _CIRCLE_SNAP_REL = 1e-12
 
 # Relative arc-length residual at which the axis solve stops.
 _ARC_SOLVE_RTOL = 1e-12
+
+# Coefficients, highest power first, of the Cephes ellpe/ellpk forms
+# E = P_E(x) - log(x)*x*Q_E(x) and K = P_K(x) - log(x)*Q_K(x) in x = r^2,
+# r = minor/major (S. L. Moshier, Methods and Programs for Mathematical
+# Functions, 1989; Abramowitz & Stegun 17.3.34-36). Both are within 3e-16
+# relative of the exact integrals for r in [1e-12, 1], and E(1) = pi/2.
+_P_E = (
+    1.53552577301013293365e-4, 2.50888492163602060990e-3, 8.68786816565889628429e-3,
+    1.07350949056076193403e-2, 7.77395492516787092951e-3, 7.58395289413514708519e-3,
+    1.15688436810574127319e-2, 2.18317996015557253103e-2, 5.68051945617860553470e-2,
+    4.43147180560990850618e-1, 1.00000000000000000299e0,
+)
+_Q_E = (
+    3.27954898576485872656e-5, 1.00962792679356715133e-3, 6.50609489976927491433e-3,
+    1.68862163993311317300e-2, 2.61769742454493659583e-2, 3.34833904888224918614e-2,
+    4.27180926518931511717e-2, 5.85936634471101055642e-2, 9.37499997197644278445e-2,
+    2.49999999999888314361e-1,
+)
+_P_K = (
+    1.37982864606273237150e-4, 2.28025724005875567385e-3, 7.97404013220415179367e-3,
+    9.85821379021226008714e-3, 6.87489687449949877925e-3, 6.18901033637687613229e-3,
+    8.79078273952743772254e-3, 1.49380448916805252718e-2, 3.08851465246711995998e-2,
+    9.65735902811690126535e-2, 1.38629436111989062502e0,
+)
+_Q_K = (
+    2.94078955048598507511e-5, 9.14184723865917226571e-4, 5.94058303753167793257e-3,
+    1.54850516649762399335e-2, 2.39089602715924892727e-2, 3.01204715227604046988e-2,
+    3.73774314173823228969e-2, 4.88280347570998239232e-2, 7.03124996963957469739e-2,
+    1.24999999999870820058e-1, 4.99999999999999999821e-1,
+)
+
+_SMALLEST_SUBNORMAL = 5e-324
+
+
+def _horner(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    # The polynomial with these coefficients (highest power first) at x.
+    acc = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coeffs[-1]
+    return acc
+
+
+def _ellip_e(ratio: np.ndarray) -> np.ndarray:
+    # Complete elliptic integral of the second kind E(m), m = 1 - ratio^2,
+    # for axis ratios 0 <= ratio <= 1. Taking the ratio itself keeps the
+    # parameter 1 - m = ratio^2 unrounded; log(x) is 2*log(ratio), so where
+    # ratio^2 underflows to 0 the log term is 0 and E is exactly 1. A ratio
+    # that underflowed to 0 itself takes the smallest subnormal's log, which
+    # stays finite, so the zero x cancels it.
+    x = ratio * ratio
+    log_x = 2.0 * np.log(np.maximum(ratio, _SMALLEST_SUBNORMAL))
+    return _horner(_P_E, x) - log_x * x * _horner(_Q_E, x)
+
+
+def _ellip_k(ratio: np.ndarray) -> np.ndarray:
+    # Complete elliptic integral of the first kind K(m), m = 1 - ratio^2, for
+    # axis ratios 0 < ratio <= 1; finite wherever ratio is positive.
+    x = ratio * ratio
+    return _horner(_P_K, x) - 2.0 * np.log(ratio) * _horner(_Q_K, x)
 
 
 @dataclass(frozen=True)
@@ -229,8 +291,9 @@ def semi_ellipse_arc_length(r1: float | np.ndarray, r2: float | np.ndarray) -> f
     """Arc length of a half ellipse with semi-axes r1 >= r2 > 0, in mm.
 
     Equals 2*r1*E(m) with E the complete elliptic integral of the second
-    kind and m = 1 - (r2/r1)^2 the squared eccentricity; ranges from 2*r1
-    (degenerate) to pi*r1 (circle). Takes floats or ndarrays that broadcast
+    kind and m = 1 - (r2/r1)^2 the squared eccentricity, evaluated from the
+    axis ratio r2/r1 to within 3e-16 relative; ranges from 2*r1 (degenerate)
+    to pi*r1 (circle, exactly). Takes floats or ndarrays that broadcast
     together.
     """
     shape, (major, minor) = flatten(r1, r2)
@@ -243,8 +306,7 @@ def semi_ellipse_arc_length(r1: float | np.ndarray, r2: float | np.ndarray) -> f
             f"major semi-axis {major[bad]} must not be smaller than minor {minor[bad]}; "
             "orient the axes before constructing"
         )
-    ratio = minor / major
-    return unflatten(2.0 * major * ellipe(1.0 - ratio * ratio), shape)
+    return unflatten(2.0 * major * _ellip_e(minor / major), shape)
 
 
 def solve_major_axis(
@@ -258,8 +320,9 @@ def solve_major_axis(
     the horizontal semi-axis x, so one solve covers both regimes: wider than
     tall (arc_length > pi*b, x > b) and, past the semicircle point, taller
     than wide (x < b, tending to zero at full contraction). Every element is
-    solved on the bracket [0, arc_length/2] by Newton steps, with the slope
-    from dE/dm = (E - K)/(2m), kept inside the bracket by bisection, until the
+    solved on the bracket [0, arc_length/2] by Newton steps from the inverse
+    of Ramanujan's first perimeter formula, with the slope from
+    dE/dm = (E - K)/(2m), kept inside the bracket by bisection, until the
     arc residual is at most 1e-12 * arc_length, keeping the Newton step from
     there; each element's result does not depend on the others. An exact
     semicircle (to 1e-12 relative) returns b directly.
@@ -278,9 +341,16 @@ def solve_major_axis(
         )
     b = chord / 2.0
     circle = np.abs(arc - math.pi * b) <= _CIRCLE_SNAP_REL * arc
-    # pi*(x + b)/2 approximates the arc near the circle; off the bracket,
-    # start from its midpoint instead.
-    guess = 2.0 * arc / math.pi - b
+    # Ramanujan's first formula puts the arc at
+    # pi/2*(3(x + b) - sqrt((3x + b)(x + 3b))); start from the x where that
+    # equals the target, the larger root of
+    # 6x^2 + (8b - 6u)x + 6b^2 - 6ub + u^2 = 0 with u = 2*arc/pi, which is
+    # (3u - 4b + sqrt(3u^2 + 12ub - 20b^2))/6 (the discriminant is positive
+    # for arc > 2b; it is factored so that no square overflows). Off the
+    # bracket, start from its midpoint instead.
+    u = 2.0 * arc / math.pi
+    root = np.sqrt(u) * np.sqrt(3.0 * u + 12.0 * b - 20.0 * b * (b / u))
+    guess = (3.0 * u - 4.0 * b + root) / 6.0
     guess = np.where((guess > 0.0) & (guess < arc / 2.0), guess, arc / 4.0)
     x = bracketed_newton(
         lambda x: _arc_residual(x, b, arc),
@@ -302,7 +372,7 @@ def _arc_residual(x: np.ndarray, b: np.ndarray, arc: np.ndarray) -> tuple[np.nda
     ratio = minor / major
     m = 1.0 - ratio * ratio
     e = length / (2.0 * major)
-    k = ellipk(m)
+    k = _ellip_k(ratio)
     slope = np.where(x > b, 2.0 * e + 2.0 * (e - k) * ratio * ratio / m, 2.0 * (k - e) * ratio / m)
     return length - arc, slope
 

@@ -228,8 +228,10 @@ def compare_curves(
     R^2 pairs points index-wise, which requires equal lengths; pass
     resample=True to linearly resample the model onto the reference x grid
     first. The Frechet distances always use the curves as given (the
-    coupling handles unequal lengths).
+    coupling handles unequal lengths). The quantile count is checked, and
+    the quantiles computed, before either O(m*n) Frechet DP runs.
     """
+    quantiles = qq_pairs(reference.y, model.y, qq) if qq is not None else None
     if resample:
         model_y = np.interp(reference.x, model.x, model.y)
         pairs = np.column_stack((reference.y, model_y))
@@ -243,7 +245,7 @@ def compare_curves(
         frechet_normalized=normalized_frechet(model, reference),
         frechet_raw=discrete_frechet(model, reference),
         r_squared=r_squared(pairs),
-        qq_pairs=qq_pairs(reference.y, model.y, qq) if qq is not None else None,
+        qq_pairs=quantiles,
         resampled=resample,
     )
     return report

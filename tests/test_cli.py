@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import apmsim
-from apmsim import actuation, cli
+from apmsim import actuation, cli, validation
 from apmsim.actuation import ActuationState
 from apmsim.cli import main
 from apmsim.validation import MAX_QUANTILES
@@ -537,3 +537,42 @@ def test_sweep_evaluates_the_model_once(study_config, tmp_path, monkeypatch):
                  "--format", "json"]) == 0
     assert passes == [6]
     assert len(json.loads(out.read_text(encoding="utf-8"))["cells"]) == 6
+
+
+@pytest.mark.parametrize("ratios, repeated", [("0.5,0.5,1", "0.5"), ("1/2,1,0.5", "0.5"),
+                                              ("1/5,1,0.2", "0.2")])
+def test_sweep_rejects_duplicate_ratios(ratios, repeated, capsys):
+    # Each cell is printed, but the per-material mean of maxima would count a
+    # repeated ratio once; ratios compare after parsing, so 1/2 equals 0.5.
+    argv = ["sweep", "--config", str(SHIPPED_STUDY), "--materials", "ecoflex-00-30",
+            "--ratios", ratios]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: duplicate wall ratio {repeated} in --ratios"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("qq", ["1", str(MAX_QUANTILES + 1)])
+def test_validate_checks_qq_before_any_frechet_dp(qq, tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def no_dp(a, b):
+        calls.append((len(a), len(b)))
+        raise AssertionError("Frechet DP ran before the quantile count was checked")
+
+    monkeypatch.setattr(validation, "discrete_frechet", no_dp)
+    model = tmp_path / "m.csv"
+    write_curve(model, [0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
+    assert main(["validate", str(model), str(model), "--qq", qq]) == 2
+    assert "quantile count must be" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is a test-only dependency; a fresh interpreter that imports the
+    # command line must not pull it in.
+    env = {**os.environ, "PYTHONPATH": str(Path(apmsim.__file__).parents[1])}
+    probe = "import sys, apmsim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                           env=env, check=True)
+    assert fresh.stdout == "[]\n"

@@ -6,19 +6,23 @@ alone, and meet their residual tolerances; the pressure pipeline must keep
 lambda_jz strictly increasing, the rest state exact, give each sweep point
 the state of its own pressure, and report the lowest failing pressure of a
 sweep; one pass over many cells must give each cell its own sweep's states
-or the first failing cell's error. The wavefront Frechet DP must give exactly the
-row-by-row DP's result, be exactly symmetric, and be zero only on identical
-point sequences.
+or the first failing cell's error. The complete elliptic integrals must match
+mpmath to 1e-15 relative, be exact at the circle and where the squared axis
+ratio underflows, and give each element of an array the bits of its own
+call. The wavefront Frechet DP must give exactly the row-by-row DP's result,
+be exactly symmetric, and be zero only on identical point sequences.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from apmsim import _numeric
+from apmsim import _numeric, geometry
 from apmsim.actuation import (
     ActuationState,
     PressureSweep,
@@ -105,6 +109,49 @@ def test_stress_residual_within_contract(material, share):
     lam = inverse_cauchy_stress(material, sigma)
     assert 1.0 <= lam <= DEFAULT_LAMBDA_MAX
     assert abs(cauchy_stress(material, lam) - sigma) <= 1e-9 * max(1.0, sigma)
+
+
+# ---------------------------------------------------- elliptic integrals
+
+
+# Axis ratios r in [1e-12, 1], drawn both uniformly and log-uniformly (the
+# log term dominates at small r), plus the circle.
+axis_ratios = st.one_of(
+    st.floats(1e-12, 1.0),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+    st.just(1.0),
+)
+
+
+@settings(max_examples=300)
+@given(axis_ratios)
+def test_elliptic_integrals_match_mpmath(r):
+    with mpmath.workdps(40):
+        m = 1 - mpmath.mpf(r) ** 2
+        exact_e, exact_k = mpmath.ellipe(m), mpmath.ellipk(m)
+        assert abs(geometry._ellip_e(np.array([r]))[0] - exact_e) <= 1e-15 * exact_e
+        assert abs(geometry._ellip_k(np.array([r]))[0] - exact_k) <= 1e-15 * exact_k
+
+
+def test_elliptic_integrals_at_the_ends():
+    # The circle's arc is exactly pi*r1; where r^2 underflows, E is exactly 1
+    # and K stays finite (no 0 * -inf from log(r^2)), also where r itself
+    # underflowed (2 and 5e-324 are valid semi-axes), without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert geometry._ellip_e(np.array([1.0]))[0] == math.pi / 2.0
+        e, k = geometry._ellip_e(np.array([1e-200]))[0], geometry._ellip_k(np.array([1e-200]))[0]
+        assert e == 1.0
+        assert math.isfinite(k) and k > 0.0
+        assert geometry._ellip_e(np.array([0.0]))[0] == 1.0
+        assert semi_ellipse_arc_length(2.0, 5e-324) == 4.0
+
+
+@given(st.lists(st.one_of(axis_ratios, st.floats(1e-300, 1.0)), min_size=1, max_size=40))
+def test_elliptic_integrals_array_equals_elementwise(ratios):
+    batch = np.array(ratios)
+    for func in (geometry._ellip_e, geometry._ellip_k):
+        assert func(batch).tolist() == [func(np.array([r]))[0] for r in ratios]
 
 
 # ------------------------------------------------------------ axis solve
