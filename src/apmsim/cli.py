@@ -12,7 +12,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import geometry
+from ._numeric import check_positive_finite
 from .actuation import ActuationState, PressureSweep, simulate_cells, simulate_sweep
 from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
@@ -55,9 +58,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def cmd_design(args: argparse.Namespace) -> int:
     for label, value in (("a-band", args.a_band), ("t-w", args.t_w), ("h-ch", args.h_ch)):
-        if not (value > 0.0 and math.isfinite(value)):
-            print(f"error: --{label} must be positive and finite, got {value}", file=sys.stderr)
-            return 2
+        check_positive_finite(f"--{label}", value)
     sarc = geometry.design_from_a_band(args.a_band)
     low, high = geometry.myosin_height_bounds(args.a_band, args.t_w, args.h_ch)
     lines = [
@@ -238,8 +239,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # numpy's floating-point warnings never change a value, and every
+    # non-finite result meets a DomainError check, so they are not printed.
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -249,9 +253,6 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"model error: {err}", file=sys.stderr)
         return 3
-    except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

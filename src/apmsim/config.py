@@ -32,6 +32,18 @@ DEFAULT_PRESSURE_GRIDS: dict[str, PressureSweep] = {
 _SPA_KEYS = ("t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz")
 
 
+def _spa_geometry(values: dict[str, float]) -> SpaGeometry:
+    # The SpaGeometry of a complete set of [spa] dimensions; ConfigError
+    # naming the missing keys or the invalid dimension otherwise.
+    missing = [k for k in _SPA_KEYS if k not in values]
+    if missing:
+        raise ConfigError(f"[spa] section is missing {', '.join(missing)}")
+    try:
+        return SpaGeometry(**{k: values[k] for k in _SPA_KEYS})
+    except DomainError as err:
+        raise ConfigError(f"invalid [spa] geometry: {err}") from err
+
+
 @dataclass
 class RunConfig:
     """Parsed configuration; geometry construction is deferred to the builders."""
@@ -47,28 +59,14 @@ class RunConfig:
 
     def build_spa(self) -> SpaGeometry:
         """SPA geometry from the explicit [spa] dimensions."""
-        missing = [k for k in _SPA_KEYS if k not in self.spa_values]
-        if missing:
-            raise ConfigError(f"[spa] section is missing {', '.join(missing)}")
-        try:
-            return SpaGeometry(**{k: self.spa_values[k] for k in _SPA_KEYS})
-        except DomainError as err:
-            raise ConfigError(f"invalid [spa] geometry: {err}") from err
+        return _spa_geometry(self.spa_values)
 
     def spa_for_ratio(self, ratio: float) -> SpaGeometry:
         """SPA geometry for a wall ratio study: h_ch = assumed_h_ch, t_w = ratio*h_ch."""
         if ratio <= 0.0:
             raise ConfigError(f"wall ratio must be positive, got {ratio}")
-        values = dict(self.spa_values)
-        values["h_ch"] = self.assumed_h_ch
-        values["t_w"] = ratio * self.assumed_h_ch
-        missing = [k for k in _SPA_KEYS if k not in values]
-        if missing:
-            raise ConfigError(f"[spa] section is missing {', '.join(missing)}")
-        try:
-            return SpaGeometry(**{k: values[k] for k in _SPA_KEYS})
-        except DomainError as err:
-            raise ConfigError(f"invalid [spa] geometry: {err}") from err
+        h_ch = self.assumed_h_ch
+        return _spa_geometry({**self.spa_values, "h_ch": h_ch, "t_w": ratio * h_ch})
 
     def build_spec(self) -> MyofibrilSpec:
         """Complete design from the explicit [spa] section."""
@@ -178,7 +176,8 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # Values are read literally: the grammar has no % interpolation.
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)

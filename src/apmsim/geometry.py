@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,30 +179,6 @@ class SarcomereGeometry:
 
 
 @dataclass(frozen=True)
-class EllipseHalf:
-    """A half ellipse with finite major semi-axis r1 >= minor semi-axis r2 > 0 (mm)."""
-
-    r1: float
-    r2: float
-    eccentricity: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        check_positive_finite("minor semi-axis", self.r2)
-        check_positive_finite("major semi-axis", self.r1)
-        if self.r1 < self.r2:
-            raise DomainError(
-                f"major semi-axis {self.r1} must not be smaller than minor {self.r2}; "
-                "orient the axes before constructing"
-            )
-        ratio = self.r2 / self.r1
-        object.__setattr__(self, "eccentricity", math.sqrt(max(0.0, 1.0 - ratio * ratio)))
-
-    def arc_length(self) -> float:
-        """Arc length of the half ellipse, 2*r1*E(e)."""
-        return semi_ellipse_arc_length(self.r1, self.r2)
-
-
-@dataclass(frozen=True)
 class MyofibrilSpec:
     """A complete simulatable design: n sarcomeres of one geometry and material."""
 
@@ -294,13 +270,14 @@ def semi_ellipse_arc_length(r1: float | np.ndarray, r2: float | np.ndarray) -> f
     kind and m = 1 - (r2/r1)^2 the squared eccentricity, evaluated from the
     axis ratio r2/r1 to within 3e-16 relative; ranges from 2*r1 (degenerate)
     to pi*r1 (circle, exactly). Takes floats or ndarrays that broadcast
-    together.
+    together. Raises DomainError unless r2 > 0 and r1 >= r2; NaN fails both.
     """
     shape, (major, minor) = flatten(r1, r2)
     bad = first_index(~(minor > 0.0))
     if bad is not None:
         raise DomainError(f"minor semi-axis must be positive, got {minor[bad]}")
-    bad = first_index(major < minor)
+    # Written so that a NaN major semi-axis fails too.
+    bad = first_index(~(major >= minor))
     if bad is not None:
         raise DomainError(
             f"major semi-axis {major[bad]} must not be smaller than minor {minor[bad]}; "
@@ -406,8 +383,9 @@ def _rest_chord(
 def _major_axis(
     actin_arc: float | np.ndarray, rest_chord: float | np.ndarray, delta_hm: float | np.ndarray
 ) -> float | np.ndarray:
-    # current_major_axis for designs given by their actin arc and rest chord;
-    # floats or ndarrays that broadcast together.
+    # Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
+    # delta_hm, for designs given by their actin arc and rest chord; floats
+    # or ndarrays that broadcast together.
     bad = first_index(np.ravel(delta_hm) < 0.0)
     if bad is not None:
         raise DomainError(f"delta_hm must be non-negative, got {np.ravel(delta_hm)[bad]}")
@@ -422,19 +400,6 @@ def _per_design(spec: MyofibrilSpec | Sequence[MyofibrilSpec], values) -> tuple 
     return [np.array(column) for column in zip(*map(values, spec))]
 
 
-def current_major_axis(
-    spec: MyofibrilSpec | Sequence[MyofibrilSpec], delta_hm: float | np.ndarray
-) -> float | np.ndarray:
-    """Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
-    delta_hm (a float or an ndarray; the result has its shape).
-
-    spec may also be a sequence of designs, one value per design
-    broadcasting against delta_hm, solved together in one pass.
-    """
-    actin_arc, *stack = _per_design(spec, lambda s: (s.sarcomere.actin_arc, *_rest_stack(s)))
-    return _major_axis(actin_arc, _rest_chord(*stack), delta_hm)
-
-
 def myofibril_length(
     spec: MyofibrilSpec | Sequence[MyofibrilSpec], delta_hm: float | np.ndarray
 ) -> float | np.ndarray:
@@ -445,10 +410,13 @@ def myofibril_length(
     together. At delta_hm = 0 a rule-conforming design reproduces
     resting_length exactly; the feasible range ends where the chord reaches
     the actin arc length (full contraction, length -> n * a_band). spec may
-    also be a sequence of designs, as for current_major_axis.
+    also be a sequence of designs, one value per design broadcasting against
+    delta_hm, solved together in one pass.
     """
-    r1 = current_major_axis(spec, delta_hm)
-    n, a_band = _per_design(spec, lambda s: (s.n, s.sarcomere.a_band))
+    n, a_band, actin_arc, *stack = _per_design(
+        spec, lambda s: (s.n, s.sarcomere.a_band, s.sarcomere.actin_arc, *_rest_stack(s))
+    )
+    r1 = _major_axis(actin_arc, _rest_chord(*stack), delta_hm)
     return n * (a_band + 2.0 * r1)
 
 

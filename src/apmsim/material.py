@@ -19,7 +19,7 @@ All functions are pure and thread-safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,26 +31,6 @@ from .errors import DomainError, UnbracketedRootError
 DEFAULT_LAMBDA_MAX = 5.0
 
 _MONOTONICITY_SAMPLES = 256
-
-
-@dataclass(frozen=True)
-class StretchState:
-    """A validated principal stretch ratio and its first invariant.
-
-    lambda_ is the dominant stretch (>= 1 up to solver noise), a float or an
-    ndarray; i1 is derived under the incompressible uniaxial assumption and
-    has the same shape.
-    """
-
-    lambda_: float | np.ndarray
-    i1: float | np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        lam = self.lambda_
-        low = first_index(np.ravel(lam) < 1.0 - 1e-9)
-        if low is not None:
-            raise DomainError(f"stretch ratio must be >= 1, got {np.ravel(lam)[low]}")
-        object.__setattr__(self, "i1", lam * lam + 1.0 / (lam * lam) + 1.0)
 
 
 @dataclass(frozen=True)
@@ -86,13 +66,22 @@ class YeohMaterial:
             )
 
 
+def _i1_minus_3(lam: float | np.ndarray) -> float | np.ndarray:
+    # u = I1 - 3 at a uniaxial stretch lam >= 1 (up to solver noise), a float
+    # or an ndarray; I1 = lam^2 + 1/lam^2 + 1 is summed before the 3 comes off.
+    low = first_index(np.ravel(lam) < 1.0 - 1e-9)
+    if low is not None:
+        raise DomainError(f"stretch ratio must be >= 1, got {np.ravel(lam)[low]}")
+    return lam * lam + 1.0 / (lam * lam) + 1.0 - 3.0
+
+
 def strain_energy(material: YeohMaterial, lambda_: float | np.ndarray) -> float | np.ndarray:
     """Strain energy density W (MPa) at a uniaxial stretch ratio lambda_ >= 1.
 
     W = c1*u + c2*u^2 + c3*u^3 with u = I1 - 3 = lambda^2 + 1/lambda^2 - 2;
     W(1) = 0. Takes a float or an ndarray of stretches.
     """
-    u = StretchState(lambda_).i1 - 3.0
+    u = _i1_minus_3(lambda_)
     return material.c1 * u + material.c2 * u * u + material.c3 * u * u * u
 
 
@@ -104,7 +93,7 @@ def cauchy_stress(material: YeohMaterial, lambda_: float | np.ndarray) -> float 
     increasing for any constructible material. Takes a float or an ndarray
     of stretches.
     """
-    u = StretchState(lambda_).i1 - 3.0
+    u = _i1_minus_3(lambda_)
     geo = lambda_ - 1.0 / (lambda_ * lambda_ * lambda_)
     return geo * (2.0 * material.c1 + 4.0 * material.c2 * u + 6.0 * material.c3 * u * u)
 
@@ -186,12 +175,3 @@ MATERIALS: dict[str, YeohMaterial] = {
         YeohMaterial("dragonskin-30", c1=0.096, c2=0.0095, density=1080.0),
     )
 }
-
-
-def get_material(name: str) -> YeohMaterial:
-    """Look up a built-in material by name; raises KeyError with the known names."""
-    try:
-        return MATERIALS[name]
-    except KeyError:
-        known = ", ".join(sorted(MATERIALS))
-        raise KeyError(f"unknown material {name!r}; known materials: {known}") from None

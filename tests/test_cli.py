@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,21 @@ def test_simulate_unknown_material(tmp_path, capsys):
     assert "vantablack" in capsys.readouterr().err
 
 
+def test_config_percent_in_material_name_is_literal(tmp_path, capsys):
+    bad = tmp_path / "percent.ini"
+    bad.write_text(PROTOTYPE_CONFIG.replace("dragonskin-30", "eco%flex"), encoding="utf-8")
+    assert main(["simulate", "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown material 'eco%flex'")
+
+
+def test_config_percent_in_output_path_is_literal(tmp_path):
+    out = tmp_path / "run%(missing)s%.csv"
+    config = tmp_path / "percent.ini"
+    config.write_text(PROTOTYPE_CONFIG + f"\n[output]\npath = {out}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert out.read_text(encoding="utf-8").startswith("pressure_mpa,")
+
+
 def test_simulate_model_domain_error_exit_3(tmp_path, capsys):
     config = tmp_path / "hot.ini"
     config.write_text(
@@ -445,7 +461,9 @@ def test_sweep_mean_max_ordering(study_config, tmp_path):
 def test_sweep_unknown_material_exit_2(study_config, capsys):
     assert main(["sweep", "--config", str(study_config), "--materials", "unobtainium",
                  "--ratios", "1/2"]) == 2
-    assert "unobtainium" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unobtainium" in err
+    assert "ecoflex-00-30" in err  # the known names are listed
 
 
 def test_sweep_bad_ratio_exit_2(study_config, capsys):
@@ -576,3 +594,44 @@ def test_cli_import_does_not_load_scipy():
     fresh = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                            env=env, check=True)
     assert fresh.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        # The wall stress factor and c_m overflow, or the factor divides by a subnormal.
+        (["sweep", "--config", str(SHIPPED_STUDY), "--materials", "dragonskin-30",
+          "--ratios", "1e160"], 3, "model error: "),
+        (["sweep", "--config", str(SHIPPED_STUDY), "--materials", "dragonskin-30",
+          "--ratios", "1e-320"], 3, "model error: "),
+        # The x steps and the bounding-box rescale overflow.
+        (["validate", "{curve}", "{curve}"], 2, "error: "),
+    ],
+    ids=["sweep-1e160", "sweep-1e-320", "validate-1e308"],
+)
+def test_numpy_warnings_do_not_leak(argv, code, prefix, tmp_path, capsys):
+    curve = tmp_path / "wide.csv"
+    write_curve(curve, [-1e308, 1e308], [1e308, -1e308])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([arg.format(curve=curve) for arg in argv]) == code
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_public_surface():
+    assert sorted(apmsim.__all__) == [
+        "ActuationState", "AgreementReport", "ConfigError", "Curve", "DataError",
+        "DomainError", "LoadedTrial", "MATERIALS", "MyofibrilSpec", "PressureSweep",
+        "SarcomereGeometry", "SpaGeometry", "UnbracketedRootError", "YeohMaterial",
+        "actuation_strain", "adjustment_coefficient", "cauchy_stress", "check_length_ratio",
+        "compare_curves", "contraction_angle", "contraction_force", "design_from_a_band",
+        "discrete_frechet", "expansion_force", "inverse_cauchy_stress", "junction_stretch",
+        "myofibril_length", "myosin_height_bounds", "normalized_frechet", "qq_pairs",
+        "r_squared", "resting_length", "restoring_force", "semi_ellipse_arc_length",
+        "simulate_pressure", "simulate_sweep", "solve_major_axis", "strain_energy",
+        "wall_stress_factor",
+    ]
+    for name in apmsim.__all__:
+        assert getattr(apmsim, name) is not None

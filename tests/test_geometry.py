@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from apmsim.errors import DomainError
 from apmsim.geometry import (
-    EllipseHalf,
     _rest_chord,
     MyofibrilSpec,
     RATIO_OVER_CONTRACTED,
@@ -152,16 +151,11 @@ def test_arc_length_degenerate_limit():
 
 
 def test_arc_length_rejects_swapped_axes():
-    with pytest.raises(DomainError):
-        semi_ellipse_arc_length(5.0, 10.0)
-
-
-def test_ellipse_half_eccentricity():
-    e = EllipseHalf(10.0, 5.0)
-    assert e.eccentricity == pytest.approx(math.sqrt(1 - 0.25), rel=1e-12)
-    assert EllipseHalf(4.0, 4.0).eccentricity == 0.0
-    with pytest.raises(DomainError):
-        EllipseHalf(1.0, -1.0)
+    # A NaN major semi-axis fails the axis-order check as well; a NaN or
+    # negative minor one, the positivity check before it.
+    for r1, r2 in ((5.0, 10.0), (math.nan, 1.0), (2.0, math.nan), (1.0, -1.0)):
+        with pytest.raises(DomainError, match="semi-axis"):
+            semi_ellipse_arc_length(r1, r2)
 
 
 # ---------------------------------------------------------------- axis solver
@@ -345,13 +339,6 @@ def test_design_from_a_band_rejects_non_finite_and_overflow(a_band):
 def test_myosin_height_bounds_rejects_non_finite_and_overflow(a_band, t_w, h_ch):
     with pytest.raises(DomainError, match="must be positive and finite"):
         myosin_height_bounds(a_band, t_w, h_ch)
-
-
-@pytest.mark.parametrize("r1, r2", [(math.nan, 1.0), (math.inf, 1.0), (2.0, math.nan)])
-def test_ellipse_half_rejects_non_finite(r1, r2):
-    # A NaN major axis used to pass the r1 < r2 check with eccentricity 0.
-    with pytest.raises(DomainError, match="semi-axis must be positive and finite"):
-        EllipseHalf(r1, r2)
 
 
 def test_contraction_angle_rejects_nan():

@@ -7,10 +7,8 @@ from apmsim.errors import DomainError, UnbracketedRootError
 from apmsim.material import (
     DEFAULT_LAMBDA_MAX,
     MATERIALS,
-    StretchState,
     YeohMaterial,
     cauchy_stress,
-    get_material,
     inverse_cauchy_stress,
     strain_energy,
     wall_stress_factor,
@@ -43,11 +41,6 @@ def test_material_table_coefficients():
     assert DRAGONSKIN.c1 == 0.096 and DRAGONSKIN.c2 == 0.0095
 
 
-def test_get_material_unknown_name():
-    with pytest.raises(KeyError, match="ecoflex-00-30"):
-        get_material("rubber-duck")
-
-
 def test_material_rejects_nonpositive_c1():
     with pytest.raises(DomainError):
         YeohMaterial("bad", c1=0.0)
@@ -60,15 +53,6 @@ def test_material_rejects_nonmonotone_stress():
     # inside the inversion bracket.
     with pytest.raises(DomainError, match="strictly increasing"):
         YeohMaterial("fold", c1=0.02, c2=-0.01)
-
-
-def test_stretch_state_invariant():
-    st = StretchState(2.0)
-    assert st.i1 == pytest.approx(4.0 + 0.25 + 1.0, abs=1e-15)
-    assert st.i1 >= 3.0
-    assert StretchState(1.0).i1 == pytest.approx(3.0, abs=1e-15)
-    with pytest.raises(DomainError):
-        StretchState(0.9)
 
 
 @pytest.mark.parametrize("material", MATERIALS.values(), ids=lambda m: m.name)
