@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -40,9 +42,109 @@ STATE_COLUMNS = (
     ("ratio_flag", "ratio_flag"),
 )
 _STATE_KEYS = tuple(column for column, _ in STATE_COLUMNS)
+# One sweep cell: material, wall ratio, states, their largest f_spa and the
+# material's mean of those maxima over its ratios.
+_SweepRow = tuple[str, float, list[ActuationState], float, float]
 # One CSV row per state, `_STATE_ROW % state`: numbers to six decimals, the
-# flag as is. A JSON state is `dict(zip(_STATE_KEYS, state))`.
+# flag as is.
 _STATE_ROW = ",".join("%s" if attr == "ratio_flag" else "%.6f" for _, attr in STATE_COLUMNS)
+
+# JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
+# plus a newline, written through %-templates whose keys are in sorted order.
+# Floats are float.__repr__ texts, except that non-finite values take json's
+# spellings below; strings are escaped to ASCII by json's own encoder; ints
+# are int.__repr__ texts.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+_SIMULATE_JSON = """{
+  "metadata": {
+    "material": %s,
+    "n": %s,
+    "sweep": {
+      "end": %s,
+      "start": %s,
+      "step": %s
+    }
+  },
+  "states": %s
+}
+"""
+
+_SWEEP_JSON = """{
+  "cells": %s
+}
+"""
+
+_SWEEP_CELL = """    {
+      "assumed_h_ch_mm": %s,
+      "material": %s,
+      "max_f_spa_n": %s,
+      "mean_max_f_spa_n": %s,
+      "states": %s,
+      "tw_hch_ratio": %s
+    }"""
+
+
+def _json_floats(values) -> list[str]:
+    # json.dumps's text of each float.
+    texts = list(map(float.__repr__, values))
+    return list(map(_NON_FINITE.get, texts, texts))
+
+
+def _json_strings(values) -> list[str]:
+    return list(map(encode_basestring_ascii, values))
+
+
+# (ActuationState index, column encoder) of every state key in sorted order.
+_STATE_JSON_FIELDS = tuple(
+    (i, _json_strings if attr == "ratio_flag" else _json_floats)
+    for i, (_, attr) in sorted(enumerate(STATE_COLUMNS), key=itemgetter(1))
+)
+
+
+@functools.cache
+def _state_template(indent: int) -> str:
+    # One state object whose braces are indented by indent spaces.
+    pad, key_pad = " " * indent, " " * (indent + 2)
+    keys = ",\n".join(f'{key_pad}"{key}": %s' for key in sorted(_STATE_KEYS))
+    return f"{pad}{{\n{keys}\n{pad}}}"
+
+
+def _json_array(items, indent: int) -> str:
+    # A JSON array of the item texts, closed at indent spaces.
+    body = ",\n".join(items)
+    return f"[\n{body}\n{' ' * indent}]" if body else "[]"
+
+
+def _state_objects(states: list[ActuationState], indent: int) -> list[str]:
+    """The JSON object of each state, keyed by _STATE_KEYS, with its braces
+    indented by indent spaces; encoded column by column."""
+    columns = list(zip(*states)) or [()] * len(STATE_COLUMNS)
+    texts = [encode(columns[i]) for i, encode in _STATE_JSON_FIELDS]
+    return list(map(_state_template(indent).__mod__, zip(*texts)))
+
+
+def _simulate_json(material: str, n: int, sweep: PressureSweep, states: list[ActuationState]) -> str:
+    return _SIMULATE_JSON % (
+        encode_basestring_ascii(material),
+        int.__repr__(n),
+        *_json_floats((sweep.end, sweep.start, sweep.step)),
+        _json_array(_state_objects(states, 4), 2),
+    )
+
+
+def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
+    # Every cell's states are encoded in one pass, then dealt out per cell.
+    objects = iter(_state_objects([s for row in rows for s in row[2]], 8))
+    cells = []
+    for name, ratio, states, top, mean_max in rows:
+        h_text, top_text, mean_text, ratio_text = _json_floats((h_ch, top, mean_max, ratio))
+        states_text = _json_array(islice(objects, len(states)), 6)
+        cells.append(
+            _SWEEP_CELL
+            % (h_text, encode_basestring_ascii(name), top_text, mean_text, states_text, ratio_text)
+        )
+    return _SWEEP_JSON % _json_array(cells, 2)
 
 
 def _fmt(value: float) -> str:
@@ -82,15 +184,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     if fmt == "json":
-        payload = {
-            "metadata": {
-                "material": config.material.name,
-                "n": spec.n,
-                "sweep": {"start": sweep.start, "end": sweep.end, "step": sweep.step},
-            },
-            "states": [dict(zip(_STATE_KEYS, s)) for s in states],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+        _emit(_simulate_json(config.material.name, spec.n, sweep, states), out_path)
     else:
         lines = [",".join(_STATE_KEYS)]
         lines.extend(_STATE_ROW % s for s in states)
@@ -145,7 +239,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise
     results = iter(simulate_cells(cells))
 
-    rows: list[tuple[str, float, list[ActuationState], float, float]] = []
+    rows: list[_SweepRow] = []
     for name in names:
         cell_states = [(ratio, next(results)) for ratio in ratios]
         maxima = {ratio: max(s.f_spa for s in states) for ratio, states in cell_states}
@@ -158,18 +252,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fmt = args.format or config.out_format
     h_ch = config.assumed_h_ch
     if fmt == "json":
-        json_cells = [
-            {
-                "material": name,
-                "tw_hch_ratio": ratio,
-                "assumed_h_ch_mm": h_ch,
-                "max_f_spa_n": top,
-                "mean_max_f_spa_n": mean_max,
-                "states": [dict(zip(_STATE_KEYS, s)) for s in states],
-            }
-            for name, ratio, states, top, mean_max in rows
-        ]
-        _emit(json.dumps({"cells": json_cells}, indent=2, sort_keys=True) + "\n", out_path)
+        _emit(_sweep_json(rows, h_ch), out_path)
     else:
         header = (
             "material",

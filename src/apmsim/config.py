@@ -98,7 +98,7 @@ def parse_ratio(text: str) -> float:
     """Parse a wall ratio given as a fraction ('1/5') or a decimal ('0.2')."""
     try:
         return float(Fraction(text.strip()))
-    except (ValueError, ZeroDivisionError) as err:
+    except (ValueError, ZeroDivisionError, OverflowError) as err:
         raise ConfigError(f"bad ratio {text!r}: {err}") from None
 
 

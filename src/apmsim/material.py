@@ -154,14 +154,19 @@ def wall_stress_factor(t_w: float | np.ndarray, h_ch: float | np.ndarray) -> flo
     Thin-walled chambers (strictly t_w < h_ch/4) use K = h_ch / (2*t_w);
     thicker walls use K = 1 + h_ch^2 / (2*t_w*(t_w + h_ch)). The jump at the
     branch boundary is intentional and is not smoothed. Floats or ndarrays
-    that broadcast together; a non-positive or NaN dimension raises
-    DomainError.
+    that broadcast together; a non-positive or NaN dimension, or dimensions
+    whose K is not a finite float (a subnormal t_w), raise DomainError.
     """
     shape, (t, h) = flatten(t_w, h_ch)
     bad = first_index(~((t > 0.0) & (h > 0.0)))
     if bad is not None:
         raise DomainError(f"wall dimensions must be positive, got t_w={t[bad]}, h_ch={h[bad]}")
-    return unflatten(np.where(t < h / 4.0, h / (2.0 * t), 1.0 + h * h / (2.0 * t * (t + h))), shape)
+    with np.errstate(all="ignore"):
+        k = np.where(t < h / 4.0, h / (2.0 * t), 1.0 + h * h / (2.0 * t * (t + h)))
+    bad = first_index(~np.isfinite(k))
+    if bad is not None:
+        raise DomainError(f"wall stress factor is not finite for t_w={t[bad]}, h_ch={h[bad]}")
+    return unflatten(k, shape)
 
 
 # Built-in elastomer table. Coefficients in MPa, densities in kg/m^3

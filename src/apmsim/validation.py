@@ -45,7 +45,8 @@ class Curve:
             raise DomainError(f"curve {self.label!r} needs at least 2 points")
         if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
             raise DomainError(f"curve {self.label!r} contains non-finite values")
-        if not np.all(np.diff(self.x) > 0.0):
+        # A comparison, not np.diff: the step of a wide finite x overflows.
+        if not np.all(self.x[1:] > self.x[:-1]):
             raise DomainError(f"curve {self.label!r} must have strictly increasing x")
 
     def __len__(self) -> int:
@@ -160,9 +161,12 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
 def _rescale_by_reference(curve: Curve, reference: Curve) -> Curve:
     x0, x1 = float(np.min(reference.x)), float(np.max(reference.x))
     y0, y1 = float(np.min(reference.y)), float(np.max(reference.y))
-    if x1 == x0 or y1 == y0:
+    x_span, y_span = x1 - x0, y1 - y0
+    if x_span == 0.0 or y_span == 0.0:
         raise DomainError("reference curve has a degenerate x or y range")
-    return Curve((curve.x - x0) / (x1 - x0), (curve.y - y0) / (y1 - y0), curve.label)
+    if not (math.isfinite(x_span) and math.isfinite(y_span)):
+        raise DomainError("reference curve x or y range overflows a float")
+    return Curve((curve.x - x0) / x_span, (curve.y - y0) / y_span, curve.label)
 
 
 def normalized_frechet(model: Curve, reference: Curve) -> float:

@@ -472,6 +472,15 @@ def test_sweep_bad_ratio_exit_2(study_config, capsys):
     capsys.readouterr()
 
 
+def test_sweep_overflowing_ratio_exit_2(study_config, capsys):
+    # float(Fraction("1e400")) raises OverflowError.
+    assert main(["sweep", "--config", str(study_config),
+                 "--materials", "ecoflex-00-30", "--ratios", "1e400"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad ratio '1e400': ")
+    assert "Traceback" not in err
+
+
 def test_simulate_custom_inline_material(tmp_path, capsys):
     config = tmp_path / "custom.ini"
     config.write_text(
@@ -604,7 +613,7 @@ def test_cli_import_does_not_load_scipy():
           "--ratios", "1e160"], 3, "model error: "),
         (["sweep", "--config", str(SHIPPED_STUDY), "--materials", "dragonskin-30",
           "--ratios", "1e-320"], 3, "model error: "),
-        # The x steps and the bounding-box rescale overflow.
+        # The reference's x and y ranges overflow a float.
         (["validate", "{curve}", "{curve}"], 2, "error: "),
     ],
     ids=["sweep-1e160", "sweep-1e-320", "validate-1e308"],
@@ -618,6 +627,23 @@ def test_numpy_warnings_do_not_leak(argv, code, prefix, tmp_path, capsys):
     assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_sweep_subnormal_ratio_names_wall_dimensions(capsys):
+    argv = ["sweep", "--config", str(SHIPPED_STUDY), "--materials", "ecoflex-00-30",
+            "--ratios", "1e-320"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("model error: ")
+    assert err[0].endswith("wall stress factor is not finite for t_w=1e-319, h_ch=10.0")
+
+
+def test_validate_overflowing_reference_range_exit_2(tmp_path, capsys):
+    curve = tmp_path / "wide.csv"
+    write_curve(curve, [-1e308, 1e308], [1e308, -1e308])
+    assert main(["validate", str(curve), str(curve)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: reference curve x or y range overflows a float\n"
 
 
 def test_public_surface():

@@ -1,0 +1,151 @@
+"""The JSON output of simulate and sweep against json.dumps as the oracle.
+
+The CLI writes JSON through its own templates; the text must be exactly
+json.dumps(payload, indent=2, sort_keys=True) plus a newline, where payload
+is the dict form of the output: float fields of any value (signed zero,
+subnormals, the largest floats, NaN and infinities), any string, any int and
+empty lists included.
+"""
+
+import contextlib
+import io
+import json
+import math
+import warnings
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from apmsim import cli
+from apmsim.actuation import ActuationState, simulate_cells, simulate_sweep
+from apmsim.config import builtin_material, load_config, parse_ratio
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
+               math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7]
+
+floats = st.one_of(
+    st.sampled_from(EDGE_FLOATS),
+    st.floats(allow_nan=True, allow_infinity=True),
+    # A float subclass must still be written as a plain float.
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+)
+texts = st.one_of(st.sampled_from(["valid", "over-contracted", "ecoflex-00-30"]), st.text())
+states = st.lists(
+    st.builds(ActuationState, *([floats] * (len(ActuationState._fields) - 1)), texts),
+    max_size=4,
+)
+
+
+def oracle(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def state_dicts(state_list):
+    return [dict(zip(cli._STATE_KEYS, s)) for s in state_list]
+
+
+def simulate_payload(material, n, sweep, state_list):
+    return {
+        "metadata": {
+            "material": material,
+            "n": n,
+            "sweep": {"start": sweep.start, "end": sweep.end, "step": sweep.step},
+        },
+        "states": state_dicts(state_list),
+    }
+
+
+def sweep_payload(rows, h_ch):
+    return {
+        "cells": [
+            {
+                "material": name,
+                "tw_hch_ratio": ratio,
+                "assumed_h_ch_mm": h_ch,
+                "max_f_spa_n": top,
+                "mean_max_f_spa_n": mean_max,
+                "states": state_dicts(state_list),
+            }
+            for name, ratio, state_list, top, mean_max in rows
+        ]
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts, st.integers(), floats, floats, floats, states)
+def test_simulate_json_equals_json_dumps(material, n, start, end, step, state_list):
+    # The writer reads only the grid's start, end and step, so any floats
+    # stand in for a PressureSweep here.
+    sweep = SimpleNamespace(start=start, end=end, step=step)
+    expected = oracle(simulate_payload(material, n, sweep, state_list))
+    assert cli._simulate_json(material, n, sweep, state_list) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(texts, floats, states, floats, floats), max_size=4), floats)
+def test_sweep_json_equals_json_dumps(rows, h_ch):
+    assert cli._sweep_json(rows, h_ch) == oracle(sweep_payload(rows, h_ch))
+
+
+def run_cli(argv) -> str:
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+        warnings.simplefilter("ignore", UserWarning)  # the prototype's as-built actin arc
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+
+def test_simulate_json_bytes_equal_json_dumps():
+    path = CONFIGS / "prototype.ini"
+    got = run_cli(["simulate", "--config", str(path), "--format", "json"])
+
+    run = load_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spec = run.build_spec()
+    sweep = run.sweep_for_material(run.material.name)
+    payload = simulate_payload(run.material.name, spec.n, sweep, simulate_sweep(spec, sweep))
+    assert got == oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "config, materials, ratios",
+    [
+        ("prototype.ini", "dragonskin-30,smooth-sil-950,elastosil-m4601", "1/5,1/3,1/2"),
+        ("wall_ratio_study.ini", "ecoflex-00-30,elastosil-m4601,smooth-sil-950,dragonskin-30",
+         "1/8,1/5,1/3,1/2,1,3/2"),
+    ],
+)
+def test_sweep_json_bytes_equal_json_dumps(config, materials, ratios):
+    path = CONFIGS / config
+    got = run_cli(["sweep", "--config", str(path), "--materials", materials,
+                   "--ratios", ratios, "--format", "json"])
+
+    # The payload as a dict: one cell per (material, ratio), each with its
+    # largest f_spa and its material's mean of those maxima.
+    run = load_config(path)
+    names = materials.split(",")
+    ratio_values = [parse_ratio(r) for r in ratios.split(",")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        cells = [
+            (run.spec_with_spa(run.spa_for_ratio(ratio), builtin_material(name)),
+             run.sweep_for_material(name))
+            for name in names
+            for ratio in ratio_values
+        ]
+    results = iter(simulate_cells(cells))
+    rows = []
+    for name in names:
+        cell_states = [(ratio, next(results)) for ratio in ratio_values]
+        maxima = [max(s.f_spa for s in state_list) for _, state_list in cell_states]
+        mean_max = math.fsum(maxima) / len(maxima)
+        rows.extend((name, ratio, state_list, top, mean_max)
+                    for (ratio, state_list), top in zip(cell_states, maxima))
+    assert got == oracle(sweep_payload(rows, run.assumed_h_ch))

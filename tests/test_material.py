@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -201,6 +202,20 @@ def test_wall_stress_factor_rejects_nan(t_w, h_ch):
 def test_wall_stress_factor_array_names_first_bad_element():
     with pytest.raises(DomainError, match=r"got t_w=nan, h_ch=5.0"):
         wall_stress_factor(np.array([1.0, math.nan, -1.0]), 5.0)
+
+
+@pytest.mark.parametrize("t_w, h_ch", [(1e-320, 10.0), (1e-300, 1e-300), (1e300, 1e300)])
+def test_wall_stress_factor_rejects_non_finite_factor(t_w, h_ch):
+    # A subnormal wall overflows h_ch/(2*t_w); tiny or huge dimensions make
+    # the thick-wall quotient 0/0 or inf/inf. No numpy warning escapes.
+    message = f"wall stress factor is not finite for t_w={t_w}, h_ch={h_ch}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        wall_stress_factor(t_w, h_ch)
+
+
+def test_wall_stress_factor_array_names_first_non_finite_element():
+    with pytest.raises(DomainError, match=r"not finite for t_w=1e-319, h_ch=10.0"):
+        wall_stress_factor(np.array([1.0, 1e-319, 1e-320]), 10.0)
 
 
 def test_wall_stress_factor_array_equals_elementwise():

@@ -209,6 +209,13 @@ def test_normalized_frechet_rejects_degenerate_reference():
         normalized_frechet(model, flat)
 
 
+def test_normalized_frechet_rejects_overflowing_reference_range():
+    # Every value is finite, but the x and y spans exceed the largest float.
+    wide = Curve([-1e308, 1e308], [1e308, -1e308])
+    with pytest.raises(DomainError, match="reference curve x or y range overflows a float"):
+        normalized_frechet(wide, wide)
+
+
 # ------------------------------------------------------------------------ R^2
 
 def test_r_squared_exact_agreement():
