@@ -646,6 +646,44 @@ def test_validate_overflowing_reference_range_exit_2(tmp_path, capsys):
     assert err == "error: reference curve x or y range overflows a float\n"
 
 
+@pytest.mark.parametrize("model, reference, options, message", [
+    # Raw Frechet: the end points lie 2.5e308 apart (R^2 would overflow too).
+    ([(0.0, -1e308), (1.0, -1e308)], [(0.0, 0.0), (1.0, 1.5e308)], [],
+     "Frechet distance overflows a float"),
+    # R^2 alone: the reference's sum of squares, 2 * (5e199)**2, overflows.
+    ([(0.0, 0.0), (1.0, 1e200)], [(0.0, 0.0), (1.0, 2e200)], [],
+     "sums of squares overflow a float"),
+    # R^2: finite sums of squares, but their ratio 1e10 / 5e-301 overflows.
+    ([(0.0, 0.0), (1.0, 1e5)], [(0.0, 0.0), (1.0, 1e-150)], [],
+     "R^2 overflows a float: the residuals dwarf the reference variance"),
+    # Normalized Frechet 1e307 is finite, but not in percent.
+    ([(0.0, 0.0), (1.0, 1.0), (2.0, 1e307)], [(0.0, 0.0), (1.0, 1.0)], ["--resample"],
+     "Frechet distance overflows a float"),
+    # Raw Frechet: the end points lie 2e308 apart.
+    ([(-1.5e308, 0.0), (-1e308, 1.0)], [(0.0, 0.0), (1e308, 1.0)], [],
+     "Frechet distance overflows a float"),
+    # Normalized Frechet: a finite model point rescales to (1.5e308, 1.5e308).
+    ([(0.0, 0.0), (1e-10, 1e-10), (1.5e298, 1.5e298)], [(0.0, 0.0), (1e-10, 1e-10)],
+     ["--resample"], "Frechet distance overflows a float"),
+    # Normalization: a finite model point rescales past the float range.
+    ([(0.0, 0.0), (1.5e308, 1.0)], [(-1e308, 0.0), (5e307, 1.0)], [],
+     "curve 'model' lies too far outside the reference range to normalise"),
+])
+def test_validate_overflowing_result_exit_2(model, reference, options, message, tmp_path,
+                                            capsys):
+    # Finite curves whose metrics overflow used to print inf or nan, exit 0
+    # and write Infinity or NaN into the JSON report.
+    model_csv, reference_csv, report = tmp_path / "m.csv", tmp_path / "r.csv", tmp_path / "rep.json"
+    write_curve(model_csv, *zip(*model))
+    write_curve(reference_csv, *zip(*reference))
+    argv = ["validate", str(model_csv), str(reference_csv), "--out", str(report), *options]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not report.exists()
+
+
 def test_public_surface():
     assert sorted(apmsim.__all__) == [
         "ActuationState", "AgreementReport", "ConfigError", "Curve", "DataError",

@@ -9,8 +9,10 @@ sweep; one pass over many cells must give each cell its own sweep's states
 or the first failing cell's error. The complete elliptic integrals must match
 mpmath to 1e-15 relative, be exact at the circle and where the squared axis
 ratio underflows, and give each element of an array the bits of its own
-call. The wavefront Frechet DP must give exactly the row-by-row DP's result,
-be exactly symmetric, and be zero only on identical point sequences.
+call. The Frechet DP must give exactly the row-by-row DP's result, also on
+near ties that send it to its exact fallback, be exactly symmetric, and be
+zero only on identical point sequences; its fast distances must stay within
+the certification slack of math.hypot.
 """
 
 import math
@@ -22,7 +24,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from apmsim import _numeric, geometry
+from apmsim import _numeric, geometry, validation
 from apmsim.actuation import (
     ActuationState,
     PressureSweep,
@@ -361,14 +363,24 @@ def seeded_curve(rng, size):
 
 @st.composite
 def curve_pairs(draw):
-    """Two curves; b may reuse points of a, which makes exact distance ties."""
+    """Two curves; b may reuse points of a, which makes exact distance ties,
+    or be some of a's points shifted by one offset in y with one point
+    nudged a few ulps, which makes near ties: distinct exact distances a
+    few ulps apart, so discrete_frechet's certification falls back to the
+    exact DP."""
     m, n = draw(curve_sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = seeded_curve(rng, m)
-    if n <= m and draw(st.booleans()):
+    kind = draw(st.sampled_from(["independent", "shared", "near_tie"])) if n <= m else ""
+    if kind in ("shared", "near_tie"):
         idx = np.sort(rng.choice(m, n, replace=False))
-        keep = rng.random(n) < 0.5
-        return a, Curve(a.x[idx], np.where(keep, a.y[idx], rng.normal(0.0, 1.0, n)))
+        if kind == "shared":
+            keep = rng.random(n) < 0.5
+            return a, Curve(a.x[idx], np.where(keep, a.y[idx], rng.normal(0.0, 1.0, n)))
+        y = a.y[idx] + rng.normal(0.0, np.std(a.y))
+        k = rng.integers(0, n)
+        y[k] += rng.integers(1, 5) * np.spacing(y[k])
+        return a, Curve(a.x[idx], y)
     return a, seeded_curve(rng, n)
 
 
@@ -384,6 +396,95 @@ def test_frechet_equals_row_by_row_dp(pair):
 def test_frechet_exactly_symmetric(pair):
     a, b = pair
     assert discrete_frechet(a, b) == discrete_frechet(b, a)
+
+
+def test_fast_distance_slack_holds():
+    # discrete_frechet is exact only if np.abs of a complex difference lies
+    # within FAST_DISTANCE_REL relative plus FAST_DISTANCE_ABS of math.hypot,
+    # an overflow counting as the largest float; a numpy or libm build whose
+    # hypot is less accurate would make its result silently inexact.
+    rng = np.random.default_rng(2024)
+    count = 240_000
+    big = np.finfo(float).max
+    scale = 10.0 ** rng.uniform(-320.0, 300.0, count)
+    dx = scale * rng.uniform(-1.0, 1.0, count)
+    dy = dx * 10.0 ** rng.uniform(-20.0, 0.0, count) * rng.choice([-1.0, 1.0], count)
+    dx[:20_000] = rng.integers(-2**20, 2**20, 20_000) * 5e-324  # subnormal pairs
+    dy[:20_000] = rng.integers(-2**20, 2**20, 20_000) * 5e-324
+    dx[20_000:40_000] = 0.0  # zeros, with y on any scale and zero itself
+    dy[20_000:21_000] = 0.0
+    # Near the largest float, where either kernel may overflow alone.
+    angle = rng.uniform(0.0, math.pi / 2.0, 40_000)
+    for part, value in ((dx, np.cos(angle)), (dy, np.sin(angle))):
+        part[40_000:80_000] = np.minimum(value * (1.0 + rng.uniform(-1e-15, 1e-15, 40_000)), 1.0) * big
+    swap = rng.random(count) < 0.5
+    dx, dy = np.where(swap, dy, dx), np.where(swap, dx, dy)
+    dz = np.empty(count, complex)
+    dz.real, dz.imag = dx, dy
+    exact = np.minimum(list(map(math.hypot, dx.tolist(), dy.tolist())), big)
+    # The wavefront takes np.abs of contiguous slices; check strided input too.
+    strided = np.empty(2 * count, complex)
+    strided[::2] = dz
+    for fast in (np.abs(dz), np.abs(strided[::2])):
+        fast = np.minimum(fast, big)
+        slack = validation.FAST_DISTANCE_REL * exact + validation.FAST_DISTANCE_ABS
+        assert np.all(np.abs(fast - exact) <= slack)
+
+
+@pytest.fixture
+def wavefront_kernels(monkeypatch):
+    """The distance kernel of every wavefront pass discrete_frechet runs."""
+    kernels = []
+    wavefront = validation._wavefront
+
+    def spy(za, zb, distances):
+        kernels.append(distances)
+        return wavefront(za, zb, distances)
+
+    monkeypatch.setattr(validation, "_wavefront", spy)
+    return kernels
+
+
+def test_frechet_near_tie_falls_back_to_exact_dp(wavefront_kernels):
+    # The optimum is d(1, 1) = 1 + 2**-52; d(0, 0) = 1 lies in the window
+    # around the fast value, so the window holds two exact values.
+    a = Curve([0.0, 1.0], [0.0, 0.0])
+    b = Curve([0.0, 1.0], [1.0, 1.0 + 2.0**-52])
+    assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == 1.0 + 2.0**-52
+    assert wavefront_kernels == [np.abs, validation._exact_distances]
+
+
+def test_frechet_certifies_long_force_curves(wavefront_kernels):
+    # validate_long-like pairs: rising, slightly curved, noisy 300 x 260 curves.
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        p_max, gain, bend = rng.uniform(0.3, 0.5), rng.uniform(20.0, 40.0), rng.uniform(-15.0, 15.0)
+        xr = np.linspace(0.0, p_max, 260)
+        xm = np.linspace(0.0, p_max * rng.uniform(0.97, 1.03), 300)
+        ref = Curve(xr, gain * xr + bend * xr**2 + rng.normal(0.0, 0.05, 260))
+        model = Curve(xm, 1.05 * gain * xm + bend * xm**2 + rng.normal(0.0, 0.02, 300))
+        assert discrete_frechet(model, ref) == row_by_row_frechet(model, ref)
+    assert wavefront_kernels == [np.abs] * 3
+
+
+@pytest.mark.parametrize("a_points, b_points, expected", [
+    # Every difference overflows: inf in both kernels.
+    ([(0.0, -1e308), (1.0, -1e308)], [(0.0, 1e308), (1.0, 1e308)], math.inf),
+    # Identical curves.
+    ([(0.0, 1.0), (2.0, -3.0), (5.0, 0.5)], [(0.0, 1.0), (2.0, -3.0), (5.0, 0.5)], 0.0),
+    # Subnormal coordinates and distances.
+    ([(0.0, 0.0), (1.0, 0.0)], [(0.0, 5e-324), (1.0, 3e-320)], 3e-320),
+    # d(0, 0) is finite but its fast value overflows; the optimum d(1, 1) is
+    # the largest float, with a finite fast value just below it.
+    ([(-3.841571146670398e305, 8.595429458512823e307),
+      (7.57492965411631e306, -8.415660145026594e307)],
+     [(-5.75261803155941e307, -8.449157733852883e307),
+      (6.471695285504337e307, 8.628927047339115e307)],
+     np.finfo(float).max),
+])
+def test_frechet_edge_cases_match_row_by_row_dp(a_points, b_points, expected):
+    a, b = Curve.from_points(a_points), Curve.from_points(b_points)
+    assert discrete_frechet(a, b) == discrete_frechet(b, a) == row_by_row_frechet(a, b) == expected
 
 
 @settings(max_examples=60, deadline=None)

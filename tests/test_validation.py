@@ -216,6 +216,14 @@ def test_normalized_frechet_rejects_overflowing_reference_range():
         normalized_frechet(wide, wide)
 
 
+def test_normalized_frechet_rejects_model_far_outside_reference():
+    # The reference spans are finite, but (1.5e308 - -1e308) / 1.5e308 overflows.
+    model = Curve([0.0, 1.5e308], [0.0, 1.0], "model")
+    reference = Curve([-1e308, 5e307], [0.0, 1.0], "reference")
+    with pytest.raises(DomainError, match="curve 'model' lies too far outside the reference"):
+        normalized_frechet(model, reference)
+
+
 # ------------------------------------------------------------------------ R^2
 
 def test_r_squared_exact_agreement():
@@ -252,6 +260,13 @@ def test_r_squared_domain_errors():
         r_squared([(1.0, 1.0)])
     with pytest.raises(DomainError, match="variance"):
         r_squared([(2.0, 1.0), (2.0, 3.0)])
+    # Finite values whose total and residual sums of squares overflow.
+    with pytest.raises(DomainError, match="sums of squares overflow a float"):
+        r_squared([(0.0, 0.0), (1.5e308, 1.5e308)])
+    with pytest.raises(DomainError, match="sums of squares overflow a float"):
+        r_squared([(0.0, -1e308), (1.0, 1e308)])
+    with pytest.raises(DomainError, match="R\\^2 overflows a float"):
+        r_squared([(0.0, 0.0), (1e-150, 1e5)])
 
 
 # ------------------------------------------------------------------ Q-Q pairs
