@@ -38,13 +38,7 @@ from .geometry import (
     contraction_angle,
     myofibril_length,
 )
-from .material import (
-    DEFAULT_LAMBDA_MAX,
-    YeohMaterial,
-    cauchy_stress,
-    inverse_cauchy_stress,
-    wall_stress_factor,
-)
+from .material import YeohMaterial, cauchy_stress, inverse_cauchy_stress, wall_stress_factor
 
 # Fitted adjustment-coefficient surface c_m(t_w/h_ch, P).
 _CM_RATIO_SLOPE = -2.49
@@ -137,10 +131,7 @@ class LoadedTrial:
 
 
 def junction_stretch(
-    pressure: float | np.ndarray,
-    spa: SpaGeometry,
-    material: YeohMaterial,
-    lambda_max: float = DEFAULT_LAMBDA_MAX,
+    pressure: float | np.ndarray, spa: SpaGeometry, material: YeohMaterial
 ) -> float | np.ndarray:
     """Junction-zone stretch lambda_jz >= 1 at a fluid pressure (MPa).
 
@@ -148,13 +139,15 @@ def junction_stretch(
     spreading that force over the H-zone cross-section a_hz*b_hz gives the
     junction stress, and inverting the material's stress curve gives the
     stretch. Strictly increasing in pressure; exactly 1 at zero pressure.
-    Takes a float or an ndarray of pressures.
+    Takes a float or an ndarray of pressures. The stretch is sought in the
+    fixed bracket [1, DEFAULT_LAMBDA_MAX]; a pressure whose junction stress
+    lies beyond it raises UnbracketedRootError naming that pressure.
     """
     _check_pressure(pressure)
     sigma_w = pressure * wall_stress_factor(spa.t_w, spa.h_ch)
     sigma_jz = 2.0 * sigma_w * spa.a_ch * spa.b_ch / (spa.a_hz * spa.b_hz)
     try:
-        return inverse_cauchy_stress(material, sigma_jz, lambda_max)
+        return inverse_cauchy_stress(material, sigma_jz)
     except UnbracketedRootError as err:
         raise UnbracketedRootError(
             f"pressure {np.ravel(pressure)[err.index]:.6g} MPa out of range: {err}", err.index

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .actuation import PressureSweep
 from .errors import ConfigError, DomainError
-from .geometry import MyofibrilSpec, SarcomereGeometry, SpaGeometry, design_from_a_band
+from .geometry import SPA_FIELDS, MyofibrilSpec, SarcomereGeometry, SpaGeometry, design_from_a_band
 from .material import MATERIALS, YeohMaterial
 
 # Chamber height assumed when a study is specified by t_w/h_ch ratio only.
@@ -29,17 +29,15 @@ DEFAULT_PRESSURE_GRIDS: dict[str, PressureSweep] = {
     "dragonskin-30": PressureSweep(0.01, 0.1, 0.01),
 }
 
-_SPA_KEYS = ("t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz")
-
 
 def _spa_geometry(values: dict[str, float]) -> SpaGeometry:
     # The SpaGeometry of a complete set of [spa] dimensions; ConfigError
     # naming the missing keys or the invalid dimension otherwise.
-    missing = [k for k in _SPA_KEYS if k not in values]
+    missing = [k for k in SPA_FIELDS if k not in values]
     if missing:
         raise ConfigError(f"[spa] section is missing {', '.join(missing)}")
     try:
-        return SpaGeometry(**{k: values[k] for k in _SPA_KEYS})
+        return SpaGeometry(**values)
     except DomainError as err:
         raise ConfigError(f"invalid [spa] geometry: {err}") from err
 
@@ -57,10 +55,6 @@ class RunConfig:
     out_path: str | None
     out_format: str
 
-    def build_spa(self) -> SpaGeometry:
-        """SPA geometry from the explicit [spa] dimensions."""
-        return _spa_geometry(self.spa_values)
-
     def spa_for_ratio(self, ratio: float) -> SpaGeometry:
         """SPA geometry for a wall ratio study: h_ch = assumed_h_ch, t_w = ratio*h_ch."""
         if ratio <= 0.0:
@@ -70,7 +64,7 @@ class RunConfig:
 
     def build_spec(self) -> MyofibrilSpec:
         """Complete design from the explicit [spa] section."""
-        return self.spec_with_spa(self.build_spa())
+        return self.spec_with_spa(_spa_geometry(self.spa_values))
 
     def spec_with_spa(self, spa: SpaGeometry, material: YeohMaterial | None = None) -> MyofibrilSpec:
         """Complete design from an SPA geometry and the configured material,
@@ -102,13 +96,22 @@ def parse_ratio(text: str) -> float:
         raise ConfigError(f"bad ratio {text!r}: {err}") from None
 
 
-def _get_float(section: configparser.SectionProxy, key: str, context: str) -> float:
+# Marks a key that has no default value.
+_REQUIRED = object()
+
+
+def _number(section: configparser.SectionProxy, key: str, kind: type = float, default=_REQUIRED):
+    # The key's value parsed as kind (float or int), or default when the key
+    # is absent; ConfigError naming the key and its section when the key is
+    # missing and required, or its value does not parse.
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{section.name}]")
+        return default
     try:
-        return float(section[key])
-    except KeyError:
-        raise ConfigError(f"missing key {key!r} in [{context}]") from None
+        return kind(section[key])
     except ValueError:
-        raise ConfigError(f"key {key!r} in [{context}] is not a number") from None
+        raise ConfigError(f"key {key!r} in [{section.name}] is not a number") from None
 
 
 def builtin_material(name: str) -> YeohMaterial:
@@ -131,51 +134,36 @@ def _resolve_material(section: configparser.SectionProxy) -> YeohMaterial:
     try:
         return YeohMaterial(
             name=name,
-            c1=_get_float(section, "c1", "material"),
-            c2=float(section.get("c2", "0")),
-            c3=float(section.get("c3", "0")),
-            density=float(section.get("density", "0")),
+            c1=_number(section, "c1"),
+            c2=_number(section, "c2", default=0.0),
+            c3=_number(section, "c3", default=0.0),
+            density=_number(section, "density", default=0.0),
         )
     except DomainError as err:
         raise ConfigError(f"invalid custom material: {err}") from err
-    except ValueError as err:
-        raise ConfigError(f"non-numeric value in [material]: {err}") from None
 
 
 def _resolve_sarcomere(section: configparser.SectionProxy) -> tuple[SarcomereGeometry, int]:
-    a_band = _get_float(section, "a_band", "sarcomere")
     try:
-        base = design_from_a_band(a_band)
-    except DomainError as err:
-        raise ConfigError(f"invalid sarcomere: {err}") from err
-    try:
-        i_band = float(section.get("i_band", base.i_band))
-        actin_arc = float(section.get("actin_arc", base.actin_arc))
-        myosin_height = float(section["myosin_height"]) if "myosin_height" in section else None
-        sarcomere_height = float(section["sarcomere_height"]) if "sarcomere_height" in section else None
-        junctions = int(section.get("junctions_per_myosin", "2"))
-        n = int(section.get("n", "1"))
-    except ValueError as err:
-        raise ConfigError(f"non-numeric value in [sarcomere]: {err}") from None
-    try:
+        base = design_from_a_band(_number(section, "a_band"))
         sarc = SarcomereGeometry(
-            a_band=a_band,
-            i_band=i_band,
-            actin_arc=actin_arc,
-            myosin_height=myosin_height,
-            sarcomere_height=sarcomere_height,
-            junctions_per_myosin=junctions,
+            a_band=base.a_band,
+            i_band=_number(section, "i_band", default=base.i_band),
+            actin_arc=_number(section, "actin_arc", default=base.actin_arc),
+            myosin_height=_number(section, "myosin_height", default=None),
+            junctions_per_myosin=_number(section, "junctions_per_myosin", int, 2),
         )
     except DomainError as err:
         raise ConfigError(f"invalid sarcomere: {err}") from err
-    return sarc, n
+    return sarc, _number(section, "n", int, 1)
 
 
 def load_config(path: str | Path) -> RunConfig:
-    """Parse a configuration file into a RunConfig."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+    """Parse a configuration file into a RunConfig.
+
+    Raises ConfigError for a malformed or inconsistent file and OSError
+    when it cannot be read.
+    """
     # Values are read literally: the grammar has no % interpolation.
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -190,25 +178,16 @@ def load_config(path: str | Path) -> RunConfig:
 
     material = _resolve_material(parser["material"])
     sarcomere, n = _resolve_sarcomere(parser["sarcomere"])
-
-    spa_section = parser["spa"]
-    spa_values = {}
-    for key in _SPA_KEYS:
-        if key in spa_section:
-            spa_values[key] = _get_float(spa_section, key, "spa")
-    try:
-        assumed_h_ch = float(spa_section.get("assumed_h_ch", str(DEFAULT_ASSUMED_H_CH)))
-    except ValueError:
-        raise ConfigError("key 'assumed_h_ch' in [spa] is not a number") from None
+    spa = parser["spa"]
+    spa_values = {key: _number(spa, key) for key in SPA_FIELDS if key in spa}
+    assumed_h_ch = _number(spa, "assumed_h_ch", default=DEFAULT_ASSUMED_H_CH)
 
     sweep = None
     if "sweep" in parser:
         sec = parser["sweep"]
         try:
             sweep = PressureSweep(
-                start=_get_float(sec, "start", "sweep"),
-                end=_get_float(sec, "end", "sweep"),
-                step=_get_float(sec, "step", "sweep"),
+                start=_number(sec, "start"), end=_number(sec, "end"), step=_number(sec, "step")
             )
         except DomainError as err:
             raise ConfigError(f"invalid [sweep]: {err}") from err

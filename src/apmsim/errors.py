@@ -22,4 +22,4 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A run configuration file is missing, malformed, or inconsistent."""
+    """A run configuration file is malformed or inconsistent."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,7 +110,9 @@ class SpaGeometry:
 
     t_w: chamber wall thickness; a_ch/b_ch/h_ch: inner channel length, width
     and height; h_jz: junction-zone height between chamber arrays; a_hz/b_hz:
-    H-zone cross-section length and width. Each must be positive and finite.
+    H-zone cross-section length and width. Each must be positive and finite,
+    and so must the wall ratio t_w/h_ch and the H-zone area a_hz*b_hz, which
+    the pressure pipeline derives from them.
     """
 
     t_w: float
@@ -122,8 +124,14 @@ class SpaGeometry:
     b_hz: float
 
     def __post_init__(self) -> None:
-        for name in ("t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz"):
+        for name in SPA_FIELDS:
             check_positive_finite(f"SPA dimension {name}", getattr(self, name))
+        check_positive_finite("wall ratio t_w/h_ch", self.t_w / self.h_ch)
+        check_positive_finite("H-zone area a_hz*b_hz", self.a_hz * self.b_hz)
+
+
+# The SpaGeometry dimension names, in declaration order.
+SPA_FIELDS = tuple(f.name for f in fields(SpaGeometry))
 
 
 @dataclass(frozen=True)
@@ -132,18 +140,16 @@ class SarcomereGeometry:
 
     a_band/i_band: myosin-spanning and actin-only region lengths; actin_arc:
     actin thread arc length; myosin_height: overall rest height of one myosin
-    (None when not yet chosen); sarcomere_height is informational and never
-    enters computations; junctions_per_myosin counts the junction zones
-    stacked through the myosin height (two in the reference chamber stack).
-    a_band, i_band, actin_arc and a given myosin_height must be positive and
-    finite.
+    (None when not yet chosen); junctions_per_myosin counts the junction
+    zones stacked through the myosin height (two in the reference chamber
+    stack). a_band, i_band, actin_arc and a given myosin_height must be
+    positive and finite, junctions_per_myosin within [1, 2**53].
     """
 
     a_band: float
     i_band: float
     actin_arc: float
     myosin_height: float | None = None
-    sarcomere_height: float | None = None
     junctions_per_myosin: int = 2
 
     def __post_init__(self) -> None:
@@ -151,8 +157,9 @@ class SarcomereGeometry:
             check_positive_finite(f"sarcomere dimension {name}", getattr(self, name))
         if self.myosin_height is not None:
             check_positive_finite("myosin_height", self.myosin_height)
-        if self.junctions_per_myosin < 1:
-            raise DomainError("junctions_per_myosin must be >= 1")
+        # Counts enter the pipeline as floats, exact up to 2**53.
+        if not 1 <= self.junctions_per_myosin <= 2**53:
+            raise DomainError("junctions_per_myosin must lie within [1, 2**53]")
 
     def conformity_warnings(self) -> list[str]:
         """Deviations from the design rules (I' = 2A'/3, rest semicircle).
@@ -180,7 +187,8 @@ class SarcomereGeometry:
 
 @dataclass(frozen=True)
 class MyofibrilSpec:
-    """A complete simulatable design: n sarcomeres of one geometry and material."""
+    """A complete simulatable design: n sarcomeres (1 <= n <= 2**53) of one
+    geometry and material."""
 
     n: int
     sarcomere: SarcomereGeometry
@@ -188,8 +196,8 @@ class MyofibrilSpec:
     material: YeohMaterial
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"sarcomere count must be >= 1, got {self.n}")
+        if not 1 <= self.n <= 2**53:
+            raise DomainError("sarcomere count n must lie within [1, 2**53]")
         for msg in self.sarcomere.conformity_warnings():
             warnings.warn(msg, stacklevel=2)
         if self.sarcomere.myosin_height is not None:

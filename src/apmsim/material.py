@@ -108,26 +108,23 @@ def _cauchy_stress_slope(material: YeohMaterial, lam: np.ndarray) -> np.ndarray:
     return (1.0 + 3.0 / (lam2 * lam2)) * poly + 2.0 * geo * geo * dpoly
 
 
-def inverse_cauchy_stress(
-    material: YeohMaterial,
-    sigma: float | np.ndarray,
-    lambda_max: float = DEFAULT_LAMBDA_MAX,
-) -> float | np.ndarray:
-    """Stretch ratio lambda in [1, lambda_max] with cauchy_stress(lambda) = sigma.
+def inverse_cauchy_stress(material: YeohMaterial, sigma: float | np.ndarray) -> float | np.ndarray:
+    """Stretch ratio lambda in [1, DEFAULT_LAMBDA_MAX] with cauchy_stress(lambda) = sigma.
 
     sigma is a float or an ndarray; the result has its shape. All elements
     are solved together by Newton steps on the closed-form stress slope,
     started from the tangent at lambda = 1 (slope 8*c1) and kept inside the
-    bracket [1, lambda_max] by bisection. Each element stops once its stress
-    residual is at most 1e-12 * max(1, sigma), inside the
+    fixed bracket [1, DEFAULT_LAMBDA_MAX], where YeohMaterial guarantees a
+    strictly increasing stress, by bisection. Each element stops once its
+    stress residual is at most 1e-12 * max(1, sigma), inside the
     1e-9 * max(1, sigma) contract, and keeps the Newton step from there; its
     result does not depend on the other elements. sigma = 0 gives exactly 1.
 
     Raises DomainError for a negative or NaN stress or when the solve misses
     its tolerance within the iteration cap, and UnbracketedRootError when
-    sigma exceeds the stress at lambda_max.
+    sigma exceeds the stress at DEFAULT_LAMBDA_MAX.
     """
-    shape, (target, sigma_cap) = flatten(sigma, cauchy_stress(material, lambda_max))
+    shape, (target, sigma_cap) = flatten(sigma, cauchy_stress(material, DEFAULT_LAMBDA_MAX))
     bad = first_index(~(target >= 0.0))
     if bad is not None:
         raise DomainError(f"stress must be non-negative, got {target[bad]}")
@@ -135,14 +132,14 @@ def inverse_cauchy_stress(
     if over is not None:
         raise UnbracketedRootError(
             f"{material.name}: stress {target[over]:.6g} MPa exceeds "
-            f"{sigma_cap[over]:.6g} MPa reachable at lambda_max={lambda_max}",
+            f"{sigma_cap[over]:.6g} MPa reachable at lambda_max={DEFAULT_LAMBDA_MAX}",
             index=over,
         )
     lam = bracketed_newton(
         lambda x: (cauchy_stress(material, x) - target, _cauchy_stress_slope(material, x)),
         1.0,
-        lambda_max,
-        np.minimum(1.0 + target / (8.0 * material.c1), lambda_max),
+        DEFAULT_LAMBDA_MAX,
+        np.minimum(1.0 + target / (8.0 * material.c1), DEFAULT_LAMBDA_MAX),
         1e-12 * np.maximum(1.0, target),
     )
     return unflatten(lam, shape)

@@ -1,18 +1,26 @@
+import configparser
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import apmsim
 from apmsim import actuation, cli, validation
 from apmsim.actuation import ActuationState
 from apmsim.cli import main
+from apmsim.config import load_config
+from apmsim.errors import ConfigError, DomainError
 from apmsim.validation import MAX_QUANTILES
 
 PROTOTYPE_CONFIG = """\
@@ -307,6 +315,103 @@ def test_simulate_rejects_bad_sweep_grid_exit_2(tmp_path, capsys, key, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid [sweep]" in captured.err
+
+
+# A prototype with an inline material, so that every [material] key is read.
+CUSTOM_CONFIG = PROTOTYPE_CONFIG.replace(
+    "name = dragonskin-30", "name = lot\nc1 = 0.096\nc2 = 0.0095"
+)
+
+# Every numeric key of the config grammar, as (section, key).
+NUMERIC_KEYS = [
+    *(("material", key) for key in ("c1", "c2", "c3", "density")),
+    *(("sarcomere", key) for key in (
+        "a_band", "i_band", "actin_arc", "myosin_height", "junctions_per_myosin", "n"
+    )),
+    *(("spa", key) for key in (
+        "t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz", "assumed_h_ch"
+    )),
+    *(("sweep", key) for key in ("start", "end", "step")),
+]
+
+
+def write_config(path, values):
+    """Write CUSTOM_CONFIG with each (section, key) of values set to its text."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(CUSTOM_CONFIG)
+    for (section, key), text in values.items():
+        parser[section][key] = text
+    with open(path, "w", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
+@pytest.mark.parametrize("value", ["abc", "", "1/0"])
+@pytest.mark.parametrize("section, key", NUMERIC_KEYS)
+def test_config_number_names_key_and_section(section, key, value, tmp_path, capsys):
+    config = tmp_path / "bad.ini"
+    write_config(config, {(section, key): value})
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: key {key!r} in [{section}] is not a number\n"
+
+
+@pytest.mark.parametrize("key, message", [
+    ("n", "invalid design: sarcomere count n must lie within [1, 2**53]"),
+    ("junctions_per_myosin", "invalid sarcomere: junctions_per_myosin must lie within [1, 2**53]"),
+])
+def test_config_huge_count_exit_2(key, message, tmp_path, capsys):
+    # A count beyond the float range used to overflow in the pipeline.
+    config = tmp_path / "huge.ini"
+    write_config(config, {("sarcomere", key): "1" + "0" * 400})
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# Texts at the edges of a number reader: non-finite, signed zero, the float
+# extremes, empty and non-ASCII text, and non-negative integers of up to 500
+# digits (beyond the float range from 309 digits on).
+odd_values = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0", "1e308", "1e-320", ""]),
+    st.text(st.characters(min_codepoint=0x80, exclude_categories=["Cs"]), min_size=1, max_size=6),
+    st.integers(0, 10**500 - 1).map(str),
+)
+
+
+def run_quietly(argv):
+    # main's exit code and stderr text; design-rule warnings are not kept.
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(NUMERIC_KEYS), odd_values, min_size=1, max_size=2))
+def test_config_fuzz_exits_0_2_or_3(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out.csv"
+        write_config(config, values)
+        # Keep every run cheap: a grid of more than 10 points is not run.
+        try:
+            sweep = load_config(config).sweep
+        except (ConfigError, DomainError):
+            sweep = None
+        if sweep is not None and len(sweep.pressures()) > 10:
+            reject()
+        argv = ["simulate", "--config", str(config), "--out", str(out)]
+        code, err = run_quietly(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert len(err.splitlines()) == 1
+            assert err.startswith(("error: ", "model error: "))
+        else:
+            first = out.read_bytes()
+            assert run_quietly(argv) == (0, err)
+            assert out.read_bytes() == first
 
 
 # ------------------------------------------------------------------ validate

@@ -307,6 +307,32 @@ def test_sarcomere_rejects_bad_junction_count():
         SarcomereGeometry(a_band=30.0, i_band=20.0, actin_arc=31.0, junctions_per_myosin=0)
 
 
+@pytest.mark.parametrize("count", [2**53 + 1, 10**400])
+def test_counts_beyond_exact_floats_rejected(count):
+    # Counts enter the pipeline as floats; 10**400 used to overflow there.
+    with pytest.raises(DomainError, match=r"sarcomere count n must lie within \[1, 2\*\*53\]"):
+        conforming_spec(30.0, n=count)
+    with pytest.raises(DomainError, match="junctions_per_myosin must lie within"):
+        SarcomereGeometry(a_band=30.0, i_band=20.0, actin_arc=31.0, junctions_per_myosin=count)
+
+
+def test_largest_exact_count_accepted():
+    assert resting_length(conforming_spec(30.0, n=2**53)) == 2**53 * 50.0
+    SarcomereGeometry(a_band=30.0, i_band=20.0, actin_arc=31.0, junctions_per_myosin=2**53)
+
+
+@pytest.mark.parametrize("dims, message", [
+    (dict(h_ch=1e-320), "wall ratio t_w/h_ch must be positive and finite, got inf"),
+    (dict(a_hz=1e-320, b_hz=1e-320), "H-zone area a_hz\\*b_hz must be positive and finite, got 0.0"),
+])
+def test_spa_geometry_rejects_degenerate_derived_values(dims, message):
+    # Both used to reach the pipeline: c_m of an infinite wall ratio printed
+    # -inf forces, and a zero H-zone area divided by zero.
+    with pytest.raises(DomainError, match=message):
+        SpaGeometry(**{**dict(t_w=1.5, a_ch=9.5, b_ch=10.0, h_ch=5.0, h_jz=2.0, a_hz=6.0,
+                              b_hz=15.0), **dims})
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz"])
 def test_spa_geometry_rejects_non_finite(name, value):
