@@ -286,6 +286,8 @@ def simulate_pressure(
     The length ratio is taken against the zero-deformation length of the
     same design (identical to resting_length for rule-conforming
     geometries), solved once per design; it is exactly 1 at zero pressure.
+    Raises DomainError naming the first field, in field order, that is not
+    finite.
     """
     counts: Sequence[int] = ()
     if not isinstance(spec, MyofibrilSpec):
@@ -305,7 +307,7 @@ def simulate_pressure(
     r1 = _major_axis(d.actin_arc, _per_point(rest_chord, counts), delta_hm)
     l_mf = d.n * (d.a_band + 2.0 * r1)
     l_rest = _per_point(myofibril_length(spec, 0.0), counts)
-    return ActuationState(
+    state = ActuationState(
         pressure=pressure,
         lambda_jz=lam,
         c_m=c_m,
@@ -319,6 +321,15 @@ def simulate_pressure(
         length_ratio=l_mf / l_rest,
         ratio_flag=check_length_ratio(l_mf, l_rest),
     )
+    # Finite accepted inputs can still overflow a product (a_ch = 1e308 with
+    # b_ch = 1e-320 passes every input check and makes f_e inf), and no input
+    # bound rules out every such case, so the state is checked on its way out.
+    for name, value in zip(ActuationState._fields, state[:-1]):
+        flat = np.ravel(value)
+        bad = first_index(~np.isfinite(flat))
+        if bad is not None:
+            raise DomainError(f"{name} is not finite ({flat[bad]})")
+    return state
 
 
 def simulate_cells(

@@ -196,9 +196,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     model = Curve.from_csv(args.model_csv, "model")
     reference = Curve.from_csv(args.reference_csv, "reference")
     report = compare_curves(model, reference, qq=args.qq, resample=args.resample)
-    print(f"frechet_normalized_pct={_fmt(100.0 * report.frechet_normalized)}")
-    print(f"frechet_raw={_fmt(report.frechet_raw)}")
-    print(f"r_squared={_fmt(report.r_squared)}")
+    # The report is written before anything is printed, so that a failing
+    # write leaves stdout empty as every other error does.
     if args.out:
         fmt = args.format or "json"
         if fmt == "json":
@@ -207,6 +206,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
             Path(args.out).write_text(report.to_csv_row(), encoding="utf-8")
             if report.qq_pairs is not None:
                 write_qq_csv(report.qq_pairs, Path(args.out).with_suffix(".qq.csv"))
+    print(f"frechet_normalized_pct={_fmt(100.0 * report.frechet_normalized)}")
+    print(f"frechet_raw={_fmt(report.frechet_raw)}")
+    print(f"r_squared={_fmt(report.r_squared)}")
     return 0
 
 

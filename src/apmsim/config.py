@@ -1,5 +1,5 @@
-"""Run configuration files: flat INI-style sections [material], [spa],
-[sarcomere], [sweep], [output]. Lengths in mm, pressures in MPa.
+"""Run configuration files: flat INI sections [material], [sarcomere], [spa],
+[sweep], [output], whose keys GRAMMAR declares. Lengths in mm, pressures in MPa.
 
 A configuration resolves to a MyofibrilSpec plus a pressure sweep. Design-
 rule deviations (non-conforming i_band, actin_arc or myosin_height) emit
@@ -9,7 +9,7 @@ warnings, never failures, so measured prototype dimensions stay simulatable.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +17,6 @@ from .actuation import PressureSweep
 from .errors import ConfigError, DomainError
 from .geometry import SPA_FIELDS, MyofibrilSpec, SarcomereGeometry, SpaGeometry, design_from_a_band
 from .material import MATERIALS, YeohMaterial
-
-# Chamber height assumed when a study is specified by t_w/h_ch ratio only.
-DEFAULT_ASSUMED_H_CH = 10.0
 
 # Default per-material study pressure grids (MPa).
 DEFAULT_PRESSURE_GRIDS: dict[str, PressureSweep] = {
@@ -96,24 +93,6 @@ def parse_ratio(text: str) -> float:
         raise ConfigError(f"bad ratio {text!r}: {err}") from None
 
 
-# Marks a key that has no default value.
-_REQUIRED = object()
-
-
-def _number(section: configparser.SectionProxy, key: str, kind: type = float, default=_REQUIRED):
-    # The key's value parsed as kind (float or int), or default when the key
-    # is absent; ConfigError naming the key and its section when the key is
-    # missing and required, or its value does not parse.
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing key {key!r} in [{section.name}]")
-        return default
-    try:
-        return kind(section[key])
-    except ValueError:
-        raise ConfigError(f"key {key!r} in [{section.name}] is not a number") from None
-
-
 def builtin_material(name: str) -> YeohMaterial:
     """The built-in material of that name; ConfigError naming the known ones
     otherwise."""
@@ -124,38 +103,75 @@ def builtin_material(name: str) -> YeohMaterial:
         raise ConfigError(f"unknown material {name!r}; known: {known}") from None
 
 
-def _resolve_material(section: configparser.SectionProxy) -> YeohMaterial:
-    name = section.get("name")
-    if name is None:
-        raise ConfigError("[material] needs a name")
-    name = name.strip()
-    if "c1" not in section:
-        return builtin_material(name)
-    try:
-        return YeohMaterial(
-            name=name,
-            c1=_number(section, "c1"),
-            c2=_number(section, "c2", default=0.0),
-            c3=_number(section, "c3", default=0.0),
-            density=_number(section, "density", default=0.0),
-        )
-    except DomainError as err:
-        raise ConfigError(f"invalid custom material: {err}") from err
+# REQUIRED marks a key or section a file must give, OPTIONAL a key it may
+# leave out, which is then absent from the values read.
+REQUIRED = object()
+OPTIONAL = object()
+
+# The whole config grammar: section -> (absent, {key: (kind, default)}), in
+# reading order. A key left out takes its default; kind turns the text of a
+# given key into its value, a ValueError meaning the text is not a number.
+# absent is what a left-out section reads as: None for [sweep] (each
+# material's built-in grid), an empty section for [output].
+GRAMMAR = {
+    "material": (REQUIRED, {
+        "name": (str.strip, REQUIRED),
+        "c1": (float, OPTIONAL),
+        "c2": (float, OPTIONAL),
+        "c3": (float, OPTIONAL),
+        "density": (float, OPTIONAL),
+    }),
+    "sarcomere": (REQUIRED, {
+        "a_band": (float, REQUIRED),
+        "i_band": (float, OPTIONAL),
+        "actin_arc": (float, OPTIONAL),
+        "myosin_height": (float, OPTIONAL),
+        "junctions_per_myosin": (int, 2),
+        "n": (int, 1),
+    }),
+    "spa": (REQUIRED, {
+        **dict.fromkeys(SPA_FIELDS, (float, OPTIONAL)),
+        # Chamber height of a study given by t_w/h_ch ratios only.
+        "assumed_h_ch": (float, 10.0),
+    }),
+    "sweep": (None, dict.fromkeys(("start", "end", "step"), (float, REQUIRED))),
+    "output": ({}, {"path": (str, ""), "format": (lambda text: text.strip().lower(), "csv")}),
+}
 
 
-def _resolve_sarcomere(section: configparser.SectionProxy) -> tuple[SarcomereGeometry, int]:
-    try:
-        base = design_from_a_band(_number(section, "a_band"))
-        sarc = SarcomereGeometry(
-            a_band=base.a_band,
-            i_band=_number(section, "i_band", default=base.i_band),
-            actin_arc=_number(section, "actin_arc", default=base.actin_arc),
-            myosin_height=_number(section, "myosin_height", default=None),
-            junctions_per_myosin=_number(section, "junctions_per_myosin", int, 2),
-        )
-    except DomainError as err:
-        raise ConfigError(f"invalid sarcomere: {err}") from err
-    return sarc, _number(section, "n", int, 1)
+def _check_names(parser: configparser.ConfigParser, path: str | Path) -> None:
+    # Faults in names come before any fault in values: an unknown section or
+    # key, in file order, then the missing sections. [DEFAULT] is an unknown
+    # section, since configparser would copy its keys into every section.
+    for name in (["DEFAULT"] if parser.defaults() else []) + parser.sections():
+        if name not in GRAMMAR:
+            raise ConfigError(f"unknown section [{name}]")
+        for key in parser[name]:
+            if key not in GRAMMAR[name][1]:
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+    missing = [f"[{name}]" for name in GRAMMAR if GRAMMAR[name][0] is REQUIRED and name not in parser]
+    if missing:
+        raise ConfigError(f"{path}: missing section {', '.join(missing)}")
+
+
+def _section(parser: configparser.ConfigParser, name: str) -> dict | None:
+    # The values of one GRAMMAR section, each key parsed by its kind or
+    # defaulted; None for a left-out [sweep].
+    section = parser[name] if name in parser else GRAMMAR[name][0]
+    if section is None:
+        return None
+    values = {}
+    for key, (kind, default) in GRAMMAR[name][1].items():
+        if key in section:
+            try:
+                values[key] = kind(section[key])
+            except ValueError:
+                raise ConfigError(f"key {key!r} in [{name}] is not a number") from None
+        elif default is REQUIRED:
+            raise ConfigError(f"missing key {key!r} in [{name}]")
+        elif default is not OPTIONAL:
+            values[key] = default
+    return values
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -171,34 +187,43 @@ def load_config(path: str | Path) -> RunConfig:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as err:
         raise ConfigError(f"{path}: {err}") from None
+    _check_names(parser, path)
 
-    for required in ("material", "spa", "sarcomere"):
-        if required not in parser:
-            raise ConfigError(f"{path}: missing [{required}] section")
+    # Sections are read and built one by one in GRAMMAR order, so of two
+    # faults in values the earlier section's is reported. [material] is a
+    # built-in name alone, or a name with c1 and optionally c2, c3, density.
+    coefficients = _section(parser, "material")
+    name, given = coefficients.pop("name"), ", ".join(coefficients)
+    if given and name in MATERIALS:
+        raise ConfigError(f"[material] sets {given} next to the built-in name {name!r}")
+    if given and "c1" not in coefficients:
+        raise ConfigError(f"[material] sets {given} without c1")
+    try:
+        material = YeohMaterial(name, **coefficients) if coefficients else builtin_material(name)
+    except DomainError as err:
+        raise ConfigError(f"invalid custom material: {err}") from err
 
-    material = _resolve_material(parser["material"])
-    sarcomere, n = _resolve_sarcomere(parser["sarcomere"])
-    spa = parser["spa"]
-    spa_values = {key: _number(spa, key) for key in SPA_FIELDS if key in spa}
-    assumed_h_ch = _number(spa, "assumed_h_ch", default=DEFAULT_ASSUMED_H_CH)
+    # i_band and actin_arc left out follow from a_band by the design rules.
+    lengths = _section(parser, "sarcomere")
+    n = lengths.pop("n")
+    try:
+        sarcomere = replace(design_from_a_band(lengths["a_band"]), **lengths)
+    except DomainError as err:
+        raise ConfigError(f"invalid sarcomere: {err}") from err
 
-    sweep = None
-    if "sweep" in parser:
-        sec = parser["sweep"]
+    spa_values = _section(parser, "spa")
+    assumed_h_ch = spa_values.pop("assumed_h_ch")
+
+    sweep = _section(parser, "sweep")
+    if sweep is not None:
         try:
-            sweep = PressureSweep(
-                start=_number(sec, "start"), end=_number(sec, "end"), step=_number(sec, "step")
-            )
+            sweep = PressureSweep(**sweep)
         except DomainError as err:
             raise ConfigError(f"invalid [sweep]: {err}") from err
 
-    out_path = None
-    out_format = "csv"
-    if "output" in parser:
-        out_path = parser["output"].get("path") or None
-        out_format = parser["output"].get("format", "csv").strip().lower()
-    if out_format not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {out_format!r}")
+    output = _section(parser, "output")
+    if output["format"] not in ("csv", "json"):
+        raise ConfigError(f"output format must be csv or json, got {output['format']!r}")
 
     return RunConfig(
         material=material,
@@ -207,6 +232,6 @@ def load_config(path: str | Path) -> RunConfig:
         n=n,
         sweep=sweep,
         assumed_h_ch=assumed_h_ch,
-        out_path=out_path,
-        out_format=out_format,
+        out_path=output["path"] or None,
+        out_format=output["format"],
     )

@@ -62,10 +62,15 @@ class Curve:
         """Read a two-column CSV with the mandatory header row ``x,y``.
 
         Blank lines are skipped; every other row must have exactly two fields.
+        A file that is not UTF-8 text, or that csv cannot split, raises
+        DomainError naming the path.
         """
         path = Path(path)
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise DomainError(f"{path}: {err}") from None
         if not rows or tuple(c.strip() for c in rows[0]) != CURVE_CSV_HEADER:
             raise DomainError(f"{path}: expected header row 'x,y'")
         body = [r for r in rows[1:] if r]

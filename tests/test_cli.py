@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import re
+import string
 import subprocess
 import sys
 import tempfile
@@ -12,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import apmsim
 from apmsim import actuation, cli, validation
 from apmsim.actuation import ActuationState
 from apmsim.cli import main
-from apmsim.config import load_config
+from apmsim.config import GRAMMAR, load_config
 from apmsim.errors import ConfigError, DomainError
 from apmsim.validation import MAX_QUANTILES
 
@@ -322,27 +324,122 @@ CUSTOM_CONFIG = PROTOTYPE_CONFIG.replace(
     "name = dragonskin-30", "name = lot\nc1 = 0.096\nc2 = 0.0095"
 )
 
-# Every numeric key of the config grammar, as (section, key).
+# Every key of the config grammar, and every numeric one, as (section, key).
+GRAMMAR_KEYS = [(section, key) for section, (_, keys) in GRAMMAR.items() for key in keys]
 NUMERIC_KEYS = [
-    *(("material", key) for key in ("c1", "c2", "c3", "density")),
-    *(("sarcomere", key) for key in (
-        "a_band", "i_band", "actin_arc", "myosin_height", "junctions_per_myosin", "n"
-    )),
-    *(("spa", key) for key in (
-        "t_w", "a_ch", "b_ch", "h_ch", "h_jz", "a_hz", "b_hz", "assumed_h_ch"
-    )),
-    *(("sweep", key) for key in ("start", "end", "step")),
+    (section, key) for section, key in GRAMMAR_KEYS if GRAMMAR[section][1][key][0] in (float, int)
 ]
 
 
+def test_numeric_keys_come_from_the_grammar():
+    assert len(set(NUMERIC_KEYS)) == len(NUMERIC_KEYS) == 21
+    assert [key for section, key in NUMERIC_KEYS if section == "sweep"] == ["start", "end", "step"]
+
+
+def test_readme_names_every_grammar_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, flags=re.MULTILINE)
+    assert sorted(rows) == sorted(GRAMMAR_KEYS)
+
+
 def write_config(path, values):
-    """Write CUSTOM_CONFIG with each (section, key) of values set to its text."""
+    """Write CUSTOM_CONFIG with each (section, key) of values set to its text;
+    a section it does not have is added."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.read_string(CUSTOM_CONFIG)
     for (section, key), text in values.items():
+        if section not in parser:
+            parser.add_section(section)
         parser[section][key] = text
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # A misspelt key used to simulate another design, a misspelt section the
+    # built-in grid, and keys next to a built-in name were ignored or made
+    # another material under that name; each exited 0.
+    ("actin_arc = 32", "actn_arc = 32", "unknown key 'actn_arc' in [sarcomere]"),
+    ("[sweep]", "[swep]", "unknown section [swep]"),
+    ("name = dragonskin-30", "name = dragonskin-30\nc2 = abc\ndensity = nan",
+     "key 'c2' in [material] is not a number"),
+    ("name = dragonskin-30", "name = dragonskin-30\nc1 = 0.2",
+     "[material] sets c1 next to the built-in name 'dragonskin-30'"),
+    ("name = dragonskin-30", "name = dragonskin-30\nc3 = 0\ndensity = nan",
+     "[material] sets c3, density next to the built-in name 'dragonskin-30'"),
+    ("name = dragonskin-30", "name = lot\nc2 = 0.01\ndensity = 1000",
+     "[material] sets c2, density without c1"),
+    # The retired key, and [DEFAULT], whose keys configparser copies into
+    # every section.
+    ("n = 1", "n = 1\nsarcomere_height = 20", "unknown key 'sarcomere_height' in [sarcomere]"),
+    ("[material]", "[DEFAULT]\nn = 2\n\n[material]", "unknown section [DEFAULT]"),
+    # Faults in names are reported before faults in values.
+    ("[sweep]\nstart = 0.01", "[sweep]\nstart = abc\nbegin = 0", "unknown key 'begin' in [sweep]"),
+    ("n = 1", "n = abc\n\n[chamber]\nx = 1", "unknown section [chamber]"),
+])
+def test_config_outside_the_grammar_exit_2(old, new, message, tmp_path, capsys):
+    config = tmp_path / "typo.ini"
+    text = PROTOTYPE_CONFIG.replace("step = 0.01", "step = 0.005")
+    assert old in text
+    config.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("edits, message", [
+    # A fault in building [material] before a parse fault in [sweep].
+    ({"dragonskin-30": "vantablack", "step = 0.01": "step = abc"}, "unknown material 'vantablack'"),
+    # A fault in building [sarcomere] before one in building [sweep].
+    ({"a_band = 30": "a_band = -1", "start = 0.01": "start = 0.5"}, "invalid sarcomere: "),
+], ids=["material-then-sweep", "sarcomere-then-sweep"])
+def test_config_earlier_section_fault_is_reported(edits, message, tmp_path, capsys):
+    # Sections are read and built in grammar order, so of two faults in
+    # values the earlier section's is reported.
+    config = tmp_path / "two.ini"
+    text = PROTOTYPE_CONFIG
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    config.write_text(text, encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
+
+
+def test_config_missing_sections_are_named_together(tmp_path, capsys):
+    config = tmp_path / "short.ini"
+    config.write_text("[material]\nname = dragonskin-30\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: missing section [sarcomere], [spa]\n"
+
+
+@pytest.mark.parametrize("output, path, fmt", [
+    ("", None, "csv"),
+    ("\n[output]\n", None, "csv"),
+    ("\n[output]\npath =\nformat = JSON\n", None, "json"),
+    ("\n[output]\npath = run.csv\n", "run.csv", "csv"),
+])
+def test_config_output_section(output, path, fmt, tmp_path):
+    # An empty path means stdout; the format is lower-cased.
+    config = tmp_path / "out.ini"
+    config.write_text(PROTOTYPE_CONFIG + output, encoding="utf-8")
+    loaded = load_config(config)
+    assert (loaded.out_path, loaded.out_format) == (path, fmt)
+
+
+def test_simulate_overflowing_state_exit_3(tmp_path, capsys):
+    # Every input is finite and accepted, but the chamber force overflows.
+    config = tmp_path / "overflow.ini"
+    config.write_text(
+        PROTOTYPE_CONFIG.replace("a_ch = 9.5", "a_ch = 1e308").replace("b_ch = 10", "b_ch = 1e-320"),
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(config)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "model error: at pressure 0.010000 MPa: f_e is not finite (inf)\n"
 
 
 @pytest.mark.parametrize("value", ["abc", "", "1/0"])
@@ -380,20 +477,55 @@ odd_values = st.one_of(
 )
 
 
+@st.composite
+def misspelt_keys(draw):
+    """A grammar key with one letter changed, which its section does not know."""
+    section, key = draw(st.sampled_from(GRAMMAR_KEYS))
+    i = draw(st.integers(0, len(key) - 1))
+    typo = key[:i] + draw(st.sampled_from(string.ascii_lowercase)) + key[i + 1:]
+    assume(typo not in GRAMMAR[section][1])
+    return section, typo, f"error: unknown key {typo!r} in [{section}]\n"
+
+
+@st.composite
+def unknown_sections(draw):
+    """A section the grammar does not know, holding one grammar key."""
+    section = draw(st.one_of(
+        st.sampled_from(["DEFAULT", "swep", "Sweep", "materials"]),
+        st.text(st.sampled_from(string.ascii_lowercase + "_"), min_size=1, max_size=10),
+    ))
+    assume(section not in GRAMMAR)
+    _, key = draw(st.sampled_from(GRAMMAR_KEYS))
+    return section, key, f"error: unknown section [{section}]\n"
+
+
 def run_quietly(argv):
-    # main's exit code and stderr text; design-rule warnings are not kept.
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+    # main's exit code, stdout and stderr text; design-rule warnings are not
+    # kept.
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(),
+    ):
         warnings.simplefilter("ignore", UserWarning)
         code = main(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.dictionaries(st.sampled_from(NUMERIC_KEYS), odd_values, min_size=1, max_size=2))
-def test_config_fuzz_exits_0_2_or_3(values):
+# A third of the examples carry no fault in names, so 600 examples keep 200
+# runs that fuzz the values alone.
+@settings(max_examples=600, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(NUMERIC_KEYS), odd_values, min_size=1, max_size=2),
+    st.one_of(st.none(), misspelt_keys(), unknown_sections()),
+)
+def test_config_fuzz_exits_0_2_or_3(values, fault):
     with tempfile.TemporaryDirectory() as tmp:
         config, out = Path(tmp) / "fuzz.ini", Path(tmp) / "out.csv"
+        if fault is not None:
+            section, key, message = fault
+            values = {**values, (section, key): "1"}
         write_config(config, values)
         # Keep every run cheap: a grid of more than 10 points is not run.
         try:
@@ -403,15 +535,21 @@ def test_config_fuzz_exits_0_2_or_3(values):
         if sweep is not None and len(sweep.pressures()) > 10:
             reject()
         argv = ["simulate", "--config", str(config), "--out", str(out)]
-        code, err = run_quietly(argv)
+        code, stdout, err = run_quietly(argv)
         assert code in (0, 2, 3)
+        assert stdout == ""
+        if fault is not None:
+            assert (code, err) == (2, message)
         if code:
             assert len(err.splitlines()) == 1
             assert err.startswith(("error: ", "model error: "))
         else:
             first = out.read_bytes()
-            assert run_quietly(argv) == (0, err)
+            assert run_quietly(argv) == (0, "", err)
             assert out.read_bytes() == first
+            rows = [line.split(",") for line in first.decode("utf-8").splitlines()[1:]]
+            assert rows
+            assert all(math.isfinite(float(text)) for row in rows for text in row[:-1])
 
 
 # ------------------------------------------------------------------ validate
@@ -466,6 +604,33 @@ def test_validate_report_files(tmp_path, capsys):
     assert qq_file.exists()
     assert qq_file.read_text(encoding="utf-8").splitlines()[0] == "p,reference,model"
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("body", [
+    b"x,y\n0,0\n1,\xff\n",
+    b"x,y\n0,0\n1," + b"1" * 140_000 + b"\n",
+], ids=["not-utf-8", "field-beyond-csv-limit"])
+def test_validate_unreadable_curve_exit_2(body, tmp_path, capsys):
+    bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+    bad.write_bytes(body)
+    write_curve(good, [0.0, 1.0], [0.0, 1.0])
+    assert main(["validate", str(good), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: ")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_validate_unwritable_out_leaves_stdout_empty(tmp_path, capsys):
+    curve = tmp_path / "c.csv"
+    write_curve(curve, [0.0, 0.5, 1.0], [0.0, 0.3, 1.0])
+    out = tmp_path / "missing" / "report.json"
+    assert main(["validate", str(curve), str(curve), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(out) in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_validate_missing_header_exit_2(tmp_path, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from apmsim.cli import main
+from apmsim.config import load_config
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
@@ -29,3 +30,19 @@ def test_gate_operations_match_golden_files(tmp_path, capsys):
             op, stdout, out_text
         )
     assert errors == []
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path):
+    # Every config the benchmark runs goes through the grammar here first, so
+    # a grammar change that would fail benchmark operations fails this test.
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+    ops = inputs.gate_ops(tmp_path)
+    for workload in ("fine_sweep", "design_study"):
+        for seed in (1, 2, 3):
+            workdir = tmp_path / f"{workload}-{seed}"
+            workdir.mkdir()
+            ops += inputs.workload_ops(workload, seed, workdir)
+    paths += sorted({op.argv[op.argv.index("--config") + 1] for op in ops if "--config" in op.argv})
+    assert len(paths) == 2 + 2 + 3 * (inputs.FINE_POOL + 1)
+    for path in paths:
+        load_config(path)
