@@ -34,7 +34,7 @@ def flatten(*values) -> tuple[tuple[int, ...], list[np.ndarray]]:
 def unflatten(flat: np.ndarray, shape: tuple[int, ...]):
     """The Python value of the only element for the empty shape, else flat
     reshaped to shape."""
-    return flat[0].item() if shape == () else flat.reshape(shape)
+    return flat.item(0) if shape == () else flat.reshape(shape)
 
 
 def check_positive_finite(label: str, value: float) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -81,8 +81,13 @@ class PressureSweep:
     def pressures(self) -> list[float]:
         """Grid points start + i*step; the end point is kept when it lands
         within half a step of the last increment."""
+        return self._grid().tolist()
+
+    def _grid(self) -> np.ndarray:
+        # i*step + start for each i is the same IEEE multiply and add as
+        # start + i*step, so the points are bit for bit those of the loop.
         count = math.floor((self.end - self.start) / self.step + 0.5)
-        return [self.start + i * self.step for i in range(count + 1)]
+        return np.arange(count + 1) * self.step + self.start
 
 
 class ActuationState(NamedTuple):
@@ -92,9 +97,10 @@ class ActuationState(NamedTuple):
     pressure in MPa; lambda_jz dimensionless; forces in N; theta in rad;
     r1 and l_mf in mm; length_ratio relative to the zero-pressure length;
     ratio_flag is the check_length_ratio classification. The field order is
-    the output column order (cli.STATE_COLUMNS), so the CLI formats a state
-    as a plain tuple. simulate_pressure given an ndarray of pressures fills
-    every field with an ndarray of the same shape.
+    the output column order (cli.STATE_COLUMNS). simulate_pressure given an
+    ndarray of pressures fills every field with an ndarray of the same
+    shape; simulate_cells hands each cell's fields on as columns, in this
+    order, and simulate_sweep zips them into one state per point.
     """
 
     pressure: float
@@ -334,20 +340,20 @@ def simulate_pressure(
 
 def simulate_cells(
     cells: Sequence[tuple[MyofibrilSpec, PressureSweep]],
-) -> list[list[ActuationState]]:
-    """One list of ActuationStates per (spec, sweep) cell, in cell order,
-    each in ascending pressure order.
+) -> list[list[list]]:
+    """The columns of each (spec, sweep) cell, in cell order: one list per
+    ActuationState field, in field order, each in ascending pressure order.
 
     All cells are one simulate_pressure pass over the concatenated grids,
-    so cells[i]'s list equals simulate_sweep(*cells[i]). Any model error
-    aborts the whole call: the first cell, in the given order, that fails
-    on its own reports its lowest failing pressure as simulate_sweep does.
-    No cells give an empty list.
+    so zipping cell i's columns gives the states of simulate_sweep(*cells[i]).
+    Any model error aborts the whole call: the first cell, in the given
+    order, that fails on its own reports its lowest failing pressure as
+    simulate_sweep does. No cells give an empty list.
     """
     if not cells:
         return []
     specs = [spec for spec, _ in cells]
-    grids = [np.array(sweep.pressures()) for _, sweep in cells]
+    grids = [sweep._grid() for _, sweep in cells]
     try:
         state = simulate_pressure(specs, grids)
     except DomainError:
@@ -358,20 +364,20 @@ def simulate_cells(
                 _raise_lowest_failure(spec, pressures)
                 raise
         raise
-    # Transpose the array-valued state into per-point tuples at C speed and
-    # cut them into the cells' grids.
-    points = map(ActuationState._make, zip(*(column.tolist() for column in state)))
-    return [list(islice(points, len(grid))) for grid in grids]
+    # Each cell's columns are cut from views of the pass's arrays; slicing
+    # whole-pass lists instead would hold a second copy of every value.
+    bounds = pairwise(accumulate(map(len, grids), initial=0))
+    return [[column[a:b].tolist() for column in state] for a, b in bounds]
 
 
 def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationState]:
     """One ActuationState per grid point, in ascending pressure order.
 
-    The one-cell case of simulate_cells. Any model error aborts the sweep
-    and reports the lowest failing pressure with the error that
-    simulate_pressure raises at that pressure alone.
+    The one-cell case of simulate_cells, zipped into states. Any model
+    error aborts the sweep and reports the lowest failing pressure with the
+    error that simulate_pressure raises at that pressure alone.
     """
-    return simulate_cells([(spec, sweep)])[0]
+    return list(map(ActuationState._make, zip(*simulate_cells([(spec, sweep)])[0])))
 
 
 def _raise_lowest_failure(spec: MyofibrilSpec, pressures: np.ndarray) -> None:

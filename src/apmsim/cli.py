@@ -9,7 +9,7 @@ import argparse
 import functools
 import math
 import sys
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -18,15 +18,17 @@ import numpy as np
 
 from . import geometry
 from ._numeric import check_positive_finite
-from .actuation import ActuationState, PressureSweep, simulate_cells, simulate_sweep
+from .actuation import ActuationState, PressureSweep, simulate_cells
+from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simulate_sweep)
 from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
 from .geometry import MyofibrilSpec
 from .validation import Curve, compare_curves, write_qq_csv
 
 # (output column, ActuationState attribute) of every simulate column, in
-# output order, which is also ActuationState's field order; the CSV header,
-# CSV rows and JSON states all derive from it.
+# output order, which is also ActuationState's field order and so the order
+# of simulate_cells' columns; the CSV header, CSV rows and JSON states all
+# derive from it.
 STATE_COLUMNS = (
     ("pressure_mpa", "pressure"),
     ("lambda_jz", "lambda_jz"),
@@ -42,11 +44,12 @@ STATE_COLUMNS = (
     ("ratio_flag", "ratio_flag"),
 )
 _STATE_KEYS = tuple(column for column, _ in STATE_COLUMNS)
-# One sweep cell: material, wall ratio, states, their largest f_spa and the
-# material's mean of those maxima over its ratios.
-_SweepRow = tuple[str, float, list[ActuationState], float, float]
-# One CSV row per state, `_STATE_ROW % state`: numbers to six decimals, the
-# flag as is.
+# One sweep cell: material, wall ratio, the columns of its states, their
+# largest f_spa and the material's mean of those maxima over its ratios.
+_SweepRow = tuple[str, float, list[list], float, float]
+_F_SPA = ActuationState._fields.index("f_spa")
+# One CSV row per state, `_STATE_ROW % row` for each row of zip(*columns):
+# numbers to six decimals, the flag as is.
 _STATE_ROW = ",".join("%s" if attr == "ratio_flag" else "%.6f" for _, attr in STATE_COLUMNS)
 
 # JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
@@ -95,7 +98,7 @@ def _json_strings(values) -> list[str]:
     return list(map(encode_basestring_ascii, values))
 
 
-# (ActuationState index, column encoder) of every state key in sorted order.
+# (column index, column encoder) of every state key in sorted order.
 _STATE_JSON_FIELDS = tuple(
     (i, _json_strings if attr == "ratio_flag" else _json_floats)
     for i, (_, attr) in sorted(enumerate(STATE_COLUMNS), key=itemgetter(1))
@@ -116,30 +119,30 @@ def _json_array(items, indent: int) -> str:
     return f"[\n{body}\n{' ' * indent}]" if body else "[]"
 
 
-def _state_objects(states: list[ActuationState], indent: int) -> list[str]:
-    """The JSON object of each state, keyed by _STATE_KEYS, with its braces
-    indented by indent spaces; encoded column by column."""
-    columns = list(zip(*states)) or [()] * len(STATE_COLUMNS)
-    texts = [encode(columns[i]) for i, encode in _STATE_JSON_FIELDS]
+def _state_objects(cells: list[list[list]], indent: int) -> list[str]:
+    """The JSON object of every state of the cells' columns, in cell order,
+    keyed by _STATE_KEYS, with its braces indented by indent spaces; each
+    column is encoded once over all cells."""
+    texts = [encode(chain.from_iterable(cell[i] for cell in cells)) for i, encode in _STATE_JSON_FIELDS]
     return list(map(_state_template(indent).__mod__, zip(*texts)))
 
 
-def _simulate_json(material: str, n: int, sweep: PressureSweep, states: list[ActuationState]) -> str:
+def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[list]) -> str:
     return _SIMULATE_JSON % (
         encode_basestring_ascii(material),
         int.__repr__(n),
         *_json_floats((sweep.end, sweep.start, sweep.step)),
-        _json_array(_state_objects(states, 4), 2),
+        _json_array(_state_objects([columns], 4), 2),
     )
 
 
 def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
     # Every cell's states are encoded in one pass, then dealt out per cell.
-    objects = iter(_state_objects([s for row in rows for s in row[2]], 8))
+    objects = iter(_state_objects([row[2] for row in rows], 8))
     cells = []
-    for name, ratio, states, top, mean_max in rows:
+    for name, ratio, columns, top, mean_max in rows:
         h_text, top_text, mean_text, ratio_text = _json_floats((h_ch, top, mean_max, ratio))
-        states_text = _json_array(islice(objects, len(states)), 6)
+        states_text = _json_array(islice(objects, len(columns[0])), 6)
         cells.append(
             _SWEEP_CELL
             % (h_text, encode_basestring_ascii(name), top_text, mean_text, states_text, ratio_text)
@@ -179,16 +182,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     spec = config.build_spec()
     sweep = config.sweep_for_material(config.material.name)
-    states = simulate_sweep(spec, sweep)
+    columns = simulate_cells([(spec, sweep)])[0]
 
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     if fmt == "json":
-        _emit(_simulate_json(config.material.name, spec.n, sweep, states), out_path)
+        _emit(_simulate_json(config.material.name, spec.n, sweep, columns), out_path)
     else:
         lines = [",".join(_STATE_KEYS)]
-        lines.extend(_STATE_ROW % s for s in states)
-        _emit("\n".join(lines) + "\n", out_path)
+        lines.extend(_STATE_ROW % row for row in zip(*columns))
+        # The empty last line ends the text with a newline without a second
+        # copy of it, and the columns (about 1 MB per 3001 points) are
+        # dropped before the text is joined, so the two are never held at once.
+        lines.append("")
+        del columns
+        _emit("\n".join(lines), out_path)
     return 0
 
 
@@ -243,11 +251,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows: list[_SweepRow] = []
     for name in names:
-        cell_states = [(ratio, next(results)) for ratio in ratios]
-        maxima = {ratio: max(s.f_spa for s in states) for ratio, states in cell_states}
-        mean_max = math.fsum(maxima.values()) / len(maxima)
+        cell_columns = [(ratio, next(results)) for ratio in ratios]
+        maxima = {ratio: max(columns[_F_SPA]) for ratio, columns in cell_columns}
+        try:
+            mean_max = math.fsum(maxima.values()) / len(maxima)
+        except OverflowError:
+            # fsum raises where finite maxima sum beyond the float range.
+            raise DomainError(
+                f"material {name!r}: the mean of its f_spa maxima overflows a float"
+            ) from None
         rows.extend(
-            (name, ratio, states, maxima[ratio], mean_max) for ratio, states in cell_states
+            (name, ratio, columns, maxima[ratio], mean_max) for ratio, columns in cell_columns
         )
 
     out_path = args.out or config.out_path
@@ -265,10 +279,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "mean_max_f_spa_n",
         )
         lines = [",".join(header)]
-        for name, ratio, states, top, mean_max in rows:
+        for name, ratio, columns, top, mean_max in rows:
             head = f"{name},{ratio:.6f},{h_ch:.6f},"
             tail = f",{top:.6f},{mean_max:.6f}"
-            lines.extend(head + _STATE_ROW % s + tail for s in states)
+            lines.extend(head + _STATE_ROW % row + tail for row in zip(*columns))
         _emit("\n".join(lines) + "\n", out_path)
     return 0
 

@@ -34,6 +34,8 @@ LENGTH_RATIO_MAX = 1.7
 RATIO_VALID = "valid"
 RATIO_OVER_CONTRACTED = "over-contracted"
 RATIO_OVER_STRETCHED = "over-stretched"
+# The flags indexed by (ratio < MIN) + 2*(ratio > MAX); NaN reads as valid.
+_RATIO_FLAGS = np.array([RATIO_VALID, RATIO_OVER_CONTRACTED, RATIO_OVER_STRETCHED], dtype=object)
 
 # Relative tolerance at which an (arc, chord) pair is recognised as the exact
 # semicircle; keeps the zero-deformation rest state bit-exact.
@@ -221,20 +223,17 @@ def check_length_ratio(
 ) -> str | np.ndarray:
     """Classify a length ratio against the allowed contraction/stretch band.
 
-    Returns "valid" for 0.6 <= current/resting <= 1.7, otherwise
-    "over-contracted" or "over-stretched"; an array of these strings for
-    ndarray input.
+    Returns RATIO_VALID for 0.6 <= current/resting <= 1.7 (and for a NaN
+    ratio), otherwise RATIO_OVER_CONTRACTED or RATIO_OVER_STRETCHED. For
+    ndarray input it returns an object array whose elements are those
+    constants themselves.
     """
     shape, (cur, rest) = flatten(current, resting)
     bad = first_index(rest <= 0.0)
     if bad is not None:
         raise DomainError(f"resting length must be positive, got {rest[bad]}")
     ratio = cur / rest
-    flags = np.where(
-        ratio < LENGTH_RATIO_MIN,
-        RATIO_OVER_CONTRACTED,
-        np.where(ratio > LENGTH_RATIO_MAX, RATIO_OVER_STRETCHED, RATIO_VALID),
-    )
+    flags = _RATIO_FLAGS[(ratio < LENGTH_RATIO_MIN) + 2 * (ratio > LENGTH_RATIO_MAX)]
     return unflatten(flags, shape)
 
 

@@ -6,6 +6,7 @@ import pytest
 from apmsim import actuation
 from apmsim.actuation import (
     MAX_GRID_POINTS,
+    ActuationState,
     LoadedTrial,
     PressureSweep,
     actuation_strain,
@@ -19,7 +20,7 @@ from apmsim.actuation import (
     simulate_sweep,
 )
 from apmsim.errors import DataError, DomainError, UnbracketedRootError
-from apmsim.geometry import MyofibrilSpec, SpaGeometry, design_from_a_band
+from apmsim.geometry import RATIO_VALID, MyofibrilSpec, SpaGeometry, design_from_a_band
 from apmsim.material import MATERIALS, cauchy_stress, wall_stress_factor
 
 PROTO_SPA = SpaGeometry(t_w=1.5, a_ch=9.5, b_ch=10.0, h_ch=5.0, h_jz=2.0, a_hz=6.0, b_hz=15.0)
@@ -408,7 +409,17 @@ def test_simulate_cells_is_one_pipeline_pass(monkeypatch):
     cells = [(study_spec(name, r), grid) for name, grid in STUDY_GRIDS.items() for r in (0.2, 1.0)]
     results = simulate_cells(cells)
     assert passes == [[len(grid.pressures()) for _, grid in cells]]
-    assert [len(states) for states in results] == passes[0]
+    # Each cell gets one column per ActuationState field, cut to its grid.
+    assert [len(columns) for columns in results] == [len(ActuationState._fields)] * len(cells)
+    assert [{len(column) for column in columns} for columns in results] == [{n} for n in passes[0]]
+
+
+def test_float_pressure_gives_plain_python_values():
+    # A float pressure is the size-1 case: each field is the Python value of
+    # its one element, the flag the RATIO_* constant itself.
+    state = simulate_pressure(proto_spec(), 0.05)
+    assert [type(value) for value in state] == [float] * (len(state) - 1) + [str]
+    assert state.ratio_flag is RATIO_VALID
 
 
 def test_simulate_pressure_batch_equals_single_designs():

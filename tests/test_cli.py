@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 import apmsim
 from apmsim import actuation, cli, validation
-from apmsim.actuation import ActuationState
+from apmsim.actuation import ActuationState, simulate_sweep
 from apmsim.cli import main
-from apmsim.config import GRAMMAR, load_config
+from apmsim.config import GRAMMAR, builtin_material, load_config, parse_ratio
 from apmsim.errors import ConfigError, DomainError
 from apmsim.validation import MAX_QUANTILES
 
@@ -847,6 +847,71 @@ def test_sweep_rejects_duplicate_ratios(ratios, repeated, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: duplicate wall ratio {repeated} in --ratios"]
     assert captured.out == ""
+
+
+SHIPPED_PROTOTYPE = SHIPPED_STUDY.with_name("prototype.ini")
+STUDY_MATERIALS = ("ecoflex-00-30", "elastosil-m4601", "smooth-sil-950", "dragonskin-30")
+
+
+@pytest.mark.parametrize("shipped", [True, False], ids=["configs-prototype", "fixture"])
+def test_simulate_csv_bytes_equal_state_rows(shipped, proto_config):
+    # The CSV is written from simulate_cells' columns; it must equal the
+    # rows of simulate_sweep's states, each formatted by _STATE_ROW.
+    path = SHIPPED_PROTOTYPE if shipped else proto_config
+    code, out, _ = run_quietly(["simulate", "--config", str(path)])
+    run = load_config(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        spec = run.build_spec()
+    states = simulate_sweep(spec, run.sweep_for_material(run.material.name))
+    header = ("pressure_mpa,lambda_jz,c_m,f_e_n,f_r_n,f_spa_n,theta_rad,"
+              "f_contr_n,r1_mm,l_mf_mm,length_ratio,ratio_flag")
+    assert code == 0
+    assert out == header + "\n" + "\n".join(cli._STATE_ROW % s for s in states) + "\n"
+
+
+def test_sweep_csv_bytes_equal_state_rows():
+    ratios = ("1/8", "1/5", "1/3", "1/2", "1", "3/2")
+    code, out, _ = run_quietly(["sweep", "--config", str(SHIPPED_STUDY), "--materials",
+                                ",".join(STUDY_MATERIALS), "--ratios", ",".join(ratios)])
+    run = load_config(SHIPPED_STUDY)
+    lines = ["material,tw_hch_ratio,assumed_h_ch_mm,pressure_mpa,lambda_jz,c_m,f_e_n,f_r_n,"
+             "f_spa_n,theta_rad,f_contr_n,r1_mm,l_mf_mm,length_ratio,ratio_flag,max_f_spa_n,"
+             "mean_max_f_spa_n"]
+    for name in STUDY_MATERIALS:
+        cells = [
+            (ratio, simulate_sweep(run.spec_with_spa(run.spa_for_ratio(ratio), builtin_material(name)),
+                                   run.sweep_for_material(name)))
+            for ratio in map(parse_ratio, ratios)
+        ]
+        maxima = [max(s.f_spa for s in states) for _, states in cells]
+        mean_max = math.fsum(maxima) / len(maxima)
+        for (ratio, states), top in zip(cells, maxima):
+            head = f"{name},{ratio:.6f},{run.assumed_h_ch:.6f},"
+            lines.extend(head + cli._STATE_ROW % s + f",{top:.6f},{mean_max:.6f}" for s in states)
+    assert code == 0
+    assert out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_overflowing_mean_of_maxima_exit_3(fmt, tmp_path):
+    # Each cell's f_spa maxima is finite, but their sum is beyond the float
+    # range, where math.fsum raises OverflowError.
+    config = tmp_path / "huge.ini"
+    config.write_text(
+        SHIPPED_STUDY.read_text(encoding="utf-8")
+        .replace("a_ch = 14", "a_ch = 1e306")
+        .replace("a_hz = 6", "a_hz = 4.3e306"),
+        encoding="utf-8",
+    )
+    argv = ["sweep", "--config", str(config), "--materials", "dragonskin-30", "--format", fmt]
+    assert run_quietly(argv + ["--ratios", "3/2"])[0] == 0
+    code, out, err = run_quietly(argv + ["--ratios", "1/2,1,3/2"])
+    assert code == 3
+    assert err.splitlines() == [
+        "model error: material 'dragonskin-30': the mean of its f_spa maxima overflows a float"
+    ]
+    assert out == ""
 
 
 @pytest.mark.parametrize("qq", ["1", str(MAX_QUANTILES + 1)])

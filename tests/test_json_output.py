@@ -2,9 +2,10 @@
 
 The CLI writes JSON through its own templates; the text must be exactly
 json.dumps(payload, indent=2, sort_keys=True) plus a newline, where payload
-is the dict form of the output: float fields of any value (signed zero,
-subnormals, the largest floats, NaN and infinities), any string, any int and
-empty lists included.
+is the dict form of the output, built from rows of states: float fields of
+any value (signed zero, subnormals, the largest floats, NaN and infinities),
+any string, any int and empty lists included. The writers themselves take
+each cell's states as columns, one list per ActuationState field.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apmsim import cli
-from apmsim.actuation import ActuationState, simulate_cells, simulate_sweep
+from apmsim.actuation import ActuationState, simulate_sweep
 from apmsim.config import builtin_material, load_config, parse_ratio
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -48,6 +49,11 @@ def oracle(payload) -> str:
 
 def state_dicts(state_list):
     return [dict(zip(cli._STATE_KEYS, s)) for s in state_list]
+
+
+def columns_of(state_list):
+    # The writers' input: one list per ActuationState field.
+    return [list(column) for column in zip(*state_list)] or [[] for _ in ActuationState._fields]
 
 
 def simulate_payload(material, n, sweep, state_list):
@@ -84,13 +90,15 @@ def test_simulate_json_equals_json_dumps(material, n, start, end, step, state_li
     # stand in for a PressureSweep here.
     sweep = SimpleNamespace(start=start, end=end, step=step)
     expected = oracle(simulate_payload(material, n, sweep, state_list))
-    assert cli._simulate_json(material, n, sweep, state_list) == expected
+    assert cli._simulate_json(material, n, sweep, columns_of(state_list)) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(texts, floats, states, floats, floats), max_size=4), floats)
 def test_sweep_json_equals_json_dumps(rows, h_ch):
-    assert cli._sweep_json(rows, h_ch) == oracle(sweep_payload(rows, h_ch))
+    column_rows = [(name, ratio, columns_of(state_list), top, mean_max)
+                   for name, ratio, state_list, top, mean_max in rows]
+    assert cli._sweep_json(column_rows, h_ch) == oracle(sweep_payload(rows, h_ch))
 
 
 def run_cli(argv) -> str:
@@ -127,23 +135,21 @@ def test_sweep_json_bytes_equal_json_dumps(config, materials, ratios):
     got = run_cli(["sweep", "--config", str(path), "--materials", materials,
                    "--ratios", ratios, "--format", "json"])
 
-    # The payload as a dict: one cell per (material, ratio), each with its
-    # largest f_spa and its material's mean of those maxima.
+    # The payload as a dict of rows: one cell per (material, ratio), each
+    # with the states of its own simulate_sweep, its largest f_spa and its
+    # material's mean of those maxima.
     run = load_config(path)
     names = materials.split(",")
     ratio_values = [parse_ratio(r) for r in ratios.split(",")]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        cells = [
-            (run.spec_with_spa(run.spa_for_ratio(ratio), builtin_material(name)),
-             run.sweep_for_material(name))
-            for name in names
-            for ratio in ratio_values
-        ]
-    results = iter(simulate_cells(cells))
     rows = []
     for name in names:
-        cell_states = [(ratio, next(results)) for ratio in ratio_values]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cell_states = [
+                (ratio, simulate_sweep(run.spec_with_spa(run.spa_for_ratio(ratio), builtin_material(name)),
+                                       run.sweep_for_material(name)))
+                for ratio in ratio_values
+            ]
         maxima = [max(s.f_spa for s in state_list) for _, state_list in cell_states]
         mean_max = math.fsum(maxima) / len(maxima)
         rows.extend((name, ratio, state_list, top, mean_max)

@@ -5,8 +5,10 @@ give each element of an array the same bits as a call with that element
 alone, and meet their residual tolerances; the pressure pipeline must keep
 lambda_jz strictly increasing, the rest state exact, give each sweep point
 the state of its own pressure, and report the lowest failing pressure of a
-sweep; one pass over many cells must give each cell its own sweep's states
-or the first failing cell's error. The complete elliptic integrals must match
+sweep; one pass over many cells must give each cell the columns of its own
+sweep's states or the first failing cell's error. A pressure grid must be
+bit for bit the scalar loop start + i*step, and every length-ratio flag one
+of the three RATIO_* constants. The complete elliptic integrals must match
 mpmath to 1e-15 relative, be exact at the circle and where the squared axis
 ratio underflows, and give each element of an array the bits of its own
 call. The Frechet DP must give exactly the row-by-row DP's result, also on
@@ -21,7 +23,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from apmsim import _numeric, geometry, validation
@@ -280,8 +282,9 @@ def study_cells(draw):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(study_cells(), min_size=1, max_size=8))
 def test_cells_equal_their_own_sweeps(cells):
-    # One pass over all cells gives each cell the states of its own sweep,
-    # field by field, or the error of the first cell that fails alone.
+    # One pass over all cells gives each cell the columns of its own sweep's
+    # states, value for value, or the error of the first cell that fails
+    # alone; simulate_sweep still hands out ActuationStates.
     expected, error = [], None
     for spec, sweep in cells:
         try:
@@ -296,12 +299,66 @@ def test_cells_equal_their_own_sweeps(cells):
         return
     results = simulate_cells(cells)
     assert len(results) == len(cells)
-    for states, alone in zip(results, expected):
-        assert len(states) == len(alone)
-        for state, reference in zip(states, alone):
-            assert type(state) is ActuationState
-            for field in ActuationState._fields:
-                assert getattr(state, field) == getattr(reference, field), field
+    for columns, alone in zip(results, expected):
+        assert all(type(state) is ActuationState for state in alone)
+        assert len(columns) == len(ActuationState._fields)
+        for field, column, reference in zip(ActuationState._fields, columns, zip(*alone), strict=True):
+            assert type(column) is list
+            assert len(column) == len(alone)
+            # Plain Python values, as the writers format them.
+            want = str if field == "ratio_flag" else float
+            assert all(type(value) is want for value in column), field
+            assert column == list(reference), field
+
+
+# ------------------------------------------------------ grid and flag rules
+
+grid_starts = st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(0.0, 1e300))
+grid_steps = st.one_of(st.floats(1e-6, 1.0), st.floats(5e-324, 1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_starts, grid_steps, st.integers(0, 2000), st.floats(-0.45, 0.45))
+def test_pressures_equal_the_scalar_grid_bit_for_bit(start, step, k, frac):
+    # The end lies k + frac steps past the start: the grid keeps it when it
+    # is within half a step of the last increment.
+    end = start + (k + frac) * step
+    try:
+        sweep = PressureSweep(start, end, step)
+    except DomainError:
+        reject()
+    count = math.floor((end - start) / step + 0.5)
+    expected = [start + i * step for i in range(count + 1)]
+    pressures = sweep.pressures()
+    assert [p.hex() for p in pressures] == [p.hex() for p in expected]
+    assert all(type(p) is float for p in pressures)
+    if start <= 10.0 and 1e-6 <= step <= 1.0:
+        # Here rounding is far below the 0.05-step margin on frac.
+        assert len(pressures) == k + 1
+
+
+length_ratios = st.one_of(
+    st.sampled_from([geometry.LENGTH_RATIO_MIN, geometry.LENGTH_RATIO_MAX, math.nan]),
+    st.floats(0.0, 3.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(st.lists(length_ratios, max_size=20))
+@example([math.nan, 0.5, 2.0])  # NaN still reads as valid
+def test_length_ratio_flags_are_the_constants(ratios):
+    expected = [
+        geometry.RATIO_OVER_CONTRACTED if r < geometry.LENGTH_RATIO_MIN
+        else geometry.RATIO_OVER_STRETCHED if r > geometry.LENGTH_RATIO_MAX
+        else geometry.RATIO_VALID
+        for r in ratios
+    ]
+    flags = geometry.check_length_ratio(np.array(ratios, dtype=float), 1.0)
+    assert flags.shape == (len(ratios),)
+    assert all(flag is want for flag, want in zip(flags.tolist(), expected, strict=True))
+    for r, want in zip(ratios, expected):
+        flag = geometry.check_length_ratio(r, 1.0)
+        assert type(flag) is str and flag is want
 
 
 # ---------------------------------------------------------- iteration cap
