@@ -21,6 +21,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,7 +32,6 @@ from .geometry import (
     MyofibrilSpec,
     SpaGeometry,
     _major_axis,
-    _per_design,
     _rest_chord,
     _rest_stack,
     check_length_ratio,
@@ -221,62 +221,38 @@ def contraction_force(f_spa: float | np.ndarray, theta: float | np.ndarray) -> f
     return unflatten(force * np.tan(angle), shape)
 
 
-class _Points(NamedTuple):
-    """Design parameters at the pressure points of one pipeline pass.
-
-    For one design each field holds its value, which broadcasts over the
-    pressures. For a batch of designs each field holds one value per design
-    (see _design_points) or, once _per_point repeated it over the designs'
-    grids, one value per pressure point. The SPA and Yeoh fields carry the
-    SpaGeometry and YeohMaterial field names, so the stage functions read
-    the record as their spa and material; name joins the material names.
-    geometry._rest_chord gives the rest chord from rest_height, rest_t_w and
-    rest_h_ch.
-    """
-
-    t_w: float | np.ndarray
-    a_ch: float | np.ndarray
-    b_ch: float | np.ndarray
-    h_ch: float | np.ndarray
-    h_jz: float | np.ndarray
-    a_hz: float | np.ndarray
-    b_hz: float | np.ndarray
-    name: str
-    c1: float | np.ndarray
-    c2: float | np.ndarray
-    c3: float | np.ndarray
-    actin_arc: float | np.ndarray
-    a_band: float | np.ndarray
-    n: int | np.ndarray
-    junctions_per_myosin: int | np.ndarray
-    rest_height: float | np.ndarray
-    rest_t_w: float | np.ndarray
-    rest_h_ch: float | np.ndarray
+def _design(spec: MyofibrilSpec) -> dict:
+    # One design's parameters by name: every SpaGeometry and YeohMaterial
+    # field under its own name, so a record of them reads as the stages' spa
+    # and material, then the sarcomere's, and the rest stack _rest_chord takes.
+    sarc = spec.sarcomere
+    rest_height, rest_t_w, rest_h_ch = _rest_stack(spec)
+    return {
+        **vars(spec.spa),
+        **vars(spec.material),
+        "actin_arc": sarc.actin_arc,
+        "a_band": sarc.a_band,
+        "n": spec.n,
+        "junctions_per_myosin": sarc.junctions_per_myosin,
+        "rest_height": rest_height,
+        "rest_t_w": rest_t_w,
+        "rest_h_ch": rest_h_ch,
+    }
 
 
-def _design_values(spec: MyofibrilSpec) -> tuple:
-    spa, sarc, material = spec.spa, spec.sarcomere, spec.material
-    return (
-        spa.t_w, spa.a_ch, spa.b_ch, spa.h_ch, spa.h_jz, spa.a_hz, spa.b_hz,
-        material.name, material.c1, material.c2, material.c3,
-        sarc.actin_arc, sarc.a_band, spec.n, sarc.junctions_per_myosin,
-        *_rest_stack(spec),
-    )
-
-
-def _design_points(spec: MyofibrilSpec | Sequence[MyofibrilSpec]) -> _Points:
-    # The values of one design, or one array per field over a batch.
-    points = _Points(*_per_design(spec, _design_values))
+def _points(spec: MyofibrilSpec | Sequence[MyofibrilSpec], counts: Sequence[int]) -> SimpleNamespace:
+    # _design's parameters at the pressure points of one pipeline pass. One
+    # design's values broadcast over its pressures. A batch's are arrays of a
+    # value per design, repeated over the designs' grids (counts[i] points
+    # for design i) unless it has one design; name joins the material names.
     if isinstance(spec, MyofibrilSpec):
-        return points
-    return points._replace(name=", ".join(dict.fromkeys(points.name.tolist())))
-
-
-def _per_point(value, counts: Sequence[int]):
-    # A batch's per-design array repeated over the designs' grids, counts[i]
-    # points for design i. One design's value, and a batch of one's, is used
-    # as it is and broadcasts over the grid.
-    return np.repeat(value, counts) if len(counts) > 1 and np.ndim(value) else value
+        return SimpleNamespace(**_design(spec))
+    designs = list(map(_design, spec))
+    name = ", ".join(dict.fromkeys(design.pop("name") for design in designs))
+    points = {key: np.array([design[key] for design in designs]) for key in designs[0]}
+    if len(counts) > 1:
+        points = {key: np.repeat(value, counts) for key, value in points.items()}
+    return SimpleNamespace(name=name, **points)
 
 
 def simulate_pressure(
@@ -299,8 +275,7 @@ def simulate_pressure(
     if not isinstance(spec, MyofibrilSpec):
         counts = [len(grid) for grid in pressure]
         pressure = np.concatenate(pressure)
-    designs = _design_points(spec)
-    d = _Points(*(_per_point(value, counts) for value in designs))
+    d = _points(spec, counts)
     lam = junction_stretch(pressure, d, d)
     c_m = adjustment_coefficient(d.t_w / d.h_ch, pressure)
     f_e = expansion_force(pressure, d, lam, c_m)
@@ -309,10 +284,12 @@ def simulate_pressure(
     theta = contraction_angle(d, lam, d.actin_arc)
     f_contr = contraction_force(f_spa, theta)
     delta_hm = d.junctions_per_myosin * (lam - 1.0) * d.h_jz
-    rest_chord = _rest_chord(designs.rest_height, designs.rest_t_w, designs.rest_h_ch)
-    r1 = _major_axis(d.actin_arc, _per_point(rest_chord, counts), delta_hm)
+    r1 = _major_axis(d.actin_arc, _rest_chord(d.rest_height, d.rest_t_w, d.rest_h_ch), delta_hm)
     l_mf = d.n * (d.a_band + 2.0 * r1)
-    l_rest = _per_point(myofibril_length(spec, 0.0), counts)
+    # One rest length per design, repeated as _points repeats the parameters.
+    l_rest = myofibril_length(spec, 0.0)
+    if len(counts) > 1:
+        l_rest = np.repeat(l_rest, counts)
     state = ActuationState(
         pressure=pressure,
         lambda_jz=lam,

@@ -9,6 +9,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -25,67 +26,50 @@ from .errors import DomainError
 from .geometry import MyofibrilSpec
 from .validation import Curve, compare_curves, write_qq_csv
 
-# (output column, ActuationState attribute) of every simulate column, in
-# output order, which is also ActuationState's field order and so the order
-# of simulate_cells' columns; the CSV header, CSV rows and JSON states all
-# derive from it.
+# The simulate output columns: each ActuationState field's name, with its
+# unit appended where it has one, in field order, which is also the order of
+# simulate_cells' columns. Every column holds floats but the last, the
+# length-ratio flag, which holds text. The CSV header, CSV rows and JSON
+# states all derive from it.
 STATE_COLUMNS = (
-    ("pressure_mpa", "pressure"),
-    ("lambda_jz", "lambda_jz"),
-    ("c_m", "c_m"),
-    ("f_e_n", "f_e"),
-    ("f_r_n", "f_r"),
-    ("f_spa_n", "f_spa"),
-    ("theta_rad", "theta"),
-    ("f_contr_n", "f_contr"),
-    ("r1_mm", "r1"),
-    ("l_mf_mm", "l_mf"),
-    ("length_ratio", "length_ratio"),
-    ("ratio_flag", "ratio_flag"),
+    "pressure_mpa",
+    "lambda_jz",
+    "c_m",
+    "f_e_n",
+    "f_r_n",
+    "f_spa_n",
+    "theta_rad",
+    "f_contr_n",
+    "r1_mm",
+    "l_mf_mm",
+    "length_ratio",
+    "ratio_flag",
 )
-_STATE_KEYS = tuple(column for column, _ in STATE_COLUMNS)
+# The names of a sweep cell besides its states: in CSV the columns before
+# and after the state columns, in JSON the cell's other keys.
+_CELL_HEAD = (
+    "material",
+    "tw_hch_ratio",
+    "assumed_h_ch_mm",
+)
+_CELL_TAIL = (
+    "max_f_spa_n",
+    "mean_max_f_spa_n",
+)
 # One sweep cell: material, wall ratio, the columns of its states, their
 # largest f_spa and the material's mean of those maxima over its ratios.
 _SweepRow = tuple[str, float, list[list], float, float]
 _F_SPA = ActuationState._fields.index("f_spa")
 # One CSV row per state, `_STATE_ROW % row` for each row of zip(*columns):
 # numbers to six decimals, the flag as is.
-_STATE_ROW = ",".join("%s" if attr == "ratio_flag" else "%.6f" for _, attr in STATE_COLUMNS)
+_STATE_ROW = "%.6f," * (len(STATE_COLUMNS) - 1) + "%s"
 
 # JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
-# plus a newline, written through %-templates whose keys are in sorted order.
-# Floats are float.__repr__ texts, except that non-finite values take json's
-# spellings below; strings are escaped to ASCII by json's own encoder; ints
-# are int.__repr__ texts.
+# plus a newline, written by _json_object and _json_array from the texts of
+# the values. Floats are float.__repr__ texts, except that non-finite values
+# take json's spellings below; strings are escaped to ASCII by json's own
+# encoder; ints are int.__repr__ texts.
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-_SIMULATE_JSON = """{
-  "metadata": {
-    "material": %s,
-    "n": %s,
-    "sweep": {
-      "end": %s,
-      "start": %s,
-      "step": %s
-    }
-  },
-  "states": %s
-}
-"""
-
-_SWEEP_JSON = """{
-  "cells": %s
-}
-"""
-
-_SWEEP_CELL = """    {
-      "assumed_h_ch_mm": %s,
-      "material": %s,
-      "max_f_spa_n": %s,
-      "mean_max_f_spa_n": %s,
-      "states": %s,
-      "tw_hch_ratio": %s
-    }"""
 
 
 def _json_floats(values) -> list[str]:
@@ -98,60 +82,68 @@ def _json_strings(values) -> list[str]:
     return list(map(encode_basestring_ascii, values))
 
 
-# (column index, column encoder) of every state key in sorted order.
-_STATE_JSON_FIELDS = tuple(
-    (i, _json_strings if attr == "ratio_flag" else _json_floats)
-    for i, (_, attr) in sorted(enumerate(STATE_COLUMNS), key=itemgetter(1))
-)
+# The encoder of each state column: floats but the last, the flag's text.
+_STATE_ENCODERS = (_json_floats,) * (len(STATE_COLUMNS) - 1) + (_json_strings,)
 
 
 @functools.cache
-def _state_template(indent: int) -> str:
-    # One state object whose braces are indented by indent spaces.
-    pad, key_pad = " " * indent, " " * (indent + 2)
-    keys = ",\n".join(f'{key_pad}"{key}": %s' for key in sorted(_STATE_KEYS))
-    return f"{pad}{{\n{keys}\n{pad}}}"
+def _object_template(keys: tuple[str, ...], indent: int) -> tuple[str, itemgetter]:
+    # A JSON object with a %s for each key's value in sorted key order, closed
+    # at indent spaces, and the itemgetter that puts values given in keys'
+    # order into that order. Keys are plain names that need no escaping.
+    pad = " " * indent
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    body = ",\n".join(f'{pad}  "{keys[i]}": %s' for i in order)
+    return f"{{\n{body}\n{pad}}}", itemgetter(*order)
+
+
+def _json_object(indent: int, **texts: str) -> str:
+    # A JSON object of the value texts under their keys.
+    template, _ = _object_template(tuple(texts), indent)
+    return template % tuple(texts[key] for key in sorted(texts))
 
 
 def _json_array(items, indent: int) -> str:
     # A JSON array of the item texts, closed at indent spaces.
-    body = ",\n".join(items)
-    return f"[\n{body}\n{' ' * indent}]" if body else "[]"
+    pad = " " * (indent + 2)
+    body = f",\n{pad}".join(items)
+    return f"[\n{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
 def _state_objects(cells: list[list[list]], indent: int) -> list[str]:
     """The JSON object of every state of the cells' columns, in cell order,
-    keyed by _STATE_KEYS, with its braces indented by indent spaces; each
-    column is encoded once over all cells."""
-    texts = [encode(chain.from_iterable(cell[i] for cell in cells)) for i, encode in _STATE_JSON_FIELDS]
-    return list(map(_state_template(indent).__mod__, zip(*texts)))
+    keyed by STATE_COLUMNS and closed at indent spaces; each column is
+    encoded once over all cells."""
+    template, pick = _object_template(STATE_COLUMNS, indent)
+    texts = [
+        encode(chain.from_iterable(cell[i] for cell in cells)) for i, encode in enumerate(_STATE_ENCODERS)
+    ]
+    return list(map(template.__mod__, zip(*pick(texts))))
 
 
 def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[list]) -> str:
-    return _SIMULATE_JSON % (
-        encode_basestring_ascii(material),
-        int.__repr__(n),
-        *_json_floats((sweep.end, sweep.start, sweep.step)),
-        _json_array(_state_objects([columns], 4), 2),
+    # The grid's fields under their own names.
+    grid = dict(zip(vars(sweep), _json_floats(vars(sweep).values())))
+    metadata = _json_object(
+        2,
+        material=encode_basestring_ascii(material),
+        n=int.__repr__(n),
+        sweep=_json_object(4, **grid),
     )
+    states = _json_array(_state_objects([columns], 4), 2)
+    return _json_object(0, metadata=metadata, states=states) + "\n"
 
 
 def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
     # Every cell's states are encoded in one pass, then dealt out per cell.
     objects = iter(_state_objects([row[2] for row in rows], 8))
+    template, pick = _object_template((*_CELL_HEAD, *_CELL_TAIL, "states"), 4)
     cells = []
     for name, ratio, columns, top, mean_max in rows:
-        h_text, top_text, mean_text, ratio_text = _json_floats((h_ch, top, mean_max, ratio))
-        states_text = _json_array(islice(objects, len(columns[0])), 6)
-        cells.append(
-            _SWEEP_CELL
-            % (h_text, encode_basestring_ascii(name), top_text, mean_text, states_text, ratio_text)
-        )
-    return _SWEEP_JSON % _json_array(cells, 2)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.6f}"
+        states = _json_array(islice(objects, len(columns[0])), 6)
+        values = (encode_basestring_ascii(name), *_json_floats((ratio, h_ch, top, mean_max)), states)
+        cells.append(template % pick(values))
+    return _json_object(0, cells=_json_array(cells, 2)) + "\n"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -167,12 +159,12 @@ def cmd_design(args: argparse.Namespace) -> int:
     sarc = geometry.design_from_a_band(args.a_band)
     low, high = geometry.myosin_height_bounds(args.a_band, args.t_w, args.h_ch)
     lines = [
-        f"a_band_mm={_fmt(sarc.a_band)}",
-        f"i_band_mm={_fmt(sarc.i_band)}",
-        f"actin_arc_mm={_fmt(sarc.actin_arc)}",
-        f"rest_radius_mm={_fmt(sarc.rest_radius)}",
-        f"myosin_height_min_mm={_fmt(low)}",
-        f"myosin_height_max_mm={_fmt(high)}",
+        f"a_band_mm={sarc.a_band:.6f}",
+        f"i_band_mm={sarc.i_band:.6f}",
+        f"actin_arc_mm={sarc.actin_arc:.6f}",
+        f"rest_radius_mm={sarc.rest_radius:.6f}",
+        f"myosin_height_min_mm={low:.6f}",
+        f"myosin_height_max_mm={high:.6f}",
     ]
     print("\n".join(lines))
     return 0
@@ -189,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if fmt == "json":
         _emit(_simulate_json(config.material.name, spec.n, sweep, columns), out_path)
     else:
-        lines = [",".join(_STATE_KEYS)]
+        lines = [",".join(STATE_COLUMNS)]
         lines.extend(_STATE_ROW % row for row in zip(*columns))
         # The empty last line ends the text with a newline without a second
         # copy of it, and the columns (about 1 MB per 3001 points) are
@@ -206,18 +198,27 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = compare_curves(model, reference, qq=args.qq, resample=args.resample)
     # The report is written before anything is printed, so that a failing
     # write leaves stdout empty as every other error does.
-    if args.out:
-        fmt = args.format or "json"
-        if fmt == "json":
-            Path(args.out).write_text(report.to_json(), encoding="utf-8")
-        else:
-            Path(args.out).write_text(report.to_csv_row(), encoding="utf-8")
-            if report.qq_pairs is not None:
-                write_qq_csv(report.qq_pairs, Path(args.out).with_suffix(".qq.csv"))
-    print(f"frechet_normalized_pct={_fmt(100.0 * report.frechet_normalized)}")
-    print(f"frechet_raw={_fmt(report.frechet_raw)}")
-    print(f"r_squared={_fmt(report.r_squared)}")
+    if args.out and args.format == "csv":
+        Path(args.out).write_text(report.to_csv_row(), encoding="utf-8")
+        if report.qq_pairs is not None:
+            write_qq_csv(report.qq_pairs, Path(args.out).with_suffix(".qq.csv"))
+    elif args.out:
+        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+    # Every number but the first, the plain normalized distance, which its
+    # percentage restates.
+    for name, value in list(report.numbers().items())[1:]:
+        print(f"{name}={value:.6f}")
     return 0
+
+
+def _check_distinct(values: list, what: str, flag: str) -> None:
+    # A repeated material or ratio would print a second identical cell, which
+    # the per-material mean of maxima, keyed by ratio, weighs only once.
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"duplicate {what} {value!r} in {flag}")
+        seen.add(value)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -226,13 +227,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ratios = [parse_ratio(r) for r in args.ratios.split(",") if r.strip()]
     if not names or not ratios:
         raise ConfigError("sweep needs non-empty material and ratio lists")
-    # A repeated ratio would print a second identical cell that the
-    # per-material mean of maxima, keyed by ratio, weighs only once.
-    seen: set[float] = set()
-    for ratio in ratios:
-        if ratio in seen:
-            raise ConfigError(f"duplicate wall ratio {ratio} in --ratios")
-        seen.add(ratio)
+    _check_distinct(names, "material", "--materials")
+    _check_distinct(ratios, "wall ratio", "--ratios")
     materials = [builtin_material(name) for name in names]
 
     # Cells in material-then-ratio order, all evaluated in one pass. A cell
@@ -270,15 +266,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if fmt == "json":
         _emit(_sweep_json(rows, h_ch), out_path)
     else:
-        header = (
-            "material",
-            "tw_hch_ratio",
-            "assumed_h_ch_mm",
-            *_STATE_KEYS,
-            "max_f_spa_n",
-            "mean_max_f_spa_n",
-        )
-        lines = [",".join(header)]
+        lines = [",".join(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL)]
         for name, ratio, columns, top, mean_max in rows:
             head = f"{name},{ratio:.6f},{h_ch:.6f},"
             tail = f",{top:.6f},{mean_max:.6f}"
@@ -340,6 +328,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     # numpy's floating-point warnings never change a value, and every
     # non-finite result meets a DomainError check, so they are not printed.
+    # Other warnings, the design-rule ones, print as one warning: line each,
+    # without the place that warnings would name: the __init__ that
+    # dataclasses generate.
+    formatwarning = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         with np.errstate(all="ignore"):
             return args.func(args)
@@ -355,6 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = formatwarning
 
 
 if __name__ == "__main__":

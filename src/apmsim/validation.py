@@ -100,25 +100,25 @@ class AgreementReport:
         if self.frechet_normalized < 0.0:
             raise DomainError("normalized Frechet distance cannot be negative")
 
-    def to_json(self) -> str:
-        payload = {
+    def numbers(self) -> dict[str, float]:
+        """The report's numbers by name, in sorted order: its JSON keys and
+        CSV columns."""
+        return {
             "frechet_normalized": self.frechet_normalized,
             "frechet_normalized_pct": 100.0 * self.frechet_normalized,
             "frechet_raw": self.frechet_raw,
             "r_squared": self.r_squared,
-            "resampled": self.resampled,
         }
+
+    def to_json(self) -> str:
+        payload = {**self.numbers(), "resampled": self.resampled}
         if self.qq_pairs is not None:
             payload["qq_pairs"] = [[a, b] for a, b in self.qq_pairs]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def to_csv_row(self) -> str:
-        header = "frechet_normalized,frechet_normalized_pct,frechet_raw,r_squared"
-        row = (
-            f"{self.frechet_normalized:.6f},{100.0 * self.frechet_normalized:.6f},"
-            f"{self.frechet_raw:.6f},{self.r_squared:.6f}"
-        )
-        return header + "\n" + row + "\n"
+        numbers = self.numbers()
+        return ",".join(numbers) + "\n" + ",".join(f"{v:.6f}" for v in numbers.values()) + "\n"
 
 
 # Largest disagreement between the fast distance np.abs(dx + 1j*dy) and the

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -133,9 +134,12 @@ def test_design_rejects_overflowing_lengths(capsys):
 # ------------------------------------------------------------------ simulate
 
 def test_state_columns_follow_actuation_state_fields():
-    # Rows are formatted straight from the tuple, so the column table must
-    # list the fields in their declared order.
-    assert tuple(attr for _, attr in cli.STATE_COLUMNS) == ActuationState._fields
+    # Rows are formatted straight from the tuple, so the columns must name
+    # the fields in their declared order: each column is its field's name,
+    # or that name with a unit appended.
+    assert len(cli.STATE_COLUMNS) == len(ActuationState._fields)
+    for column, field in zip(cli.STATE_COLUMNS, ActuationState._fields):
+        assert column == field or column.startswith(field + "_")
 
 
 @pytest.mark.parametrize(
@@ -340,6 +344,26 @@ def test_readme_names_every_grammar_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", readme, flags=re.MULTILINE)
     assert sorted(rows) == sorted(GRAMMAR_KEYS)
+
+
+def test_readme_names_every_output_column():
+    # The README restates the declared column and key names in order; it
+    # must not drift from them.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def listed(pattern):
+        match = re.search(pattern, readme)
+        assert match, pattern
+        return tuple(name.strip(" `\n") for name in re.split(r",|\band\b", match.group(1)))
+
+    assert listed(r"`simulate` emits one row per grid pressure with columns\s+`([^`]+)`") == (
+        cli.STATE_COLUMNS
+    )
+    assert listed(r"one object per cell\s+with ([^.]+?),?\s+and its `states`") == (
+        cli._CELL_HEAD + cli._CELL_TAIL
+    )
+    assert listed(r"prefixes each row with\s+`([^`]+)`") == cli._CELL_HEAD
+    assert listed(r"appends\s+`([^`]+)`") == cli._CELL_TAIL
 
 
 def write_config(path, values):
@@ -606,6 +630,28 @@ def test_validate_report_files(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_validate_report_formats_carry_the_same_numbers(tmp_path, capsys):
+    # The printed lines, the CSV report and the JSON report give each number
+    # under one name, to the same six decimals.
+    model, reference = tmp_path / "m.csv", tmp_path / "r.csv"
+    write_curve(model, [0.0, 0.4, 1.0], [0.0, 0.7, 1.3])
+    write_curve(reference, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+    json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main(["validate", str(model), str(reference), "--out", str(json_out)]) == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+    assert main(["validate", str(model), str(reference), "--out", str(csv_out),
+                 "--format", "csv"]) == 0
+    assert dict(line.split("=") for line in capsys.readouterr().out.splitlines()) == printed
+    header, row = csv_out.read_text(encoding="utf-8").splitlines()
+    columns = dict(zip(header.split(","), row.split(","), strict=True))
+    payload = json.loads(json_out.read_text(encoding="utf-8"))
+    assert payload.pop("resampled") is False
+    assert {name: f"{value:.6f}" for name, value in payload.items()} == columns
+    assert list(printed) == ["frechet_normalized_pct", "frechet_raw", "r_squared"]
+    assert printed == {name: columns[name] for name in printed}
+    assert payload["frechet_normalized_pct"] == 100.0 * payload["frechet_normalized"] > 0.0
+
+
 @pytest.mark.parametrize("body", [
     b"x,y\n0,0\n1,\xff\n",
     b"x,y\n0,0\n1," + b"1" * 140_000 + b"\n",
@@ -849,8 +895,97 @@ def test_sweep_rejects_duplicate_ratios(ratios, repeated, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("materials", ["dragonskin-30,dragonskin-30",
+                                       "dragonskin-30,ecoflex-00-30, dragonskin-30"])
+def test_sweep_rejects_duplicate_materials(materials, capsys):
+    # A repeated material used to print every one of its cells twice.
+    argv = ["sweep", "--config", str(SHIPPED_STUDY), "--materials", materials,
+            "--ratios", "1/2,1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: duplicate material 'dragonskin-30' in --materials"]
+    assert captured.out == ""
+
+
 SHIPPED_PROTOTYPE = SHIPPED_STUDY.with_name("prototype.ini")
 STUDY_MATERIALS = ("ecoflex-00-30", "elastosil-m4601", "smooth-sil-950", "dragonskin-30")
+
+
+# Texts of --ratios at the edges of parse_ratio and of the model: non-finite,
+# signed zero, subnormals, beyond the float range, a zero denominator,
+# fractions and decimals, blank and junk text.
+ratio_texts = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "0", "-0", "5e-324", "1e-320", "1e400", "1/0",
+                     "1/8", "1/5", "1/3", "1/2", "1", "3/2", "0.25", "-1/2", "1e160", "", " ",
+                     "abc", "1/2/3", "0x1"]),
+    st.fractions(0, 10, max_denominator=12).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.text(max_size=4),
+)
+# Texts of --materials: the built-in names, each also misspelt, padded,
+# upper-cased or blank.
+material_texts = st.one_of(
+    st.sampled_from(STUDY_MATERIALS),
+    st.sampled_from(STUDY_MATERIALS).map(lambda name: name[:-1]),
+    st.sampled_from(STUDY_MATERIALS).map(lambda name: f" {name} "),
+    st.sampled_from(STUDY_MATERIALS).map(str.upper),
+    st.sampled_from(["", " ", "ecoflex", "silicone"]),
+)
+
+
+def entry_lists(texts, accepted):
+    # Comma-separated lists of one to four entries: half of them distinct
+    # entries that parse, so that a quarter of the runs can succeed; the
+    # others drawn from texts, with repeats.
+    return st.one_of(st.lists(accepted, min_size=1, max_size=4, unique=True),
+                     st.lists(texts, min_size=1, max_size=4)).map(",".join)
+
+
+def finite_output(fmt, text):
+    # Whether every number of a sweep's output text is finite.
+    if fmt == "json":
+        numbers = []
+
+        def collect(value):
+            if isinstance(value, dict):
+                value = list(value.values())
+            if isinstance(value, list):
+                for item in value:
+                    collect(item)
+            elif isinstance(value, (int, float)):
+                numbers.append(value)
+
+        collect(json.loads(text))
+        return bool(numbers) and all(map(math.isfinite, numbers))
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    texts = [field for row in rows for column, field in zip(header, row, strict=True)
+             if column not in ("material", "ratio_flag")]
+    return bool(texts) and all(math.isfinite(float(field)) for field in texts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    entry_lists(material_texts, st.sampled_from(STUDY_MATERIALS)),
+    # Ratios from 1/8 to 3/2, where every built-in material simulates.
+    entry_lists(ratio_texts, st.fractions(Fraction(1, 8), Fraction(3, 2), max_denominator=12).map(str)),
+)
+def test_sweep_lists_fuzz_exits_0_2_or_3(materials, ratios):
+    # Built-in grids have at most 21 points, so every run is cheap. The
+    # lists go in as --flag=text, so that a leading '-' is not read as a flag.
+    for fmt in ("csv", "json"):
+        argv = ["sweep", "--config", str(SHIPPED_STUDY), f"--materials={materials}",
+                f"--ratios={ratios}", "--format", fmt]
+        code, out, err = run_quietly(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
+        if code:
+            assert out == ""
+            assert len(err.splitlines()) == 1
+            assert err.startswith(("error: ", "model error: "))
+        else:
+            assert err == ""
+            assert finite_output(fmt, out)
+        assert run_quietly(argv) == (code, out, err)
 
 
 @pytest.mark.parametrize("shipped", [True, False], ids=["configs-prototype", "fixture"])
@@ -928,6 +1063,41 @@ def test_validate_checks_qq_before_any_frechet_dp(qq, tmp_path, monkeypatch, cap
     assert main(["validate", str(model), str(model), "--qq", qq]) == 2
     assert "quantile count must be" in capsys.readouterr().err
     assert calls == []
+
+
+def test_design_rule_warnings_print_as_warning_lines():
+    # A fresh interpreter, so that no warning has been shown yet. Each
+    # distinct text prints once, as one line, before the run's result.
+    env = {**os.environ, "PYTHONPATH": str(Path(apmsim.__file__).parents[1])}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "apmsim", *argv], capture_output=True,
+                              text=True, env=env, check=False)
+
+    simulate = run("simulate", "--config", str(SHIPPED_PROTOTYPE))
+    assert simulate.returncode == 0
+    assert simulate.stderr == "warning: actin_arc=32 deviates from the rest semicircle length 31.4159\n"
+    sweep = run("sweep", "--config", str(SHIPPED_PROTOTYPE), "--materials", ",".join(STUDY_MATERIALS),
+                "--ratios", "1/5,1/4,1/3,1/2,1,3/2")
+    *warned, last = sweep.stderr.splitlines()
+    assert (sweep.returncode, sweep.stdout) == (3, "")
+    assert len(set(warned)) == len(warned) == 7
+    assert all(line.startswith("warning: ") for line in warned)
+    assert last.startswith("model error: ")
+
+
+def test_recorded_warnings_are_not_printed(capsys):
+    # A caller that records warnings gets them as UserWarnings, none printed,
+    # and main hands back the warnings module as it found it.
+    formatwarning = warnings.formatwarning
+    with warnings.catch_warnings(record=True) as log:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", str(SHIPPED_PROTOTYPE)]) == 0
+    assert [str(w.message) for w in log if issubclass(w.category, UserWarning)] == [
+        "actin_arc=32 deviates from the rest semicircle length 31.4159"
+    ]
+    assert capsys.readouterr().err == ""
+    assert warnings.formatwarning is formatwarning
 
 
 def test_cli_import_does_not_load_scipy():

@@ -48,7 +48,7 @@ def oracle(payload) -> str:
 
 
 def state_dicts(state_list):
-    return [dict(zip(cli._STATE_KEYS, s)) for s in state_list]
+    return [dict(zip(cli.STATE_COLUMNS, s)) for s in state_list]
 
 
 def columns_of(state_list):
