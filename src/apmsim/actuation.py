@@ -21,7 +21,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -31,9 +30,9 @@ from .errors import DataError, DomainError, UnbracketedRootError
 from .geometry import (
     MyofibrilSpec,
     SpaGeometry,
-    _major_axis,
-    _rest_chord,
-    _rest_stack,
+    _axis_and_length,
+    _lengths,
+    _record,
     check_length_ratio,
     contraction_angle,
     myofibril_length,
@@ -224,35 +223,13 @@ def contraction_force(f_spa: float | np.ndarray, theta: float | np.ndarray) -> f
 def _design(spec: MyofibrilSpec) -> dict:
     # One design's parameters by name: every SpaGeometry and YeohMaterial
     # field under its own name, so a record of them reads as the stages' spa
-    # and material, then the sarcomere's, and the rest stack _rest_chord takes.
-    sarc = spec.sarcomere
-    rest_height, rest_t_w, rest_h_ch = _rest_stack(spec)
+    # and material, then the junction count and the design's _lengths.
     return {
         **vars(spec.spa),
         **vars(spec.material),
-        "actin_arc": sarc.actin_arc,
-        "a_band": sarc.a_band,
-        "n": spec.n,
-        "junctions_per_myosin": sarc.junctions_per_myosin,
-        "rest_height": rest_height,
-        "rest_t_w": rest_t_w,
-        "rest_h_ch": rest_h_ch,
+        "junctions_per_myosin": spec.sarcomere.junctions_per_myosin,
+        **_lengths(spec),
     }
-
-
-def _points(spec: MyofibrilSpec | Sequence[MyofibrilSpec], counts: Sequence[int]) -> SimpleNamespace:
-    # _design's parameters at the pressure points of one pipeline pass. One
-    # design's values broadcast over its pressures. A batch's are arrays of a
-    # value per design, repeated over the designs' grids (counts[i] points
-    # for design i) unless it has one design; name joins the material names.
-    if isinstance(spec, MyofibrilSpec):
-        return SimpleNamespace(**_design(spec))
-    designs = list(map(_design, spec))
-    name = ", ".join(dict.fromkeys(design.pop("name") for design in designs))
-    points = {key: np.array([design[key] for design in designs]) for key in designs[0]}
-    if len(counts) > 1:
-        points = {key: np.repeat(value, counts) for key, value in points.items()}
-    return SimpleNamespace(name=name, **points)
 
 
 def simulate_pressure(
@@ -275,7 +252,7 @@ def simulate_pressure(
     if not isinstance(spec, MyofibrilSpec):
         counts = [len(grid) for grid in pressure]
         pressure = np.concatenate(pressure)
-    d = _points(spec, counts)
+    d = _record(spec, _design, counts)
     lam = junction_stretch(pressure, d, d)
     c_m = adjustment_coefficient(d.t_w / d.h_ch, pressure)
     f_e = expansion_force(pressure, d, lam, c_m)
@@ -284,9 +261,8 @@ def simulate_pressure(
     theta = contraction_angle(d, lam, d.actin_arc)
     f_contr = contraction_force(f_spa, theta)
     delta_hm = d.junctions_per_myosin * (lam - 1.0) * d.h_jz
-    r1 = _major_axis(d.actin_arc, _rest_chord(d.rest_height, d.rest_t_w, d.rest_h_ch), delta_hm)
-    l_mf = d.n * (d.a_band + 2.0 * r1)
-    # One rest length per design, repeated as _points repeats the parameters.
+    r1, l_mf = _axis_and_length(d, delta_hm)
+    # One rest length per design, repeated as _record repeats the parameters.
     l_rest = myofibril_length(spec, 0.0)
     if len(counts) > 1:
         l_rest = np.repeat(l_rest, counts)

@@ -329,12 +329,14 @@ def main(argv: list[str] | None = None) -> int:
     # numpy's floating-point warnings never change a value, and every
     # non-finite result meets a DomainError check, so they are not printed.
     # Other warnings, the design-rule ones, print as one warning: line each,
-    # without the place that warnings would name: the __init__ that
-    # dataclasses generate.
+    # without the place that warnings would name: the line that built the
+    # design. catch_warnings runs the command on a copy of the caller's
+    # filters and forgets the warnings that earlier calls showed, so each
+    # call prints each distinct warning once.
     formatwarning = warnings.formatwarning
     warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
             return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -20,6 +20,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -200,8 +201,10 @@ class MyofibrilSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= 2**53:
             raise DomainError("sarcomere count n must lie within [1, 2**53]")
+        # stacklevel 3 names the line that built the spec, not the __init__
+        # that dataclasses generate.
         for msg in self.sarcomere.conformity_warnings():
-            warnings.warn(msg, stacklevel=2)
+            warnings.warn(msg, stacklevel=3)
         if self.sarcomere.myosin_height is not None:
             low, high = myosin_height_bounds(self.sarcomere.a_band, self.spa.t_w, self.spa.h_ch)
             h_m = self.sarcomere.myosin_height
@@ -209,7 +212,7 @@ class MyofibrilSpec:
                 warnings.warn(
                     f"myosin_height={h_m:.6g} outside the design bounds "
                     f"[{low:.6g}, {high:.6g}]",
-                    stacklevel=2,
+                    stacklevel=3,
                 )
 
 
@@ -361,50 +364,55 @@ def _arc_residual(x: np.ndarray, b: np.ndarray, arc: np.ndarray) -> tuple[np.nda
     return length - arc, slope
 
 
-def _rest_stack(spec: MyofibrilSpec) -> tuple[float, float, float]:
-    # (height, t_w, h_ch) whose _rest_chord is the design's rest chord: the
-    # myosin height around the 2*t_w + h_ch sandwich or, when no myosin height
-    # was chosen, the I-band around no sandwich (identical for rule-conforming
-    # designs; i_band - 0.0 - 0.0 is i_band exactly).
+def _lengths(spec: MyofibrilSpec) -> dict:
+    # One design's values that fix its length, by name. The rest chord is the
+    # deformable vertical chord of the actin half-ellipse at rest: the myosin
+    # height minus the rigid 2*t_w + h_ch sandwich or, when no myosin height
+    # was chosen, the I-band (identical for rule-conforming designs).
     sarc = spec.sarcomere
-    if sarc.myosin_height is None:
-        return sarc.i_band, 0.0, 0.0
-    return sarc.myosin_height, spec.spa.t_w, spec.spa.h_ch
+    rest_chord = sarc.i_band
+    if sarc.myosin_height is not None:
+        rest_chord = sarc.myosin_height - 2.0 * spec.spa.t_w - spec.spa.h_ch
+    return {
+        "n": spec.n,
+        "a_band": sarc.a_band,
+        "actin_arc": sarc.actin_arc,
+        "rest_chord": rest_chord,
+    }
 
 
-def _rest_chord(
-    height: float | np.ndarray, t_w: float | np.ndarray, h_ch: float | np.ndarray
-) -> float | np.ndarray:
-    # Deformable vertical chord of the actin half-ellipse at rest: the height
-    # minus the rigid 2*t_w + h_ch sandwich. Floats or ndarrays, one element
-    # per design; a NaN chord fails the check.
-    shape, (chord,) = flatten(height - 2.0 * t_w - h_ch)
+def _record(spec: MyofibrilSpec | Sequence[MyofibrilSpec], design, counts=()) -> SimpleNamespace:
+    # design(spec)'s values by name. One design's are as they are. A batch's
+    # are an ndarray per name with an element per design, repeated over the
+    # designs' grids (counts[i] points for design i) when there is more than
+    # one; a material name joins the designs' names.
+    if isinstance(spec, MyofibrilSpec):
+        return SimpleNamespace(**design(spec))
+    designs = list(map(design, spec))
+    record = {key: np.array([one[key] for one in designs]) for key in designs[0] if key != "name"}
+    if len(counts) > 1:
+        record = {key: np.repeat(value, counts) for key, value in record.items()}
+    if "name" in designs[0]:
+        record["name"] = ", ".join(dict.fromkeys(one["name"] for one in designs))
+    return SimpleNamespace(**record)
+
+
+def _axis_and_length(record: SimpleNamespace, delta_hm: float | np.ndarray) -> tuple:
+    # Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
+    # delta_hm, and the myofibril length n * (a_band + 2*r1), for a _record of
+    # _lengths; its values and delta_hm are floats or ndarrays that broadcast
+    # together. A NaN rest chord fails the check.
+    chord = np.ravel(record.rest_chord)
     bad = first_index(~(chord > 0.0))
     if bad is not None:
         raise DomainError(
             f"myosin_height leaves no room for the actin chord (chord={chord[bad]:.6g} mm)"
         )
-    return unflatten(chord, shape)
-
-
-def _major_axis(
-    actin_arc: float | np.ndarray, rest_chord: float | np.ndarray, delta_hm: float | np.ndarray
-) -> float | np.ndarray:
-    # Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
-    # delta_hm, for designs given by their actin arc and rest chord; floats
-    # or ndarrays that broadcast together.
     bad = first_index(np.ravel(delta_hm) < 0.0)
     if bad is not None:
         raise DomainError(f"delta_hm must be non-negative, got {np.ravel(delta_hm)[bad]}")
-    return solve_major_axis(actin_arc, rest_chord + delta_hm)
-
-
-def _per_design(spec: MyofibrilSpec | Sequence[MyofibrilSpec], values) -> tuple | list[np.ndarray]:
-    # values(spec) of one design; for a sequence of designs, one ndarray per
-    # value with an element per design.
-    if isinstance(spec, MyofibrilSpec):
-        return values(spec)
-    return [np.array(column) for column in zip(*map(values, spec))]
+    r1 = solve_major_axis(record.actin_arc, record.rest_chord + delta_hm)
+    return r1, record.n * (record.a_band + 2.0 * r1)
 
 
 def myofibril_length(
@@ -420,11 +428,7 @@ def myofibril_length(
     also be a sequence of designs, one value per design broadcasting against
     delta_hm, solved together in one pass.
     """
-    n, a_band, actin_arc, *stack = _per_design(
-        spec, lambda s: (s.n, s.sarcomere.a_band, s.sarcomere.actin_arc, *_rest_stack(s))
-    )
-    r1 = _major_axis(actin_arc, _rest_chord(*stack), delta_hm)
-    return n * (a_band + 2.0 * r1)
+    return _axis_and_length(_record(spec, _lengths), delta_hm)[1]
 
 
 def contraction_angle(

@@ -11,6 +11,7 @@ All functions are pure; batch comparisons may run in parallel across pairs.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import math
@@ -257,7 +258,11 @@ def _rescale_by_reference(curve: Curve, reference: Curve) -> Curve:
         raise DomainError(
             f"curve {curve.label!r} lies too far outside the reference range to normalise"
         )
-    return Curve(x, y, curve.label)
+    # A copy with only x and y set: the division can round adjacent x to one
+    # value, and the distance needs finite points, not increasing x.
+    scaled = copy.copy(curve)
+    scaled.x, scaled.y = x, y
+    return scaled
 
 
 def normalized_frechet(model: Curve, reference: Curve) -> float:

@@ -652,6 +652,31 @@ def test_validate_report_formats_carry_the_same_numbers(tmp_path, capsys):
     assert payload["frechet_normalized_pct"] == 100.0 * payload["frechet_normalized"] > 0.0
 
 
+def test_validate_accepts_x_that_collapse_when_normalised(tmp_path, monkeypatch, capsys):
+    # The model's first two x are adjacent floats; divided by the reference's
+    # x span they round to one value, which the distance does not mind.
+    model, reference = tmp_path / "m.csv", tmp_path / "r.csv"
+    model.write_text("x,y\n825.5111545554435,0\n825.5111545554436,1\n826,2\n", encoding="utf-8")
+    reference.write_text("x,y\n0,0\n3,2\n", encoding="utf-8")
+    calls = []
+    frechet = validation.discrete_frechet
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return frechet(a, b)
+
+    monkeypatch.setattr(validation, "discrete_frechet", counted)
+    assert main(["validate", str(model), str(reference), "--resample"]) == 0
+    assert calls == [(3, 2), (3, 2)]
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "frechet_normalized_pct=27517.038485",
+        "frechet_raw=825.511155",
+        "r_squared=-1.000000",
+    ]
+
+
 @pytest.mark.parametrize("body", [
     b"x,y\n0,0\n1,\xff\n",
     b"x,y\n0,0\n1," + b"1" * 140_000 + b"\n",
@@ -988,6 +1013,76 @@ def test_sweep_lists_fuzz_exits_0_2_or_3(materials, ratios):
         assert run_quietly(argv) == (code, out, err)
 
 
+# Texts of one curve CSV field: plain numbers, the float extremes and the
+# config fuzz's odd values.
+curve_fields = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["-1e308", "5e-324", "0", " 1 ", "1,5"]),
+    odd_values,
+)
+
+
+@st.composite
+def curve_csvs(draw):
+    """The bytes of a curve CSV: a header, then up to 39 rows of increasing
+    x, and blank rows. A quarter of the files may carry faults as well: a
+    header other than x,y, up to three rows of one to three drawn fields,
+    and, in half of them, a byte sequence that is not UTF-8."""
+    faulty = draw(st.integers(0, 3)) == 3
+    header = draw(st.sampled_from(["x,y", " x , y ", "y,x", "x", "x,y,z", ""] if faulty else ["x,y"]))
+    xs = sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=0 if faulty else 2, max_size=39, unique=True)))
+    rows = [f"{x!r},{draw(st.floats(-1e3, 1e3))!r}" for x in xs]
+    inserted = st.lists(curve_fields, min_size=1, max_size=3) if faulty else st.just([""])
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(draw(inserted)))
+    data = "\n".join([header, *rows, ""]).encode("utf-8")
+    if faulty and draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\x80", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    curve_csvs(),
+    curve_csvs(),
+    st.booleans(),
+    st.sampled_from([None, 1, 2, 9, MAX_QUANTILES + 1]),
+    st.sampled_from([None, "csv", "json"]),
+)
+def test_validate_curve_csv_fuzz_exits_0_or_2(model, reference, resample, qq, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        model_csv, reference_csv, report = (Path(tmp, name) for name in ("m.csv", "r.csv", "report"))
+        model_csv.write_bytes(model)
+        reference_csv.write_bytes(reference)
+        argv = ["validate", str(model_csv), str(reference_csv)]
+        argv += ["--resample"] * resample + (["--qq", str(qq)] if qq else [])
+        if fmt:
+            argv += ["--out", str(report), "--format", fmt]
+        written = [report, report.with_suffix(".qq.csv")]
+
+        def run():
+            for path in written:
+                path.unlink(missing_ok=True)
+            return run_quietly(argv), [path.read_bytes() for path in written if path.exists()]
+
+        (code, out, err), files = run()
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code:
+            assert out == ""
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+            assert files == []
+        else:
+            assert err == ""
+            lines = [line.split("=") for line in out.splitlines()]
+            assert [name for name, _ in lines] == ["frechet_normalized_pct", "frechet_raw", "r_squared"]
+            assert all(math.isfinite(float(value)) for _, value in lines)
+            assert len(files) == (0 if fmt is None else 2 if fmt == "csv" and qq else 1)
+            assert all(finite_output(fmt, text.decode("utf-8")) for text in files)
+        assert run() == ((code, out, err), files)
+
+
 @pytest.mark.parametrize("shipped", [True, False], ids=["configs-prototype", "fixture"])
 def test_simulate_csv_bytes_equal_state_rows(shipped, proto_config):
     # The CSV is written from simulate_cells' columns; it must equal the
@@ -1066,8 +1161,9 @@ def test_validate_checks_qq_before_any_frechet_dp(qq, tmp_path, monkeypatch, cap
 
 
 def test_design_rule_warnings_print_as_warning_lines():
-    # A fresh interpreter, so that no warning has been shown yet. Each
-    # distinct text prints once, as one line, before the run's result.
+    # A fresh interpreter, where warnings print instead of being recorded
+    # by the test runner. Each distinct text prints once, as one line,
+    # before the run's result.
     env = {**os.environ, "PYTHONPATH": str(Path(apmsim.__file__).parents[1])}
 
     def run(*argv):
@@ -1098,6 +1194,31 @@ def test_recorded_warnings_are_not_printed(capsys):
     ]
     assert capsys.readouterr().err == ""
     assert warnings.formatwarning is formatwarning
+
+
+def test_each_main_call_prints_its_own_warnings(tmp_path):
+    # Two calls in one interpreter each print the warning; a caller that
+    # records warnings then gets one per call, and nothing is printed.
+    probe = """if True:
+        import sys, warnings
+        from apmsim.cli import main
+        argv = ["simulate", "--config", sys.argv[1], "--out", sys.argv[2]]
+        for _ in range(2):
+            assert main(argv) == 0
+            print("--", file=sys.stderr)
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            assert main(argv) == main(argv) == 0
+        print(*[w.message for w in log], sep="\\n", file=sys.stderr)
+        print(*{w.filename.rsplit("/", 1)[-1] for w in log}, file=sys.stderr)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(apmsim.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", probe, str(SHIPPED_PROTOTYPE), str(tmp_path / "o.csv")],
+                         capture_output=True, text=True, env=env, check=False)
+    text = "actin_arc=32 deviates from the rest semicircle length 31.4159"
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == [f"warning: {text}", "--"] * 2 + [text] * 2 + ["config.py"]
 
 
 def test_cli_import_does_not_load_scipy():

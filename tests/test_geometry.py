@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +8,9 @@ from scipy.integrate import quad
 
 from apmsim.errors import DomainError
 from apmsim.geometry import (
-    _rest_chord,
+    _axis_and_length,
+    _lengths,
+    _record,
     MyofibrilSpec,
     RATIO_OVER_CONTRACTED,
     RATIO_OVER_STRETCHED,
@@ -265,6 +269,15 @@ def test_myosin_height_warning():
                       material=MATERIALS["dragonskin-30"])
 
 
+def test_design_rule_warnings_name_the_line_that_built_the_spec():
+    # Both warnings point past the __init__ that dataclasses generate.
+    sarc = SarcomereGeometry(a_band=30.0, i_band=20.0, actin_arc=32.0, myosin_height=50.0)
+    with pytest.warns(UserWarning) as record:
+        MyofibrilSpec(n=1, sarcomere=sarc, spa=PROTO_SPA, material=MATERIALS["dragonskin-30"])
+    assert [str(w.message).split("=")[0] for w in record] == ["actin_arc", "myosin_height"]
+    assert [w.filename for w in record] == [__file__, __file__]
+
+
 # ---------------------------------------------------------------- contraction angle
 
 def test_contraction_angle_reference_geometry():
@@ -386,12 +399,27 @@ def test_contraction_angle_array_arc_equals_elementwise():
 
 
 def test_rest_chord_rejects_nan():
+    record = SimpleNamespace(n=1, a_band=30.0, actin_arc=32.0, rest_chord=math.nan)
     with pytest.raises(DomainError, match="chord=nan mm"):
-        _rest_chord(math.nan, 1.5, 5.0)
+        _axis_and_length(record, 0.0)
 
 
 def test_rest_chord_array_names_first_bad_element():
     # 28 - 3 - 5 = 20 fits; 7 - 3 - 5 = -1 is the first that does not.
+    sarc = design_from_a_band(30.0)
+    with pytest.warns(UserWarning, match="outside the design bounds"):
+        specs = [
+            MyofibrilSpec(1, dataclasses.replace(sarc, myosin_height=h), PROTO_SPA, MATERIALS["dragonskin-30"])
+            for h in (28.0, 7.0, 9.0)
+        ]
+    record = _record(specs, _lengths)
+    assert record.rest_chord.tolist() == [20.0, -1.0, 1.0]
     with pytest.raises(DomainError, match="chord=-1 mm"):
-        _rest_chord(np.array([28.0, 7.0, math.nan]), 1.5, 5.0)
-    assert _rest_chord(np.array([28.0, 9.0]), 1.5, 5.0).tolist() == [20.0, 1.0]
+        _axis_and_length(record, 0.0)
+    record.rest_chord = np.array([20.0, -1.0, math.nan])
+    with pytest.raises(DomainError, match="chord=-1 mm"):
+        _axis_and_length(record, 0.0)
+    assert _axis_and_length(_record(specs[::2], _lengths), 0.0)[0].tolist() == [
+        solve_major_axis(sarc.actin_arc, 20.0),
+        solve_major_axis(sarc.actin_arc, 1.0),
+    ]
