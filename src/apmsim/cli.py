@@ -24,7 +24,7 @@ from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simul
 from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
 from .geometry import MyofibrilSpec
-from .validation import Curve, compare_curves, write_qq_csv
+from .validation import MAX_QUANTILES, Curve, compare_curves, quantile_grid
 
 # The simulate output columns: each ActuationState field's name, with its
 # unit appended where it has one, in field order, which is also the order of
@@ -100,7 +100,9 @@ def _object_template(keys: tuple[str, ...], indent: int) -> tuple[str, itemgette
 def _json_object(indent: int, **texts: str) -> str:
     # A JSON object of the value texts under their keys.
     template, _ = _object_template(tuple(texts), indent)
-    return template % tuple(texts[key] for key in sorted(texts))
+    # From a list, not a generator: a tuple resized from a generator's guess
+    # joins the free list of its new size, one more per call up to 2000.
+    return template % tuple([texts[key] for key in sorted(texts)])
 
 
 def _json_array(items, indent: int) -> str:
@@ -146,7 +148,7 @@ def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
     return _json_object(0, cells=_json_array(cells, 2)) + "\n"
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(text: str, out_path: str | Path | None) -> None:
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -196,17 +198,25 @@ def cmd_validate(args: argparse.Namespace) -> int:
     model = Curve.from_csv(args.model_csv, "model")
     reference = Curve.from_csv(args.reference_csv, "reference")
     report = compare_curves(model, reference, qq=args.qq, resample=args.resample)
+    numbers, pairs = report.numbers(), report.qq_pairs
     # The report is written before anything is printed, so that a failing
     # write leaves stdout empty as every other error does.
     if args.out and args.format == "csv":
-        Path(args.out).write_text(report.to_csv_row(), encoding="utf-8")
-        if report.qq_pairs is not None:
-            write_qq_csv(report.qq_pairs, Path(args.out).with_suffix(".qq.csv"))
+        row = ",".join(["%.6f"] * len(numbers)) % tuple(numbers.values())
+        _emit(f"{','.join(numbers)}\n{row}\n", args.out)
+        if pairs is not None:
+            rows = ["%.6f,%.6f,%.6f" % (p, *q) for p, q in zip(quantile_grid(len(pairs)), pairs)]
+            qq_csv = "\n".join(["p,reference,model", *rows, ""])
+            _emit(qq_csv, Path(args.out).with_suffix(".qq.csv"))
     elif args.out:
-        Path(args.out).write_text(report.to_json(), encoding="utf-8")
+        texts = dict(zip(numbers, _json_floats(numbers.values())))
+        texts["resampled"] = "true" if report.resampled else "false"
+        if pairs is not None:
+            texts["qq_pairs"] = _json_array([_json_array(_json_floats(q), 4) for q in pairs], 2)
+        _emit(_json_object(0, **texts) + "\n", args.out)
     # Every number but the first, the plain normalized distance, which its
     # percentage restates.
-    for name, value in list(report.numbers().items())[1:]:
+    for name, value in list(numbers.items())[1:]:
         print(f"{name}={value:.6f}")
     return 0
 
@@ -298,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_val = sub.add_parser("validate", help="compare a model curve against a reference curve")
     p_val.add_argument("model_csv", help="model curve CSV (header x,y)")
     p_val.add_argument("reference_csv", help="reference curve CSV (header x,y)")
-    p_val.add_argument("--qq", type=int, help="also compute K paired quantiles, 2 <= K <= 100000")
+    qq_help = f"also compute K paired quantiles, 2 <= K <= {MAX_QUANTILES}"
+    p_val.add_argument("--qq", type=int, help=qq_help)
     p_val.add_argument(
         "--resample",
         action="store_true",

@@ -186,7 +186,8 @@ def load_config(path: str | Path) -> RunConfig:
         with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as err:
-        raise ConfigError(f"{path}: {err}") from None
+        # A configparser message can span lines (a tab starts each bad line).
+        raise ConfigError(f"{path}: {err}".replace("\n\t", " ").replace("\n", " ")) from None
     _check_names(parser, path)
 
     # Sections are read and built one by one in GRAMMAR order, so of two
@@ -224,6 +225,8 @@ def load_config(path: str | Path) -> RunConfig:
     output = _section(parser, "output")
     if output["format"] not in ("csv", "json"):
         raise ConfigError(f"output format must be csv or json, got {output['format']!r}")
+    if "\0" in output["path"]:
+        raise ConfigError(f"output path {output['path']!r} holds a NUL character")
 
     return RunConfig(
         material=material,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,16 +109,6 @@ class AgreementReport:
             "frechet_raw": self.frechet_raw,
             "r_squared": self.r_squared,
         }
-
-    def to_json(self) -> str:
-        payload = {**self.numbers(), "resampled": self.resampled}
-        if self.qq_pairs is not None:
-            payload["qq_pairs"] = [[a, b] for a, b in self.qq_pairs]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def to_csv_row(self) -> str:
-        numbers = self.numbers()
-        return ",".join(numbers) + "\n" + ",".join(f"{v:.6f}" for v in numbers.values()) + "\n"
 
 
 # Largest disagreement between the fast distance np.abs(dx + 1j*dy) and the
@@ -302,10 +291,15 @@ def r_squared(pairs) -> float:
     return r2
 
 
+def quantile_grid(k: int) -> np.ndarray:
+    """qq_pairs's k probabilities: i * (1/(k-1)) for i = 0..k-2, then exactly 1."""
+    return np.linspace(0.0, 1.0, k)
+
+
 def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
     """k paired quantiles of two samples at evenly spaced probabilities.
 
-    Probabilities i/(k-1) for i = 0..k-1; quantiles use linear interpolation
+    Probabilities quantile_grid(k); quantiles use linear interpolation
     between order statistics with inclusive endpoints. Pairs are monotone
     nondecreasing in both coordinates. k must lie in [2, MAX_QUANTILES].
     """
@@ -317,7 +311,7 @@ def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
         raise DomainError(f"quantile count must be >= 2, got {k}")
     if k > MAX_QUANTILES:
         raise DomainError(f"quantile count must be at most {MAX_QUANTILES}, got {k}")
-    probs = np.linspace(0.0, 1.0, k)
+    probs = quantile_grid(k)
     qa = np.quantile(a, probs, method="linear")
     qb = np.quantile(b, probs, method="linear")
     return [(float(x), float(y)) for x, y in zip(qa, qb)]
@@ -361,13 +355,3 @@ def compare_curves(
         qq_pairs=quantiles,
         resampled=resample,
     )
-
-
-def write_qq_csv(pairs: list[tuple[float, float]], path: str | Path) -> None:
-    """Write paired quantiles as a CSV with columns p,reference,model."""
-    k = len(pairs)
-    lines = ["p,reference,model"]
-    for i, (ref_q, model_q) in enumerate(pairs):
-        p = i / (k - 1) if k > 1 else 0.0
-        lines.append(f"{p:.6f},{ref_q:.6f},{model_q:.6f}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -453,6 +453,23 @@ def test_config_output_section(output, path, fmt, tmp_path):
     assert (loaded.out_path, loaded.out_format) == (path, fmt)
 
 
+@pytest.mark.parametrize("head, output, message", [
+    # open() raised ValueError on the NUL, a traceback with exit 1.
+    ("", "path = a\0b", "output path 'a\\x00b' holds a NUL character"),
+    # configparser's messages of these two faults span two and three lines.
+    ("", "path =\n0", "Source contains parsing errors: '{config}' [line 27]: '0\\n'"),
+    ("path = x\n", "", "File contains no section headers. file: '{config}', line: 1 'path = x\\n'"),
+], ids=["nul-in-path", "unparsable-line", "no-section-header"])
+def test_config_output_faults_print_one_error_line(head, output, message, tmp_path, capsys):
+    config = tmp_path / "out.ini"
+    config.write_text(f"{head}{PROTOTYPE_CONFIG}\n[output]\n{output}\n", encoding="utf-8")
+    assert main(["simulate", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.endswith(message.format(config=config) + "\n")
+
+
 def test_simulate_overflowing_state_exit_3(tmp_path, capsys):
     # Every input is finite and accepted, but the chamber force overflows.
     config = tmp_path / "overflow.ini"
@@ -690,6 +707,30 @@ def test_validate_unreadable_curve_exit_2(body, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {bad}: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k, row, p", [(641, 3, "0.004688"), (1921, 111, "0.057812")])
+def test_validate_qq_csv_p_is_the_probability_used(k, row, p, tmp_path, monkeypatch):
+    # The quantiles are taken at np.linspace's i * (1/(k-1)), which for these
+    # rows differs from i/(k-1) at the sixth decimal.
+    monkeypatch.chdir(tmp_path)
+    write_curve(tmp_path / "model.csv", [0.0, 0.5, 1.0], [0.0, 0.2, 1.0])
+    write_curve(tmp_path / "reference.csv", [0.0, 0.5, 1.0], [0.0, 0.4, 1.0])
+    argv = ["validate", "model.csv", "reference.csv", "--qq", str(k), "--format", "csv",
+            "--out", "r.csv"]
+    assert main(argv) == 0
+    lines = Path("r.qq.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[1 + row].startswith(f"{p},")
+    assert [line.split(",")[0] for line in lines[1:]] == ["%.6f" % q for q in np.linspace(0, 1, k)]
+
+
+def test_validate_help_names_the_quantile_cap(monkeypatch, capsys):
+    for cap in (MAX_QUANTILES, 12345):
+        monkeypatch.setattr(cli, "MAX_QUANTILES", cap)
+        with pytest.raises(SystemExit) as exited:
+            cli.build_parser().parse_args(["validate", "--help"])
+        assert exited.value.code == 0
+        assert f"2 <= K <= {cap}" in " ".join(capsys.readouterr().out.split())
 
 
 def test_validate_unwritable_out_leaves_stdout_empty(tmp_path, capsys):
@@ -1011,6 +1052,79 @@ def test_sweep_lists_fuzz_exits_0_2_or_3(materials, ratios):
             assert err == ""
             assert finite_output(fmt, out)
         assert run_quietly(argv) == (code, out, err)
+
+
+# [output] format texts: half of them csv or json in any case and padding,
+# the others junk.
+format_texts = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t"]),
+              st.sampled_from(["csv", "json", "CSV", "JSON", "Csv", "jSoN"]),
+              st.sampled_from(["", " ", "\t"])),
+    st.one_of(st.sampled_from(["", "xml", "csv,json", "js on", "jsonl"]), st.text(max_size=5)),
+)
+# [output] path texts: empty, which means stdout, or a name of a file in the
+# working directory: no separator and no "..".
+path_texts = st.one_of(
+    st.just(""),
+    st.text(st.characters(exclude_characters="/\\", exclude_categories=["Cs"]), min_size=1,
+            max_size=8).filter(lambda text: ".." not in text),
+)
+# [material] name texts: the built-in names, each also padded, upper-cased
+# or misspelt, and non-ASCII names.
+name_texts = st.one_of(
+    st.sampled_from(STUDY_MATERIALS),
+    st.sampled_from(STUDY_MATERIALS).map(lambda name: f" {name}\t"),
+    st.sampled_from(STUDY_MATERIALS).map(str.upper),
+    st.sampled_from(STUDY_MATERIALS).map(lambda name: name[:-1]),
+    st.text(st.characters(min_codepoint=0x80, exclude_categories=["Cs"]), min_size=1, max_size=6),
+)
+CONFIG_NAME = "fuzzed-config.ini"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name_texts,
+    st.booleans(),
+    st.one_of(st.just(b""), st.sampled_from([b"\xff", b"\xc3\x28", b"\xed\xa0\x80"])),
+    path_texts,
+    format_texts,
+)
+def test_config_output_and_name_fuzz_exits_0_2_or_3(name, inline, broken, path, fmt):
+    # With coefficients the name is a custom material's, so that any name
+    # reaches the writers; broken bytes, not UTF-8, end the name. Each
+    # example runs in a new working directory, which afterwards may hold
+    # only the config and the file the config names.
+    head, tail = PROTOTYPE_CONFIG.split("name = dragonskin-30")
+    coefficients = "\nc1 = 0.096\nc2 = 0.0095" if inline else ""
+    data = b"".join([head.encode(), b"name = ", name.encode(), broken, coefficients.encode(),
+                     tail.encode(), f"\n[output]\npath = {path}\nformat = {fmt}\n".encode()])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        Path(CONFIG_NAME).write_bytes(data)
+
+        def run(argv):
+            for entry in set(os.listdir()) - {CONFIG_NAME}:
+                os.remove(entry)
+            result = run_quietly(argv)
+            written = set(os.listdir()) - {CONFIG_NAME}
+            return result, {entry: Path(entry).read_bytes() for entry in written}
+
+        for argv in (["simulate", "--config", CONFIG_NAME],
+                     ["sweep", "--config", CONFIG_NAME, "--materials", "dragonskin-30",
+                      "--ratios", "1/2"]):
+            (code, out, err), written = run(argv)
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err
+            if code:
+                assert out == "" and written == {}
+                assert err.count("\n") == 1 and err.startswith(("error: ", "model error: "))
+            else:
+                config = load_config(CONFIG_NAME)
+                assert err == ""
+                assert written.keys() == ({config.out_path} if config.out_path else set())
+                text = out or written[config.out_path].decode("utf-8")
+                assert finite_output(config.out_format, text)
+            assert run(argv) == ((code, out, err), written)
 
 
 # Texts of one curve CSV field: plain numbers, the float extremes and the

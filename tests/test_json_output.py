@@ -1,4 +1,5 @@
-"""The JSON output of simulate and sweep against json.dumps as the oracle.
+"""The JSON output of simulate, sweep and validate against json.dumps as the
+oracle.
 
 The CLI writes JSON through its own templates; the text must be exactly
 json.dumps(payload, indent=2, sort_keys=True) plus a newline, where payload
@@ -12,18 +13,20 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from apmsim import cli
 from apmsim.actuation import ActuationState, simulate_sweep
 from apmsim.config import builtin_material, load_config, parse_ratio
+from apmsim.validation import AgreementReport
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -99,6 +102,35 @@ def test_sweep_json_equals_json_dumps(rows, h_ch):
     column_rows = [(name, ratio, columns_of(state_list), top, mean_max)
                    for name, ratio, state_list, top, mean_max in rows]
     assert cli._sweep_json(column_rows, h_ch) == oracle(sweep_payload(rows, h_ch))
+
+
+def validate_json(report: AgreementReport) -> str:
+    # The JSON report validate writes when compare_curves returns report.
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "compare_curves", lambda *args, **kwargs: report)
+        curve, out = Path(tmp, "c.csv"), Path(tmp, "report.json")
+        curve.write_text("x,y\n0,0\n1,1\n", encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["validate", str(curve), str(curve), "--out", str(out)]) == 0
+        return out.read_text(encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    floats.filter(lambda value: not value < 0.0),
+    floats,
+    floats,
+    st.booleans(),
+    st.one_of(st.none(), st.lists(st.tuples(floats, floats), min_size=2, max_size=4)),
+)
+@example(0.125, 0.5, 0.75, True, [(0.0, 0.0), (1.0, 1.5)])
+def test_validate_json_equals_json_dumps(normalized, raw, r2, resampled, pairs):
+    report = AgreementReport(normalized, raw, r2, pairs, resampled)
+    with np.errstate(over="ignore"):  # the percentage of a float64 near the largest
+        payload = {**report.numbers(), "resampled": resampled}
+    if pairs is not None:
+        payload["qq_pairs"] = [list(pair) for pair in pairs]
+    assert validate_json(report) == oracle(payload)
 
 
 def run_cli(argv) -> str:

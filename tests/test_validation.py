@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from apmsim import cli
 from apmsim.errors import DomainError
 from apmsim.validation import (
     MAX_QUANTILES,
@@ -14,7 +15,6 @@ from apmsim.validation import (
     normalized_frechet,
     qq_pairs,
     r_squared,
-    write_qq_csv,
 )
 
 
@@ -322,19 +322,27 @@ def test_compare_curves_requires_resample_for_mismatched_grids():
     assert report.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
-def test_report_serialization(tmp_path):
+def test_report_serialization(tmp_path, monkeypatch):
+    # validate writes a report made by hand: compare_curves returns it.
     report = AgreementReport(
         frechet_normalized=0.125, frechet_raw=0.5, r_squared=0.75,
         qq_pairs=[(0.0, 0.0), (1.0, 1.5)],
     )
-    text = report.to_json()
+    monkeypatch.setattr(cli, "compare_curves", lambda *args, **kwargs: report)
+    curve = tmp_path / "c.csv"
+    curve.write_text("x,y\n0,0\n1,1\n", encoding="utf-8")
+
+    def written(name, *options):
+        out = tmp_path / name
+        assert cli.main(["validate", str(curve), str(curve), "--out", str(out), *options]) == 0
+        return out.read_text(encoding="utf-8")
+
+    text = written("report.json")
     assert '"frechet_normalized_pct": 12.5' in text
-    row = report.to_csv_row()
+    row = written("report.csv", "--format", "csv")
     assert row.splitlines()[0] == "frechet_normalized,frechet_normalized_pct,frechet_raw,r_squared"
     assert row.splitlines()[1] == "0.125000,12.500000,0.500000,0.750000"
-    qq_path = tmp_path / "pairs.csv"
-    write_qq_csv(report.qq_pairs, qq_path)
-    lines = qq_path.read_text(encoding="utf-8").splitlines()
+    lines = (tmp_path / "report.qq.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "p,reference,model"
     assert lines[1] == "0.000000,0.000000,0.000000"
     assert lines[2] == "1.000000,1.000000,1.500000"
