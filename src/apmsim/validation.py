@@ -1,10 +1,11 @@
 """Curve-agreement metrics: discrete Frechet distance, R^2 and Q-Q pairing.
 
 Model output is compared against an external reference curve (simulation or
-measurement). The discrete Frechet distance is computed by dynamic
-programming over monotone couplings of the two point sequences; the
-normalized variant rescales both curves by the reference's bounding box so
-the result is a unit-free fraction of the reference range.
+measurement). The discrete Frechet distance is the value of the dynamic
+program over monotone couplings of the two point sequences, proved from a
+lower bound and a free-space path where one exists; the normalized
+variant rescales both curves by the reference's bounding box so the result
+is a unit-free fraction of the reference range.
 
 All functions are pure; batch comparisons may run in parallel across pairs.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 import copy
 import csv
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -119,10 +121,21 @@ class AgreementReport:
 # against the installed numpy.
 FAST_DISTANCE_REL = 8 * 2.0**-52
 FAST_DISTANCE_ABS = 8 * 5e-324
-# Cells per block of the certification scan: its two buffers take 64 KB of
-# complex differences and 32 KB of distances, whatever m * n is. Larger
-# blocks raise a validate run's peak RSS: 8192 cells added about 0.2 MB.
+# Cells per block of every scan of the m x n cells: the lower bound, the
+# reach and the certification all fill one pair of buffers, 64 KB of complex
+# differences and 32 KB of distances, whatever m * n is. Larger blocks raise
+# a validate run's peak RSS: 8192 cells added about 0.2 MB at numpy's default
+# ufunc buffer size.
 _SCAN_BLOCK_CELLS = 4096
+# Runs of free cells per curve point that the reach follows before it gives
+# up, as it takes Python steps per run. The proved validate_long DPs have at
+# most 1.4; noise and zig-zag pairs have 36 to 250, where following them
+# costs more than the wavefront it would save.
+_REACH_RUNS_PER_POINT = 2
+# numpy's ufunc buffer size, in elements, during the DP. At the default
+# 8192, numpy 2.4.6 copies a block's broadcast operands into buffers before
+# it subtracts: 126 KB for 4096 cells, and 3x slower than with 256.
+_UFUNC_BUFSIZE = 256
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -170,35 +183,135 @@ def _wavefront(za: np.ndarray, zb: np.ndarray, distances) -> float:
     return float(prev[m])
 
 
-def _certify(za: np.ndarray, zb: np.ndarray, fast: float) -> float | None:
-    """The exact DP value, if the fast DP value pins it down; else None.
+class _Scan:
+    """The m x n cells of za against zb in row blocks of _SCAN_BLOCK_CELLS,
+    computed into one pair of buffers that every scan of one DP reuses, so
+    every scan sees the same fast distance for a cell."""
 
-    The DP commutes with the monotone slack bounds, so the exact value lies
-    within one slack of `fast`, and the cell that attains it has a fast
-    distance within one more slack; a third slack covers the rounding of
-    the window bounds. The value is certified when every cell whose fast
-    distance lies in that window has the same exact distance. The cells
-    are scanned in row blocks of _SCAN_BLOCK_CELLS.
+    def __init__(self, za: np.ndarray, zb: np.ndarray) -> None:
+        self.za, self.zb = za, zb
+        rows = max(1, min(za.size, _SCAN_BLOCK_CELLS // zb.size))
+        self.dz = np.empty((rows, zb.size), complex)
+        self.d = np.empty((rows, zb.size))
+
+    def __iter__(self):
+        """Each block's first row, complex differences and fast distances."""
+        rows = len(self.d)
+        for start in range(0, self.za.size, rows):
+            block = self.za[start : start + rows, None]
+            dz, d = self.dz[: len(block)], self.d[: len(block)]
+            np.abs(np.subtract(block, self.zb, out=dz), out=d)
+            yield start, dz, d
+
+
+class _Window:
+    """The exact distances of the cells whose fast distance lies near `fast`.
+
+    The DP commutes with the monotone slack bounds, so the exact DP value
+    lies within one slack of a fast DP value `fast`, and the cell that
+    attains it has a fast distance within one more slack; a third slack
+    covers the rounding of the window bounds. The value is certified when
+    every cell whose fast distance lies in that window has the same exact
+    distance.
     """
-    rel, tiny = 3.0 * FAST_DISTANCE_REL, 3.0 * FAST_DISTANCE_ABS
-    # An infinite fast value may stand for a finite exact one near the
-    # largest float, so the window then reaches down from there.
-    low = min(fast, _FLOAT_MAX) * (1.0 - rel) - tiny
-    high = fast * (1.0 + rel) + tiny
-    rows = max(1, min(za.size, _SCAN_BLOCK_CELLS // zb.size))
-    dz_block, d_block = np.empty((rows, zb.size), complex), np.empty((rows, zb.size))
-    value = None
-    for start in range(0, za.size, rows):
-        block = za[start : start + rows, None]
-        dz, d = dz_block[: len(block)], d_block[: len(block)]
-        np.abs(np.subtract(block, zb, out=dz), out=d)
-        exact = _exact_distances(dz[(d >= low) & (d <= high)])
+
+    def __init__(self, fast: float) -> None:
+        rel, tiny = 3.0 * FAST_DISTANCE_REL, 3.0 * FAST_DISTANCE_ABS
+        # An infinite fast value may stand for a finite exact one near the
+        # largest float, so the window then reaches down from there.
+        self.low = min(fast, _FLOAT_MAX) * (1.0 - rel) - tiny
+        self.high = fast * (1.0 + rel) + tiny
+        self.value = None
+        self.certified = True
+
+    def add(self, dz: np.ndarray, d: np.ndarray) -> None:
+        """Take the window cells of one block; two exact distances that
+        differ end the certification."""
+        if not self.certified:
+            return
+        exact = _exact_distances(dz[(d >= self.low) & (d <= self.high)])
         if exact.size:
-            if value is None:
-                value = exact[0]
-            if not np.all(exact == value):
-                return None
-    return None if value is None else float(value)
+            if self.value is None:
+                self.value = float(exact[0])
+            self.certified = bool(np.all(exact == self.value))
+
+    def result(self) -> float | None:
+        """The exact DP value, if the window pins it down; else None."""
+        return self.value if self.certified else None
+
+
+def _lower_bound(scan: _Scan) -> float:
+    """max(every row's minimum, every column's minimum, d(0,0), d(m-1,n-1))
+    of the fast distances. Every coupling visits every row, every column
+    and both end cells, so this bounds the fast DP value from below."""
+    column_min = np.full(scan.zb.size, math.inf)
+    for start, _, d in scan:
+        # The first block holds d(0, 0), the last one d(m-1, n-1).
+        if start == 0:
+            bound = d[0, 0]
+        bound = max(bound, d.min(axis=1).max())
+        np.minimum(column_min, d.min(axis=0), out=column_min)
+    return float(max(bound, column_min.max(), d[-1, -1]))
+
+
+def _reaches(scan: _Scan, bound: float, window: _Window) -> bool:
+    """Whether a monotone path of free cells, fast distance <= bound, joins
+    (0, 0) to (m-1, n-1); the fast DP value is then at most `bound`, and
+    equal to it when `bound` is a lower bound. Each block's cells also go
+    to `window`.
+
+    Row by row, the reachable cells of a row are intervals: a run of free
+    cells [a, b] is entered at max(a, r), where r is the first reachable
+    column >= a-1 of the row above, and is reachable from there to b. The
+    reach gives up (False) at a row with no reachable run, or once the runs
+    outnumber _REACH_RUNS_PER_POINT * (m + n).
+    """
+    m, n = scan.za.size, scan.zb.size
+    rows, width = len(scan.d), n + 1
+    # The free mask with one False column on each side, so every run has a
+    # start edge and an end edge in `edges`.
+    free = np.zeros((rows, n + 2), bool)
+    edges = np.empty((rows, width), bool)
+    runs_left = _REACH_RUNS_PER_POINT * (m + n)
+    # The reachable intervals of row `row` and of the row above it. Row -1
+    # reaches only column -1, so row 0 is entered at column 0 alone.
+    row, firsts, lasts = -1, [-1], [-1]
+    for start, dz, d in scan:
+        window.add(dz, d)
+        free_rows, edge_rows = free[: len(d)], edges[: len(d)]
+        np.less_equal(d, bound, out=free_rows[:, 1:-1])
+        np.logical_xor(free_rows[:, 1:], free_rows[:, :-1], out=edge_rows)
+        flips = np.flatnonzero(edge_rows).tolist()
+        runs_left -= len(flips) // 2
+        if runs_left < 0:
+            return False
+        # Edges alternate between a run's first column and one past its
+        # last, at flat positions (row - start) * width + column.
+        base, edge = start * width, iter(flips)
+        for p, q in zip(edge, edge):
+            i, a = divmod(base + p, width)
+            if i != row:
+                if not lasts or i != row + 1:
+                    return False
+                row, above_firsts, above_lasts, firsts, lasts = i, firsts, lasts, [], []
+            k = bisect_left(above_lasts, a - 1)
+            if k < len(above_lasts):
+                entry, b = max(a, above_firsts[k]), a + q - p - 1
+                if entry <= b:
+                    firsts.append(entry)
+                    lasts.append(b)
+    return row == m - 1 and bool(lasts) and lasts[-1] == n - 1
+
+
+def _certify(scan: _Scan, fast: float) -> float | None:
+    """The exact DP value, if the fast DP value `fast` pins it down
+    (_Window); else None."""
+    window = _Window(fast)
+    for _, dz, d in scan:
+        window.add(dz, d)
+        if not window.certified:
+            return None
+    return window.result()
 
 
 def discrete_frechet(a: Curve, b: Curve) -> float:
@@ -209,27 +322,58 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     dp[i, j] = max(min(dp[i-1, j], dp[i, j-1], dp[i-1, j-1]), d(i, j)),
     where d(i, j) is math.hypot of the float64 coordinate differences.
 
-    Computed in two stages. The filter runs the DP once as an anti-diagonal
-    wavefront on fast distances, np.abs of complex differences, which agree
-    with math.hypot to within FAST_DISTANCE_REL relative plus
-    FAST_DISTANCE_ABS. The DP only takes mins and maxes, which commute with
-    that monotone slack, so the exact result is the math.hypot distance of
-    a cell whose fast distance lies in a window around the fast result.
-    The certification scans all cells for that window, in blocks of fixed
-    size, and computes math.hypot on the few inside. If they all share one
-    exact distance, that is the result; otherwise the wavefront runs again
-    with math.hypot distances. Overflowing differences give inf in both.
+    Fast distances, np.abs of complex differences, agree with math.hypot to
+    within FAST_DISTANCE_REL relative plus FAST_DISTANCE_ABS. The DP only
+    takes mins and maxes, which commute with that monotone slack, so the
+    exact result is the math.hypot distance of a cell whose fast distance
+    lies in a window around the fast DP value. Computed in three stages:
 
-    The result is bit-identical to the row-by-row DP on math.hypot
-    distances, exactly symmetric, and zero exactly when the point sequences
-    coincide. O(m*n) time, O(m+n) memory: no m x n array is built.
+    1. Bound and reach, always. One scan of the fast distances gives a
+       lower bound B on the fast DP value: the largest of every row's and
+       every column's minimum and both end cells' distances. A second scan
+       follows the free cells, fast distance <= B, row by row, in the
+       decision procedure of Alt & Godau (1995). If a monotone path of free
+       cells joins the end cells, the fast DP value is B; the same scan
+       gathers the cells of the window around B and computes math.hypot on
+       the few inside. If they all share one exact distance, that is the
+       result, and no wavefront runs.
+    2. Fast wavefront, only when no free path was found: the couplings of
+       noisy or zig-zag curves often leave the row and column minima, and
+       the reach gives up on free cells broken into more than
+       _REACH_RUNS_PER_POINT runs per point. The DP runs as an
+       anti-diagonal wavefront on fast distances, and a third scan
+       certifies the window around its value as in stage 1.
+    3. Exact wavefront, only when a window holds two distinct exact
+       distances: the wavefront runs again with math.hypot distances.
+
+    np.abs of a block and of a diagonal may differ in the last bit, so the
+    proved B and the fast wavefront's value may too; the window's slack
+    covers either. Overflowing differences give inf in both kernels.
+
+    Each stage returns only an exact distance proved to be the exact DP
+    value, so the result is bit-identical to the row-by-row DP on
+    math.hypot distances, exactly symmetric, and zero exactly when the
+    point sequences coincide. O(m*n) time, O(m+n) memory: every scan fills
+    the same buffers of _SCAN_BLOCK_CELLS cells, the reach keeps the
+    intervals of two rows, and each wavefront a few diagonals; no m x n
+    array is built.
     """
     za, zb = _points(a), _points(b)
+    scan = _Scan(za, zb)
     with np.errstate(over="ignore"):
-        fast = _wavefront(za, zb, np.abs)
-        value = _certify(za, zb, fast)
-        if value is None:
-            value = _wavefront(za, zb, _exact_distances)
+        # Restored by hand too: numpy 1.x does not tie it to errstate.
+        bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+        try:
+            bound = _lower_bound(scan)
+            window = _Window(bound)
+            if _reaches(scan, bound, window):
+                value = window.result()
+            else:
+                value = _certify(scan, _wavefront(za, zb, np.abs))
+            if value is None:
+                value = _wavefront(za, zb, _exact_distances)
+        finally:
+            np.setbufsize(bufsize)
     return value
 
 

@@ -11,13 +11,15 @@ bit for bit the scalar loop start + i*step, and every length-ratio flag one
 of the three RATIO_* constants. The complete elliptic integrals must match
 mpmath to 1e-15 relative, be exact at the circle and where the squared axis
 ratio underflows, and give each element of an array the bits of its own
-call. The Frechet DP must give exactly the row-by-row DP's result, also on
-near ties that send it to its exact fallback, be exactly symmetric, and be
-zero only on identical point sequences; its fast distances must stay within
-the certification slack of math.hypot.
+call. The Frechet DP must give exactly the row-by-row DP's result, whether
+a free path proves its lower bound or the wavefront runs, also on near ties
+that send it to its exact fallback, be exactly symmetric, and be zero only
+on identical point sequences; its fast distances must stay within the
+certification slack of math.hypot.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -424,11 +426,18 @@ def curve_pairs(draw):
     or be some of a's points shifted by one offset in y with one point
     nudged a few ulps, which makes near ties: distinct exact distances a
     few ulps apart, so discrete_frechet's certification falls back to the
-    exact DP."""
+    exact DP. A close b is a's polyline resampled at n points with small
+    noise in y: about half of such pairs have a free path at the lower
+    bound and half do not, so both the proved value and the fast wavefront
+    are drawn."""
     m, n = draw(curve_sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = seeded_curve(rng, m)
-    kind = draw(st.sampled_from(["independent", "shared", "near_tie"])) if n <= m else ""
+    kinds = ["independent", "close"] + (["shared", "near_tie"] if n <= m else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "close":
+        x = np.linspace(a.x[0], a.x[-1], n)
+        return a, Curve(x, np.interp(x, a.x, a.y) + rng.normal(0.0, 0.01 * np.std(a.y), n))
     if kind in ("shared", "near_tie"):
         idx = np.sort(rng.choice(m, n, replace=False))
         if kind == "shared":
@@ -502,26 +511,126 @@ def wavefront_kernels(monkeypatch):
     return kernels
 
 
+@pytest.fixture
+def reach_results(monkeypatch):
+    """Whether each free-space reach that discrete_frechet runs finds a path."""
+    results = []
+    reaches = validation._reaches
+
+    def spy(*args):
+        results.append(reaches(*args))
+        return results[-1]
+
+    monkeypatch.setattr(validation, "_reaches", spy)
+    return results
+
+
 def test_frechet_near_tie_falls_back_to_exact_dp(wavefront_kernels):
-    # The optimum is d(1, 1) = 1 + 2**-52; d(0, 0) = 1 lies in the window
-    # around the fast value, so the window holds two exact values.
+    # The optimum is d(1, 1) = 1 + 2**-52, the lower bound, and the diagonal
+    # reaches it, so no fast wavefront runs; d(0, 0) = 1 lies in the window
+    # around that value, so the window holds two exact values.
     a = Curve([0.0, 1.0], [0.0, 0.0])
     b = Curve([0.0, 1.0], [1.0, 1.0 + 2.0**-52])
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == 1.0 + 2.0**-52
-    assert wavefront_kernels == [np.abs, validation._exact_distances]
+    assert wavefront_kernels == [validation._exact_distances]
 
 
-def test_frechet_certifies_long_force_curves(wavefront_kernels):
-    # validate_long-like pairs: rising, slightly curved, noisy 300 x 260 curves.
+def force_curve_pairs(count):
+    """validate_long-like pairs: rising, slightly curved, noisy 300 x 260 curves."""
     rng = np.random.default_rng(9)
-    for _ in range(3):
+    for _ in range(count):
         p_max, gain, bend = rng.uniform(0.3, 0.5), rng.uniform(20.0, 40.0), rng.uniform(-15.0, 15.0)
         xr = np.linspace(0.0, p_max, 260)
         xm = np.linspace(0.0, p_max * rng.uniform(0.97, 1.03), 300)
         ref = Curve(xr, gain * xr + bend * xr**2 + rng.normal(0.0, 0.05, 260))
         model = Curve(xm, 1.05 * gain * xm + bend * xm**2 + rng.normal(0.0, 0.02, 300))
+        yield model, ref
+
+
+def test_frechet_certifies_long_force_curves(wavefront_kernels):
+    for model, ref in force_curve_pairs(3):
         assert discrete_frechet(model, ref) == row_by_row_frechet(model, ref)
-    assert wavefront_kernels == [np.abs] * 3
+    # The lower bound is proved and certified: no wavefront runs.
+    assert wavefront_kernels == []
+
+
+def test_frechet_scans_keep_one_set_of_block_buffers():
+    # Every scan fills the same 96 KB of block buffers. A second set alive
+    # at once, or numpy's 126 KB copy of a block's broadcast operand under
+    # the default ufunc buffer, would take the peak past the bound.
+    model, ref = next(force_curve_pairs(1))
+    tracemalloc.start()
+    try:
+        discrete_frechet(model, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * 1024
+
+
+@pytest.mark.parametrize("a_points, b_points, bound", [
+    # The middle column's minimum: b's middle point is far from all of a.
+    ([(0.0, 0.0), (2.0, 0.0)], [(0.0, 0.0), (1.0, 5.0), (2.0, 0.0)], math.hypot(1.0, 5.0)),
+    # The middle row's minimum, the same pair swapped.
+    ([(0.0, 0.0), (1.0, 5.0), (2.0, 0.0)], [(0.0, 0.0), (2.0, 0.0)], math.hypot(1.0, 5.0)),
+    # d(0, 0): each of the first points is nearer to a later one.
+    ([(0.0, 0.0), (1.0, 5.0), (2.0, 0.0)], [(0.0, 5.0), (1.0, 0.0), (2.0, 0.0)], 5.0),
+    # d(m-1, n-1), the same pair reversed.
+    ([(0.0, 0.0), (1.0, 0.0), (2.0, 5.0)], [(0.0, 0.0), (1.0, 5.0), (2.0, 0.0)], 5.0),
+])
+def test_frechet_lower_bound_takes_every_part(a_points, b_points, bound, reach_results, wavefront_kernels):
+    # The value is each case's one part of the bound that is not a row or
+    # column minimum below it, so a bound without that part has no free path.
+    a, b = Curve.from_points(a_points), Curve.from_points(b_points)
+    assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == bound
+    assert reach_results == [True]
+    assert wavefront_kernels == []
+
+
+@pytest.mark.parametrize("a_points, b_points", [
+    # Row 1 has no free cell; rows 0 and 2 alone would join the end cells.
+    ([(0.0, 0.0), (1.0, 10.0), (2.0, 0.0)], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+    # The last row has no free cell.
+    ([(0.0, 0.0), (1.0, 0.0), (2.0, 10.0)], [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]),
+    # Every cell but (0, 0) is free.
+    ([(1.0, 0.0), (2.0, 0.0)], [(0.0, 10.0), (1.0, 0.0), (2.0, 0.0)]),
+])
+def test_reach_needs_a_free_cell_in_every_row_and_at_both_ends(a_points, b_points):
+    # Below the lower bound such cells can be missing; at the threshold 1.0
+    # no free path joins the end cells, and the reach must not find one.
+    za, zb = (validation._points(Curve.from_points(p)) for p in (a_points, b_points))
+    assert not validation._reaches(validation._Scan(za, zb), 1.0, validation._Window(1.0))
+
+
+def test_frechet_restores_numpy_settings():
+    before = np.getbufsize(), np.geterr()
+    discrete_frechet(*next(force_curve_pairs(1)))
+    assert (np.getbufsize(), np.geterr()) == before
+
+
+def noise_curve(rng, size):
+    """Increasing x in (0, 1] under N(0, 1) noise in y: in effect independent
+    noise, whose couplings rarely follow the row and column minima."""
+    x = np.cumsum(rng.uniform(0.5, 1.0, size))
+    return Curve(x / x[-1], rng.normal(0.0, 1.0, size))
+
+
+def zigzag_curve(size, phase):
+    return Curve(np.linspace(0.0, 1.0, size), np.where(np.arange(size) % 2 == phase, 1.0, -1.0))
+
+
+@pytest.mark.parametrize("make_pair", [
+    lambda rng: (noise_curve(rng, 400), noise_curve(rng, 400)),
+    # Every other cell of a row is free: the runs pass the reach's cap.
+    lambda rng: (zigzag_curve(400, 0), zigzag_curve(400, 1)),
+    lambda rng: (noise_curve(rng, 5000), noise_curve(rng, 3)),
+    lambda rng: (noise_curve(rng, 3), noise_curve(rng, 5000)),
+], ids=["noise_400x400", "zigzag_400x400", "noise_5000x3", "noise_3x5000"])
+def test_frechet_without_a_free_path_runs_the_wavefront(make_pair, reach_results, wavefront_kernels):
+    a, b = make_pair(np.random.default_rng(0))
+    assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
+    assert reach_results == [False]
+    assert wavefront_kernels[0] is np.abs
 
 
 @pytest.mark.parametrize("a_points, b_points, expected", [
