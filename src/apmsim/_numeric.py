@@ -52,6 +52,14 @@ def first_index(mask: np.ndarray) -> int | None:
     return i if mask[i] else None
 
 
+def reject(mask: np.ndarray, message) -> None:
+    """Raise DomainError(message(i)) at the first true element i of a flat
+    boolean array; do nothing when no element is true."""
+    i = first_index(mask)
+    if i is not None:
+        raise DomainError(message(i))
+
+
 def bracketed_newton(func, lo, hi, x: np.ndarray, tol) -> np.ndarray:
     """Roots of increasing functions, one per element of the flat array x.
 

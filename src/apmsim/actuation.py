@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._numeric import check_positive_finite, first_index, flatten, unflatten
+from ._numeric import check_positive_finite, flatten, reject, unflatten
 from .errors import DataError, DomainError, UnbracketedRootError
 from .geometry import (
     MyofibrilSpec,
@@ -161,9 +161,7 @@ def junction_stretch(
 
 def _check_pressure(pressure: float | np.ndarray) -> None:
     flat = np.ravel(pressure)
-    bad = first_index(~(flat >= 0.0))
-    if bad is not None:
-        raise DomainError(f"pressure must be non-negative, got {flat[bad]}")
+    reject(~(flat >= 0.0), lambda i: f"pressure must be non-negative, got {flat[i]}")
 
 
 def adjustment_coefficient(
@@ -176,9 +174,7 @@ def adjustment_coefficient(
     negative or NaN ratio or pressure raises DomainError.
     """
     ratio = np.ravel(tw_hch_ratio)
-    bad = first_index(~(ratio >= 0.0))
-    if bad is not None:
-        raise DomainError(f"wall ratio must be non-negative, got {ratio[bad]}")
+    reject(~(ratio >= 0.0), lambda i: f"wall ratio must be non-negative, got {ratio[i]}")
     _check_pressure(pressure)
     return _CM_RATIO_SLOPE * tw_hch_ratio + _CM_PRESSURE_SLOPE * pressure + _CM_INTERCEPT
 
@@ -214,9 +210,8 @@ def restoring_force(lambda_jz: float, spa: SpaGeometry, material: YeohMaterial) 
 def contraction_force(f_spa: float | np.ndarray, theta: float | np.ndarray) -> float | np.ndarray:
     """Contraction force F_contr = F_spa * tan(theta), theta in (0, pi/2)."""
     shape, (force, angle) = flatten(f_spa, theta)
-    bad = first_index(~((0.0 < angle) & (angle < math.pi / 2.0)))
-    if bad is not None:
-        raise DomainError(f"theta must lie in (0, pi/2), got {angle[bad]}")
+    outside = ~((0.0 < angle) & (angle < math.pi / 2.0))
+    reject(outside, lambda i: f"theta must lie in (0, pi/2), got {angle[i]}")
     return unflatten(force * np.tan(angle), shape)
 
 
@@ -285,9 +280,7 @@ def simulate_pressure(
     # bound rules out every such case, so the state is checked on its way out.
     for name, value in zip(ActuationState._fields, state[:-1]):
         flat = np.ravel(value)
-        bad = first_index(~np.isfinite(flat))
-        if bad is not None:
-            raise DomainError(f"{name} is not finite ({flat[bad]})")
+        reject(~np.isfinite(flat), lambda i: f"{name} is not finite ({flat[i]})")
     return state
 
 

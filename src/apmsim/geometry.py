@@ -24,7 +24,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from ._numeric import bracketed_newton, check_positive_finite, first_index, flatten, unflatten
+from ._numeric import bracketed_newton, check_positive_finite, flatten, reject, unflatten
 from .errors import DomainError
 from .material import YeohMaterial
 
@@ -232,9 +232,7 @@ def check_length_ratio(
     constants themselves.
     """
     shape, (cur, rest) = flatten(current, resting)
-    bad = first_index(rest <= 0.0)
-    if bad is not None:
-        raise DomainError(f"resting length must be positive, got {rest[bad]}")
+    reject(rest <= 0.0, lambda i: f"resting length must be positive, got {rest[i]}")
     ratio = cur / rest
     flags = _RATIO_FLAGS[(ratio < LENGTH_RATIO_MIN) + 2 * (ratio > LENGTH_RATIO_MAX)]
     return unflatten(flags, shape)
@@ -283,16 +281,13 @@ def semi_ellipse_arc_length(r1: float | np.ndarray, r2: float | np.ndarray) -> f
     together. Raises DomainError unless r2 > 0 and r1 >= r2; NaN fails both.
     """
     shape, (major, minor) = flatten(r1, r2)
-    bad = first_index(~(minor > 0.0))
-    if bad is not None:
-        raise DomainError(f"minor semi-axis must be positive, got {minor[bad]}")
+    reject(~(minor > 0.0), lambda i: f"minor semi-axis must be positive, got {minor[i]}")
     # Written so that a NaN major semi-axis fails too.
-    bad = first_index(~(major >= minor))
-    if bad is not None:
-        raise DomainError(
-            f"major semi-axis {major[bad]} must not be smaller than minor {minor[bad]}; "
-            "orient the axes before constructing"
-        )
+    reject(
+        ~(major >= minor),
+        lambda i: f"major semi-axis {major[i]} must not be smaller than minor {minor[i]}; "
+        "orient the axes before constructing",
+    )
     return unflatten(2.0 * major * _ellip_e(minor / major), shape)
 
 
@@ -319,13 +314,8 @@ def solve_major_axis(
     when the solve misses its tolerance within the iteration cap.
     """
     shape, (arc, chord) = flatten(arc_length, minor_diameter)
-    if first_index(~((arc > 0.0) & (chord > 0.0))) is not None:
-        raise DomainError("arc length and chord must be positive")
-    bad = first_index(arc <= chord)
-    if bad is not None:
-        raise DomainError(
-            f"arc length {arc[bad]:.6g} must exceed the vertical chord {chord[bad]:.6g}"
-        )
+    reject(~((arc > 0.0) & (chord > 0.0)), lambda i: "arc length and chord must be positive")
+    reject(arc <= chord, lambda i: f"arc length {arc[i]:.6g} must exceed the vertical chord {chord[i]:.6g}")
     b = chord / 2.0
     circle = np.abs(arc - math.pi * b) <= _CIRCLE_SNAP_REL * arc
     # Ramanujan's first formula puts the arc at
@@ -402,15 +392,12 @@ def _axis_and_length(record: SimpleNamespace, delta_hm: float | np.ndarray) -> t
     # delta_hm, and the myofibril length n * (a_band + 2*r1), for a _record of
     # _lengths; its values and delta_hm are floats or ndarrays that broadcast
     # together. A NaN rest chord fails the check.
-    chord = np.ravel(record.rest_chord)
-    bad = first_index(~(chord > 0.0))
-    if bad is not None:
-        raise DomainError(
-            f"myosin_height leaves no room for the actin chord (chord={chord[bad]:.6g} mm)"
-        )
-    bad = first_index(np.ravel(delta_hm) < 0.0)
-    if bad is not None:
-        raise DomainError(f"delta_hm must be non-negative, got {np.ravel(delta_hm)[bad]}")
+    chord, delta = np.ravel(record.rest_chord), np.ravel(delta_hm)
+    reject(
+        ~(chord > 0.0),
+        lambda i: f"myosin_height leaves no room for the actin chord (chord={chord[i]:.6g} mm)",
+    )
+    reject(delta < 0.0, lambda i: f"delta_hm must be non-negative, got {delta[i]}")
     r1 = solve_major_axis(record.actin_arc, record.rest_chord + delta_hm)
     return r1, record.n * (record.a_band + 2.0 * r1)
 
@@ -443,18 +430,13 @@ def contraction_angle(
     >= 1) or the argument is non-positive or NaN.
     """
     shape, (lam, arc) = flatten(lambda_jz, actin_arc)
-    bad = first_index(~(arc > 0.0))
-    if bad is not None:
-        raise DomainError(f"actin arc must be positive, got {arc[bad]}")
+    reject(~(arc > 0.0), lambda i: f"actin arc must be positive, got {arc[i]}")
     stacked = 2.0 * spa.t_w + spa.h_ch + 2.0 * lam * spa.h_jz
     ratio = stacked / arc
-    bad = first_index(ratio >= 1.0)
-    if bad is not None:
-        raise DomainError(
-            f"actin arc {arc[bad]:.6g} mm too short for the stacked height "
-            f"{stacked[bad]:.6g} mm (cos(theta) >= 1)"
-        )
-    bad = first_index(~(ratio > 0.0))
-    if bad is not None:
-        raise DomainError(f"cos(theta) must be positive, got {ratio[bad]:.6g}")
+    reject(
+        ratio >= 1.0,
+        lambda i: f"actin arc {arc[i]:.6g} mm too short for the stacked height "
+        f"{stacked[i]:.6g} mm (cos(theta) >= 1)",
+    )
+    reject(~(ratio > 0.0), lambda i: f"cos(theta) must be positive, got {ratio[i]:.6g}")
     return unflatten(np.arccos(ratio), shape)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import bracketed_newton, check_positive_finite, first_index, flatten, unflatten
+from ._numeric import bracketed_newton, check_positive_finite, first_index, flatten, reject, unflatten
 from .errors import DomainError, UnbracketedRootError
 
 # Default upper end of the stretch bracket used for stress inversion and for
@@ -58,20 +58,18 @@ class YeohMaterial:
         lam = 1.0 + (DEFAULT_LAMBDA_MAX - 1.0) * k / _MONOTONICITY_SAMPLES
         stress = cauchy_stress(self, lam)
         # Each sample must exceed the one before it; the first one, sigma(1) = 0.
-        fold = first_index(stress <= np.concatenate(([0.0], stress[:-1])))
-        if fold is not None:
-            raise DomainError(
-                f"{self.name}: Cauchy stress is not strictly increasing on "
-                f"[1, {DEFAULT_LAMBDA_MAX}] (sampled near lambda={lam[fold]:.4f})"
-            )
+        reject(
+            stress <= np.concatenate(([0.0], stress[:-1])),
+            lambda i: f"{self.name}: Cauchy stress is not strictly increasing on "
+            f"[1, {DEFAULT_LAMBDA_MAX}] (sampled near lambda={lam[i]:.4f})",
+        )
 
 
 def _i1_minus_3(lam: float | np.ndarray) -> float | np.ndarray:
     # u = I1 - 3 at a uniaxial stretch lam >= 1 (up to solver noise), a float
     # or an ndarray; I1 = lam^2 + 1/lam^2 + 1 is summed before the 3 comes off.
-    low = first_index(np.ravel(lam) < 1.0 - 1e-9)
-    if low is not None:
-        raise DomainError(f"stretch ratio must be >= 1, got {np.ravel(lam)[low]}")
+    flat = np.ravel(lam)
+    reject(flat < 1.0 - 1e-9, lambda i: f"stretch ratio must be >= 1, got {flat[i]}")
     return lam * lam + 1.0 / (lam * lam) + 1.0 - 3.0
 
 
@@ -125,9 +123,7 @@ def inverse_cauchy_stress(material: YeohMaterial, sigma: float | np.ndarray) -> 
     sigma exceeds the stress at DEFAULT_LAMBDA_MAX.
     """
     shape, (target, sigma_cap) = flatten(sigma, cauchy_stress(material, DEFAULT_LAMBDA_MAX))
-    bad = first_index(~(target >= 0.0))
-    if bad is not None:
-        raise DomainError(f"stress must be non-negative, got {target[bad]}")
+    reject(~(target >= 0.0), lambda i: f"stress must be non-negative, got {target[i]}")
     over = first_index(target > sigma_cap)
     if over is not None:
         raise UnbracketedRootError(
@@ -155,14 +151,11 @@ def wall_stress_factor(t_w: float | np.ndarray, h_ch: float | np.ndarray) -> flo
     whose K is not a finite float (a subnormal t_w), raise DomainError.
     """
     shape, (t, h) = flatten(t_w, h_ch)
-    bad = first_index(~((t > 0.0) & (h > 0.0)))
-    if bad is not None:
-        raise DomainError(f"wall dimensions must be positive, got t_w={t[bad]}, h_ch={h[bad]}")
+    bad = ~((t > 0.0) & (h > 0.0))
+    reject(bad, lambda i: f"wall dimensions must be positive, got t_w={t[i]}, h_ch={h[i]}")
     with np.errstate(all="ignore"):
         k = np.where(t < h / 4.0, h / (2.0 * t), 1.0 + h * h / (2.0 * t * (t + h)))
-    bad = first_index(~np.isfinite(k))
-    if bad is not None:
-        raise DomainError(f"wall stress factor is not finite for t_w={t[bad]}, h_ch={h[bad]}")
+    reject(~np.isfinite(k), lambda i: f"wall stress factor is not finite for t_w={t[i]}, h_ch={h[i]}")
     return unflatten(k, shape)
 
 
