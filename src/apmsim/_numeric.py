@@ -5,7 +5,8 @@ float arrays, where a float is the size-1 case, and return an array of the
 input's shape, or a plain Python value for a float input. bracketed_newton is
 the one root solver behind the stress inverse and the half-ellipse axis
 solve; check_positive_finite is the one check behind every dimension and
-coefficient that must be a finite positive number.
+coefficient that must be a finite positive number, and reject the one check
+behind every array domain: it names the first element that fails.
 """
 
 from __future__ import annotations

@@ -69,9 +69,8 @@ class PressureSweep:
             )
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise DomainError(f"step must be positive and finite, got {self.step}")
-        # pressures() has floor(q + 0.5) + 1 points; q + 0.5 is checked as a
-        # float, so an overflowing count is rejected before any grid is built.
-        if not (self.end - self.start) / self.step + 0.5 < MAX_GRID_POINTS:
+        # The count is checked before any grid is built.
+        if not self._count() <= MAX_GRID_POINTS:
             raise DomainError(
                 f"grid start={self.start}, end={self.end}, step={self.step} "
                 f"has more than {MAX_GRID_POINTS} points"
@@ -82,11 +81,16 @@ class PressureSweep:
         within half a step of the last increment."""
         return self._grid().tolist()
 
+    def _count(self) -> float:
+        # The number of grid points, floor(q + 0.5) + 1 for q = (end - start)
+        # / step, or inf when q overflows a float; it builds no grid.
+        q = (self.end - self.start) / self.step
+        return math.floor(q + 0.5) + 1 if q < math.inf else math.inf
+
     def _grid(self) -> np.ndarray:
         # i*step + start for each i is the same IEEE multiply and add as
         # start + i*step, so the points are bit for bit those of the loop.
-        count = math.floor((self.end - self.start) / self.step + 0.5)
-        return np.arange(count + 1) * self.step + self.start
+        return np.arange(self._count()) * self.step + self.start
 
 
 class ActuationState(NamedTuple):
@@ -180,12 +184,16 @@ def adjustment_coefficient(
 
 
 def expansion_force(
-    pressure: float, spa: SpaGeometry, lambda_jz: float, c_m: float
-) -> float:
+    pressure: float | np.ndarray,
+    spa: SpaGeometry,
+    lambda_jz: float | np.ndarray,
+    c_m: float | np.ndarray,
+) -> float | np.ndarray:
     """Expansion force F_e (N) driving the junction zone apart.
 
     F_e = c_m * P * pi * a_ch * (lambda_jz*h_jz + h_ch + 2*t_w); zero at
-    zero pressure and affine-increasing in lambda_jz.
+    zero pressure and affine-increasing in lambda_jz. Floats or ndarrays
+    that broadcast together.
     """
     return (
         c_m
@@ -196,13 +204,15 @@ def expansion_force(
     )
 
 
-def restoring_force(lambda_jz: float, spa: SpaGeometry, material: YeohMaterial) -> float:
+def restoring_force(
+    lambda_jz: float | np.ndarray, spa: SpaGeometry, material: YeohMaterial
+) -> float | np.ndarray:
     """Elastic restoring force F_r (N) of the stretched junction zone.
 
-    The junction stress at lambda_jz acts on the H-zone cross-section:
-    F_r = cauchy_stress(lambda_jz) * a_hz * b_hz. By construction of
-    junction_stretch this equals the wall force 2*sigma_w*a_ch*b_ch up to the
-    inversion tolerance.
+    The junction stress at lambda_jz (a float or an ndarray) acts on the
+    H-zone cross-section: F_r = cauchy_stress(lambda_jz) * a_hz * b_hz. By
+    construction of junction_stretch this equals the wall force
+    2*sigma_w*a_ch*b_ch up to the inversion tolerance.
     """
     return cauchy_stress(material, lambda_jz) * spa.a_hz * spa.b_hz
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from ._numeric import check_positive_finite
-from .actuation import ActuationState, PressureSweep, simulate_cells
+from .actuation import MAX_GRID_POINTS, ActuationState, PressureSweep, simulate_cells
 from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simulate_sweep)
 from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
@@ -240,6 +240,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     _check_distinct(names, "material", "--materials")
     _check_distinct(ratios, "wall ratio", "--ratios")
     materials = [builtin_material(name) for name in names]
+    # All cells run as one pass, so their points together obey one grid's cap.
+    total = len(ratios) * sum(config.sweep_for_material(m.name)._count() for m in materials)
+    if total > MAX_GRID_POINTS:
+        raise ConfigError(f"sweep has {total} points in all, more than {MAX_GRID_POINTS}")
 
     # Cells in material-then-ratio order, all evaluated in one pass. A cell
     # that fails to build is reported only when every cell before it

@@ -9,6 +9,7 @@ import string
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -20,9 +21,9 @@ from hypothesis import strategies as st
 
 import apmsim
 from apmsim import actuation, cli, validation
-from apmsim.actuation import ActuationState, simulate_sweep
+from apmsim.actuation import MAX_GRID_POINTS, ActuationState, simulate_sweep
 from apmsim.cli import main
-from apmsim.config import GRAMMAR, builtin_material, load_config, parse_ratio
+from apmsim.config import GRAMMAR, RunConfig, builtin_material, load_config, parse_ratio
 from apmsim.errors import ConfigError, DomainError
 from apmsim.validation import MAX_QUANTILES
 
@@ -554,6 +555,31 @@ def run_quietly(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def check_cli_contract(run, finite, codes=(0, 2, 3)):
+    """Check the contract that every CLI run keeps, and return its result.
+
+    run() runs the command once, from a clean state, and returns
+    ((code, stdout, stderr), written), written being what the run left in
+    files (empty or None when nothing). The code is one of codes and stderr
+    holds no traceback. An error leaves stdout empty, writes nothing and
+    prints one line: "error: " for exit 2, "model error: " for exit 3. Exit 0
+    prints nothing to stderr, and finite(stdout, written) holds: every number
+    of the output is finite. A rerun gives the same result.
+    """
+    (code, out, err), written = result = run()
+    assert code in codes
+    assert "Traceback" not in err
+    if code:
+        assert out == "" and not written
+        assert err.endswith("\n") and err.splitlines() == [err[:-1]]
+        assert err.startswith("error: " if code == 2 else "model error: ")
+    else:
+        assert err == ""
+        assert finite(out, written)
+    assert run() == result
+    return result
+
+
 # A third of the examples carry no fault in names, so 600 examples keep 200
 # runs that fuzz the values alone.
 @settings(max_examples=600, deadline=None)
@@ -576,21 +602,16 @@ def test_config_fuzz_exits_0_2_or_3(values, fault):
         if sweep is not None and len(sweep.pressures()) > 10:
             reject()
         argv = ["simulate", "--config", str(config), "--out", str(out)]
-        code, stdout, err = run_quietly(argv)
-        assert code in (0, 2, 3)
+
+        def run():
+            out.unlink(missing_ok=True)
+            return run_quietly(argv), out.read_bytes() if out.exists() else None
+
+        (code, stdout, err), _ = check_cli_contract(
+            run, lambda stdout, written: finite_output("csv", written.decode("utf-8")))
         assert stdout == ""
         if fault is not None:
             assert (code, err) == (2, message)
-        if code:
-            assert len(err.splitlines()) == 1
-            assert err.startswith(("error: ", "model error: "))
-        else:
-            first = out.read_bytes()
-            assert run_quietly(argv) == (0, "", err)
-            assert out.read_bytes() == first
-            rows = [line.split(",") for line in first.decode("utf-8").splitlines()[1:]]
-            assert rows
-            assert all(math.isfinite(float(text)) for row in rows for text in row[:-1])
 
 
 # ------------------------------------------------------------------ validate
@@ -973,6 +994,51 @@ def test_sweep_rejects_duplicate_materials(materials, capsys):
     assert captured.out == ""
 
 
+def test_sweep_over_the_point_cap_exit_2_before_any_cell(study_config, monkeypatch, capsys):
+    # Two ratios of a 50 001-point [sweep] are 100 002 points in one pass,
+    # which would need about 100 MB; the sweep stops before it builds a cell.
+    config = study_config.with_name("huge.ini")
+    config.write_text(STUDY_CONFIG + "\n[sweep]\nstart = 0\nend = 0.5\nstep = 0.00001\n", encoding="utf-8")
+    assert load_config(config).sweep._count() == 50_001
+    calls = []
+    monkeypatch.setattr(cli, "simulate_cells", lambda cells: calls.append("simulate_cells"))
+    monkeypatch.setattr(RunConfig, "spec_with_spa", lambda *args: calls.append("spec_with_spa"))
+    argv = ["sweep", "--config", str(config), "--materials", "dragonskin-30", "--ratios", "1/4,1/2"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: sweep has 100002 points in all, more than {MAX_GRID_POINTS}\n"
+    assert calls == []
+    # Not one grid of the pass: 100 002 float64 points alone are 800 KB.
+    assert peak < 400_000
+
+
+@pytest.mark.parametrize("materials, ratios, points", [
+    # The built-in grids have 10 (dragonskin-30) and 11 (ecoflex-00-30) points.
+    ("dragonskin-30", "1/4,1/2", 20),
+    ("dragonskin-30", "1/4,1/2,1", 30),
+    ("dragonskin-30,ecoflex-00-30", "1/2", 21),
+    ("ecoflex-00-30", "1/4", 11),
+])
+def test_sweep_point_cap_counts_every_cell(materials, ratios, points, study_config, monkeypatch, capsys):
+    # At a cap of 20 points both sides of the boundary are cheap to run.
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 20)
+    argv = ["sweep", "--config", str(study_config), "--materials", materials, "--ratios", ratios]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if points > 20:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: sweep has {points} points in all, more than 20\n"
+    else:
+        assert (code, captured.err) == (0, "")
+        assert len(captured.out.splitlines()) == 1 + points
+
+
 SHIPPED_PROTOTYPE = SHIPPED_STUDY.with_name("prototype.ini")
 STUDY_MATERIALS = ("ecoflex-00-30", "elastosil-m4601", "smooth-sil-950", "dragonskin-30")
 
@@ -1041,17 +1107,7 @@ def test_sweep_lists_fuzz_exits_0_2_or_3(materials, ratios):
     for fmt in ("csv", "json"):
         argv = ["sweep", "--config", str(SHIPPED_STUDY), f"--materials={materials}",
                 f"--ratios={ratios}", "--format", fmt]
-        code, out, err = run_quietly(argv)
-        assert code in (0, 2, 3)
-        assert "Traceback" not in err
-        if code:
-            assert out == ""
-            assert len(err.splitlines()) == 1
-            assert err.startswith(("error: ", "model error: "))
-        else:
-            assert err == ""
-            assert finite_output(fmt, out)
-        assert run_quietly(argv) == (code, out, err)
+        check_cli_contract(lambda: (run_quietly(argv), None), lambda out, _: finite_output(fmt, out))
 
 
 # [output] format texts: half of them csv or json in any case and padding,
@@ -1109,22 +1165,15 @@ def test_config_output_and_name_fuzz_exits_0_2_or_3(name, inline, broken, path, 
             written = set(os.listdir()) - {CONFIG_NAME}
             return result, {entry: Path(entry).read_bytes() for entry in written}
 
+        def finite(out, written):
+            config = load_config(CONFIG_NAME)
+            assert written.keys() == ({config.out_path} if config.out_path else set())
+            return finite_output(config.out_format, out or written[config.out_path].decode("utf-8"))
+
         for argv in (["simulate", "--config", CONFIG_NAME],
                      ["sweep", "--config", CONFIG_NAME, "--materials", "dragonskin-30",
                       "--ratios", "1/2"]):
-            (code, out, err), written = run(argv)
-            assert code in (0, 2, 3)
-            assert "Traceback" not in err
-            if code:
-                assert out == "" and written == {}
-                assert err.count("\n") == 1 and err.startswith(("error: ", "model error: "))
-            else:
-                config = load_config(CONFIG_NAME)
-                assert err == ""
-                assert written.keys() == ({config.out_path} if config.out_path else set())
-                text = out or written[config.out_path].decode("utf-8")
-                assert finite_output(config.out_format, text)
-            assert run(argv) == ((code, out, err), written)
+            check_cli_contract(lambda: run(argv), finite)
 
 
 # Texts of one curve CSV field: plain numbers, the float extremes and the
@@ -1180,21 +1229,14 @@ def test_validate_curve_csv_fuzz_exits_0_or_2(model, reference, resample, qq, fm
                 path.unlink(missing_ok=True)
             return run_quietly(argv), [path.read_bytes() for path in written if path.exists()]
 
-        (code, out, err), files = run()
-        assert code in (0, 2)
-        assert "Traceback" not in err
-        if code:
-            assert out == ""
-            assert len(err.splitlines()) == 1 and err.startswith("error: ")
-            assert files == []
-        else:
-            assert err == ""
+        def finite(out, files):
             lines = [line.split("=") for line in out.splitlines()]
             assert [name for name, _ in lines] == ["frechet_normalized_pct", "frechet_raw", "r_squared"]
-            assert all(math.isfinite(float(value)) for _, value in lines)
             assert len(files) == (0 if fmt is None else 2 if fmt == "csv" and qq else 1)
-            assert all(finite_output(fmt, text.decode("utf-8")) for text in files)
-        assert run() == ((code, out, err), files)
+            return (all(math.isfinite(float(value)) for _, value in lines)
+                    and all(finite_output(fmt, text.decode("utf-8")) for text in files))
+
+        check_cli_contract(run, finite, codes=(0, 2))
 
 
 @pytest.mark.parametrize("shipped", [True, False], ids=["configs-prototype", "fixture"])
