@@ -24,7 +24,7 @@ from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simul
 from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
 from .geometry import MyofibrilSpec
-from .validation import MAX_QUANTILES, Curve, compare_curves, quantile_grid
+from .validation import MAX_QUANTILES, Curve, check_quantile_count, compare_curves, quantile_grid
 
 # The simulate output columns: each ActuationState field's name, with its
 # unit appended where it has one, in field order, which is also the order of
@@ -197,7 +197,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     model = Curve.from_csv(args.model_csv, "model")
     reference = Curve.from_csv(args.reference_csv, "reference")
-    report = compare_curves(model, reference, qq=args.qq, resample=args.resample)
+    # K is checked with or without --out, before any Frechet DP; the
+    # quantiles are computed only when --out writes them.
+    if args.qq is not None:
+        check_quantile_count(args.qq)
+    qq = args.qq if args.out else None
+    report = compare_curves(model, reference, qq=qq, resample=args.resample)
     numbers, pairs = report.numbers(), report.qq_pairs
     # The report is written before anything is printed, so that a failing
     # write leaves stdout empty as every other error does.

@@ -391,13 +391,13 @@ def _axis_and_length(record: SimpleNamespace, delta_hm: float | np.ndarray) -> t
     # Horizontal semi-axis r1 (mm) of the actin after the myosin grew by
     # delta_hm, and the myofibril length n * (a_band + 2*r1), for a _record of
     # _lengths; its values and delta_hm are floats or ndarrays that broadcast
-    # together. A NaN rest chord fails the check.
+    # together. A NaN rest chord or delta_hm fails its check.
     chord, delta = np.ravel(record.rest_chord), np.ravel(delta_hm)
     reject(
         ~(chord > 0.0),
         lambda i: f"myosin_height leaves no room for the actin chord (chord={chord[i]:.6g} mm)",
     )
-    reject(delta < 0.0, lambda i: f"delta_hm must be non-negative, got {delta[i]}")
+    reject(~(delta >= 0.0), lambda i: f"delta_hm must be non-negative, got {delta[i]}")
     r1 = solve_major_axis(record.actin_arc, record.rest_chord + delta_hm)
     return r1, record.n * (record.a_band + 2.0 * r1)
 

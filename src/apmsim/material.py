@@ -69,7 +69,7 @@ def _i1_minus_3(lam: float | np.ndarray) -> float | np.ndarray:
     # u = I1 - 3 at a uniaxial stretch lam >= 1 (up to solver noise), a float
     # or an ndarray; I1 = lam^2 + 1/lam^2 + 1 is summed before the 3 comes off.
     flat = np.ravel(lam)
-    reject(flat < 1.0 - 1e-9, lambda i: f"stretch ratio must be >= 1, got {flat[i]}")
+    reject(~(flat >= 1.0 - 1e-9), lambda i: f"stretch ratio must be >= 1, got {flat[i]}")
     return lam * lam + 1.0 / (lam * lam) + 1.0 - 3.0
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 import copy
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,17 +120,13 @@ class AgreementReport:
 # against the installed numpy.
 FAST_DISTANCE_REL = 8 * 2.0**-52
 FAST_DISTANCE_ABS = 8 * 5e-324
-# Cells per block of every scan of the m x n cells: the lower bound, the
-# reach and the certification all fill one pair of buffers, 64 KB of complex
-# differences and 32 KB of distances, whatever m * n is. Larger blocks raise
+# Cells per block of every scan of the m x n cells, or one row when a row is
+# longer: the lower bound, the reach and the certification all fill one pair
+# of buffers, 64 KB of complex differences and 32 KB of distances, and the
+# reach adds a 4 KB free mask and its 512 packed bytes. Larger blocks raise
 # a validate run's peak RSS: 8192 cells added about 0.2 MB at numpy's default
 # ufunc buffer size.
 _SCAN_BLOCK_CELLS = 4096
-# Runs of free cells per curve point that the reach follows before it gives
-# up, as it takes Python steps per run. The proved validate_long DPs have at
-# most 1.4; noise and zig-zag pairs have 36 to 250, where following them
-# costs more than the wavefront it would save.
-_REACH_RUNS_PER_POINT = 2
 # numpy's ufunc buffer size, in elements, during the DP. At the default
 # 8192, numpy 2.4.6 copies a block's broadcast operands into buffers before
 # it subtracts: 126 KB for 4096 cells, and 3x slower than with 256.
@@ -229,11 +224,13 @@ class _Window:
         differ end the certification."""
         if not self.certified:
             return
-        exact = _exact_distances(dz[(d >= self.low) & (d <= self.high)])
-        if exact.size:
-            if self.value is None:
-                self.value = float(exact[0])
-            self.certified = bool(np.all(exact == self.value))
+        inside = (d >= self.low) & (d <= self.high)
+        if not inside.any():
+            return
+        exact = _exact_distances(dz[inside])
+        if self.value is None:
+            self.value = float(exact[0])
+        self.certified = bool(np.all(exact == self.value))
 
     def result(self) -> float | None:
         """The exact DP value, if the window pins it down; else None."""
@@ -244,14 +241,15 @@ def _lower_bound(scan: _Scan) -> float:
     """max(every row's minimum, every column's minimum, d(0,0), d(m-1,n-1))
     of the fast distances. Every coupling visits every row, every column
     and both end cells, so this bounds the fast DP value from below."""
+    row_min = np.empty(scan.za.size)
     column_min = np.full(scan.zb.size, math.inf)
     for start, _, d in scan:
         # The first block holds d(0, 0), the last one d(m-1, n-1).
         if start == 0:
-            bound = d[0, 0]
-        bound = max(bound, d.min(axis=1).max())
+            first = d[0, 0]
+        d.min(axis=1, out=row_min[start : start + len(d)])
         np.minimum(column_min, d.min(axis=0), out=column_min)
-    return float(max(bound, column_min.max(), d[-1, -1]))
+    return float(max(first, row_min.max(), column_min.max(), d[-1, -1]))
 
 
 def _reaches(scan: _Scan, bound: float, window: _Window) -> bool:
@@ -260,47 +258,29 @@ def _reaches(scan: _Scan, bound: float, window: _Window) -> bool:
     equal to it when `bound` is a lower bound. Each block's cells also go
     to `window`.
 
-    Row by row, the reachable cells of a row are intervals: a run of free
-    cells [a, b] is entered at max(a, r), where r is the first reachable
-    column >= a-1 of the row above, and is reachable from there to b. The
-    reach gives up (False) at a row with no reachable run, or once the runs
-    outnumber _REACH_RUNS_PER_POINT * (m + n).
+    Row by row, bit j of an integer stands for column j. A free cell is
+    entered from the reach of the row above at its own column or the one
+    before (`below`); from each such seed the reach runs right to the end
+    of its run of free cells, which one addition carries through (Allison
+    & Dix, 1986). The reach stops (False) at a row with no seed.
     """
-    m, n = scan.za.size, scan.zb.size
-    rows, width = len(scan.d), n + 1
-    # The free mask with one False column on each side, so every run has a
-    # start edge and an end edge in `edges`.
-    free = np.zeros((rows, n + 2), bool)
-    edges = np.empty((rows, width), bool)
-    runs_left = _REACH_RUNS_PER_POINT * (m + n)
-    # The reachable intervals of row `row` and of the row above it. Row -1
-    # reaches only column -1, so row 0 is entered at column 0 alone.
-    row, firsts, lasts = -1, [-1], [-1]
-    for start, dz, d in scan:
+    n = scan.zb.size
+    free = np.empty(scan.d.shape, bool)
+    width = (n + 7) // 8
+    # Row -1 reaches only column -1, so row 0 is entered at column 0 alone.
+    below = 1
+    for _, dz, d in scan:
         window.add(dz, d)
-        free_rows, edge_rows = free[: len(d)], edges[: len(d)]
-        np.less_equal(d, bound, out=free_rows[:, 1:-1])
-        np.logical_xor(free_rows[:, 1:], free_rows[:, :-1], out=edge_rows)
-        flips = np.flatnonzero(edge_rows).tolist()
-        runs_left -= len(flips) // 2
-        if runs_left < 0:
-            return False
-        # Edges alternate between a run's first column and one past its
-        # last, at flat positions (row - start) * width + column.
-        base, edge = start * width, iter(flips)
-        for p, q in zip(edge, edge):
-            i, a = divmod(base + p, width)
-            if i != row:
-                if not lasts or i != row + 1:
-                    return False
-                row, above_firsts, above_lasts, firsts, lasts = i, firsts, lasts, [], []
-            k = bisect_left(above_lasts, a - 1)
-            if k < len(above_lasts):
-                entry, b = max(a, above_firsts[k]), a + q - p - 1
-                if entry <= b:
-                    firsts.append(entry)
-                    lasts.append(b)
-    return row == m - 1 and bool(lasts) and lasts[-1] == n - 1
+        np.less_equal(d, bound, out=free[: len(d)])
+        rows = np.packbits(free[: len(d)], axis=1, bitorder="little").tobytes()
+        for k in range(0, len(rows), width):
+            f = int.from_bytes(rows[k : k + width], "little")
+            seeds = f & below
+            if not seeds:
+                return False
+            reach = ((f + seeds) ^ f) & f | seeds
+            below = reach | reach << 1
+    return bool(reach >> (n - 1) & 1)
 
 
 def _certify(scan: _Scan, fast: float) -> float | None:
@@ -331,17 +311,17 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     1. Bound and reach, always. One scan of the fast distances gives a
        lower bound B on the fast DP value: the largest of every row's and
        every column's minimum and both end cells' distances. A second scan
-       follows the free cells, fast distance <= B, row by row, in the
-       decision procedure of Alt & Godau (1995). If a monotone path of free
-       cells joins the end cells, the fast DP value is B; the same scan
-       gathers the cells of the window around B and computes math.hypot on
-       the few inside. If they all share one exact distance, that is the
-       result, and no wavefront runs.
+       decides, as in Alt & Godau (1995), whether a monotone path of free
+       cells, fast distance <= B, joins the end cells: bit-parallel, one
+       row of free cells as one integer, whose reach a carry spreads along
+       each run of free cells (Allison & Dix, 1986). If such a path
+       exists, the fast DP value is B; the same scan gathers the cells of
+       the window around B and computes math.hypot on the few inside. If
+       they all share one exact distance, that is the result, and no
+       wavefront runs.
     2. Fast wavefront, only when no free path was found: the couplings of
-       noisy or zig-zag curves often leave the row and column minima, and
-       the reach gives up on free cells broken into more than
-       _REACH_RUNS_PER_POINT runs per point. The DP runs as an
-       anti-diagonal wavefront on fast distances, and a third scan
+       noisy curves often leave the row and column minima. The DP runs as
+       an anti-diagonal wavefront on fast distances, and a third scan
        certifies the window around its value as in stage 1.
     3. Exact wavefront, only when a window holds two distinct exact
        distances: the wavefront runs again with math.hypot distances.
@@ -354,9 +334,9 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     value, so the result is bit-identical to the row-by-row DP on
     math.hypot distances, exactly symmetric, and zero exactly when the
     point sequences coincide. O(m*n) time, O(m+n) memory: every scan fills
-    the same buffers of _SCAN_BLOCK_CELLS cells, the reach keeps the
-    intervals of two rows, and each wavefront a few diagonals; no m x n
-    array is built.
+    the same buffers of _SCAN_BLOCK_CELLS cells, the reach keeps the bits
+    of one row, and each wavefront a few diagonals; no m x n array is
+    built.
     """
     za, zb = _points(a), _points(b)
     scan = _Scan(za, zb)
@@ -440,6 +420,14 @@ def quantile_grid(k: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, k)
 
 
+def check_quantile_count(k: int) -> None:
+    """Raise DomainError unless the quantile count k lies in [2, MAX_QUANTILES]."""
+    if k < 2:
+        raise DomainError(f"quantile count must be >= 2, got {k}")
+    if k > MAX_QUANTILES:
+        raise DomainError(f"quantile count must be at most {MAX_QUANTILES}, got {k}")
+
+
 def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
     """k paired quantiles of two samples at evenly spaced probabilities.
 
@@ -451,10 +439,7 @@ def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
     b = np.asarray(b, dtype=float)
     if a.size == 0 or b.size == 0:
         raise DomainError("q-q pairing needs non-empty samples")
-    if k < 2:
-        raise DomainError(f"quantile count must be >= 2, got {k}")
-    if k > MAX_QUANTILES:
-        raise DomainError(f"quantile count must be at most {MAX_QUANTILES}, got {k}")
+    check_quantile_count(k)
     probs = quantile_grid(k)
     qa = np.quantile(a, probs, method="linear")
     qb = np.quantile(b, probs, method="linear")

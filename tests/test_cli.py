@@ -1316,6 +1316,23 @@ def test_validate_checks_qq_before_any_frechet_dp(qq, tmp_path, monkeypatch, cap
     assert calls == []
 
 
+def test_validate_computes_quantiles_only_when_out_writes_them(tmp_path, monkeypatch):
+    counts = []
+    qq_pairs = validation.qq_pairs
+
+    def spy(a, b, k):
+        counts.append(k)
+        return qq_pairs(a, b, k)
+
+    monkeypatch.setattr(validation, "qq_pairs", spy)
+    model = tmp_path / "m.csv"
+    write_curve(model, [0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
+    assert main(["validate", str(model), str(model), "--qq", "5", "--format", "csv"]) == 0
+    assert counts == []
+    assert main(["validate", str(model), str(model), "--qq", "5", "--out", str(tmp_path / "r.json")]) == 0
+    assert counts == [5]
+
+
 def test_design_rule_warnings_print_as_warning_lines():
     # A fresh interpreter, where warnings print instead of being recorded
     # by the test runner. Each distinct text prints once, as one line,

@@ -123,9 +123,10 @@ NAN_ROWS = [
      "stress must be non-negative, got nan"),
     ("check_length_ratio rest passes NaN", lambda: check_length_ratio(a(1.0, 1.0), a(1.0, NAN)),
      np.array(["valid", "valid"], dtype=object)),
-    ("_i1_minus_3 passes NaN", lambda: cauchy_stress(DRAGONSKIN, a(1.0, NAN)), a(0.0, NAN)),
-    ("delta_hm passes NaN to the axis solve", lambda: myofibril_length(spec(), a(0.0, NAN)),
-     "arc length and chord must be positive"),
+    ("_i1_minus_3 fails NaN", lambda: cauchy_stress(DRAGONSKIN, a(1.0, NAN)),
+     "stretch ratio must be >= 1, got nan"),
+    ("delta_hm fails NaN", lambda: myofibril_length(spec(), a(0.0, NAN)),
+     "delta_hm must be non-negative, got nan"),
     ("contraction_angle cos >= 1 passes NaN", lambda: contraction_angle(SPA, a(1.0, NAN), 30.0),
      "cos(theta) must be positive, got nan"),
 ]

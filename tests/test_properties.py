@@ -15,7 +15,8 @@ call. The Frechet DP must give exactly the row-by-row DP's result, whether
 a free path proves its lower bound or the wavefront runs, also on near ties
 that send it to its exact fallback, be exactly symmetric, and be zero only
 on identical point sequences; its fast distances must stay within the
-certification slack of math.hypot.
+certification slack of math.hypot, and its bit-parallel free-space reach
+must decide as a cell-by-cell reachability does.
 """
 
 import math
@@ -621,16 +622,86 @@ def zigzag_curve(size, phase):
 
 @pytest.mark.parametrize("make_pair", [
     lambda rng: (noise_curve(rng, 400), noise_curve(rng, 400)),
-    # Every other cell of a row is free: the runs pass the reach's cap.
-    lambda rng: (zigzag_curve(400, 0), zigzag_curve(400, 1)),
     lambda rng: (noise_curve(rng, 5000), noise_curve(rng, 3)),
     lambda rng: (noise_curve(rng, 3), noise_curve(rng, 5000)),
-], ids=["noise_400x400", "zigzag_400x400", "noise_5000x3", "noise_3x5000"])
+], ids=["noise_400x400", "noise_5000x3", "noise_3x5000"])
 def test_frechet_without_a_free_path_runs_the_wavefront(make_pair, reach_results, wavefront_kernels):
     a, b = make_pair(np.random.default_rng(0))
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
     assert reach_results == [False]
     assert wavefront_kernels[0] is np.abs
+
+
+def test_frechet_proves_the_zigzag_pair_without_a_wavefront(reach_results, wavefront_kernels):
+    # Every other cell of a row is free, 200 runs per row, and the diagonal
+    # at the value 2: one carry per row follows them all.
+    a, b = zigzag_curve(400, 0), zigzag_curve(400, 1)
+    assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == 2.0
+    assert reach_results == [True]
+    assert wavefront_kernels == []
+
+
+class MaskScan(validation._Scan):
+    """A _Scan with the real block layout whose fast distances are 0 on
+    the free cells of `free` and 2 elsewhere, so threshold 1 frees exactly
+    those cells."""
+
+    def __init__(self, free):
+        m, n = free.shape
+        super().__init__(np.zeros(m, complex), np.zeros(n, complex))
+        self.distances = np.where(free, 0.0, 2.0)
+
+    def __iter__(self):
+        for start, dz, d in super().__iter__():
+            d[...] = self.distances[start : start + len(d)]
+            yield start, dz, d
+
+
+def cell_by_cell_reach(free):
+    """Whether a monotone path of free cells joins the end cells (oracle)."""
+    m, n = free.shape
+    above = [False] * n
+    for i in range(m):
+        row = []
+        for j in range(n):
+            entered = (i == 0 and j == 0) or above[j] or (j > 0 and (row[j - 1] or above[j - 1]))
+            row.append(bool(free[i, j]) and entered)
+        above = row
+    return above[-1]
+
+
+@st.composite
+def free_masks(draw):
+    """Random free masks, half of them around a random monotone path with a
+    few cells knocked out; shapes from one cell up to several _Scan blocks,
+    tall, wide, and one row per block (n > _SCAN_BLOCK_CELLS)."""
+    m, n = draw(st.one_of(
+        st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        st.sampled_from([(40, 300), (10, 1000), (3000, 3), (2, 4500), (3, 4500)]),
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    free = rng.random((m, n)) < draw(st.floats(0.2, 1.0))
+    if draw(st.booleans()):
+        i = j = 0
+        free[0, 0] = True
+        while (i, j) != (m - 1, n - 1):
+            step = rng.integers(3) if i < m - 1 and j < n - 1 else 0 if i < m - 1 else 1
+            i, j = i + (step != 1), j + (step != 0)
+            free[i, j] = True
+        for _ in range(draw(st.integers(0, 2))):
+            free[rng.integers(m), rng.integers(n)] = False
+    # Mostly both end cells as drawn; else one of them blocked.
+    start, end = draw(st.sampled_from([(True, True)] * 4 + [(False, True), (True, False)]))
+    free[0, 0] &= start
+    free[-1, -1] &= end
+    return free
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_masks())
+def test_reach_equals_cell_by_cell_reachability(free):
+    scan = MaskScan(free)
+    assert validation._reaches(scan, 1.0, validation._Window(1.0)) == cell_by_cell_reach(free)
 
 
 @pytest.mark.parametrize("a_points, b_points, expected", [
