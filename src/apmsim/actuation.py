@@ -296,12 +296,15 @@ def simulate_pressure(
 
 def simulate_cells(
     cells: Sequence[tuple[MyofibrilSpec, PressureSweep]],
-) -> list[list[list]]:
-    """The columns of each (spec, sweep) cell, in cell order: one list per
-    ActuationState field, in field order, each in ascending pressure order.
+) -> list[list[np.ndarray]]:
+    """The columns of each (spec, sweep) cell, in cell order: one 1-d array
+    per ActuationState field, in field order, each in ascending pressure
+    order; the float fields are float64 arrays and the flag an object array
+    of the RATIO_* constants.
 
     All cells are one simulate_pressure pass over the concatenated grids,
-    so zipping cell i's columns gives the states of simulate_sweep(*cells[i]).
+    and each column is a view of that pass's array, so zipping the .tolist()
+    of cell i's columns gives the states of simulate_sweep(*cells[i]).
     Any model error aborts the whole call: the first cell, in the given
     order, that fails on its own reports its lowest failing pressure as
     simulate_sweep does. No cells give an empty list.
@@ -320,10 +323,8 @@ def simulate_cells(
                 _raise_lowest_failure(spec, pressures)
                 raise
         raise
-    # Each cell's columns are cut from views of the pass's arrays; slicing
-    # whole-pass lists instead would hold a second copy of every value.
     bounds = pairwise(accumulate(map(len, grids), initial=0))
-    return [[column[a:b].tolist() for column in state] for a, b in bounds]
+    return [[column[a:b] for column in state] for a, b in bounds]
 
 
 def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationState]:
@@ -333,7 +334,8 @@ def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationS
     error aborts the sweep and reports the lowest failing pressure with the
     error that simulate_pressure raises at that pressure alone.
     """
-    return list(map(ActuationState._make, zip(*simulate_cells([(spec, sweep)])[0])))
+    columns = [column.tolist() for column in simulate_cells([(spec, sweep)])[0]]
+    return list(map(ActuationState._make, zip(*columns)))
 
 
 def _raise_lowest_failure(spec: MyofibrilSpec, pressures: np.ndarray) -> None:

@@ -10,6 +10,7 @@ import functools
 import math
 import sys
 import warnings
+from collections.abc import Iterable
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
+from ._csvtext import csv_text
 from ._numeric import check_positive_finite
 from .actuation import MAX_GRID_POINTS, ActuationState, PressureSweep, simulate_cells
 from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simulate_sweep)
@@ -58,11 +60,8 @@ _CELL_TAIL = (
 )
 # One sweep cell: material, wall ratio, the columns of its states, their
 # largest f_spa and the material's mean of those maxima over its ratios.
-_SweepRow = tuple[str, float, list[list], float, float]
+_SweepRow = tuple[str, float, list[np.ndarray], float, float]
 _F_SPA = ActuationState._fields.index("f_spa")
-# One CSV row per state, `_STATE_ROW % row` for each row of zip(*columns):
-# numbers to six decimals, the flag as is.
-_STATE_ROW = "%.6f," * (len(STATE_COLUMNS) - 1) + "%s"
 
 # JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
 # plus a newline, written by _json_object and _json_array from the texts of
@@ -112,18 +111,19 @@ def _json_array(items, indent: int) -> str:
     return f"[\n{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
-def _state_objects(cells: list[list[list]], indent: int) -> list[str]:
+def _state_objects(cells: list[list[np.ndarray]], indent: int) -> list[str]:
     """The JSON object of every state of the cells' columns, in cell order,
     keyed by STATE_COLUMNS and closed at indent spaces; each column is
-    encoded once over all cells."""
+    encoded once over all cells, from the Python values of its .tolist()."""
     template, pick = _object_template(STATE_COLUMNS, indent)
     texts = [
-        encode(chain.from_iterable(cell[i] for cell in cells)) for i, encode in enumerate(_STATE_ENCODERS)
+        encode(chain.from_iterable(cell[i].tolist() for cell in cells))
+        for i, encode in enumerate(_STATE_ENCODERS)
     ]
     return list(map(template.__mod__, zip(*pick(texts))))
 
 
-def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[list]) -> str:
+def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[np.ndarray]) -> str:
     # The grid's fields under their own names.
     grid = dict(zip(vars(sweep), _json_floats(vars(sweep).values())))
     metadata = _json_object(
@@ -148,11 +148,13 @@ def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
     return _json_object(0, cells=_json_array(cells, 2)) + "\n"
 
 
-def _emit(text: str, out_path: str | Path | None) -> None:
+def _emit(texts: Iterable[str], out_path: str | Path | None) -> None:
+    # Writes the texts, in order, to the output file, or to stdout without one.
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with open(out_path, "w", encoding="utf-8") as out:
+            out.writelines(texts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
 def cmd_design(args: argparse.Namespace) -> int:
@@ -181,16 +183,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     if fmt == "json":
-        _emit(_simulate_json(config.material.name, spec.n, sweep, columns), out_path)
+        _emit([_simulate_json(config.material.name, spec.n, sweep, columns)], out_path)
     else:
-        lines = [",".join(STATE_COLUMNS)]
-        lines.extend(_STATE_ROW % row for row in zip(*columns))
-        # The empty last line ends the text with a newline without a second
-        # copy of it, and the columns (about 1 MB per 3001 points) are
-        # dropped before the text is joined, so the two are never held at once.
-        lines.append("")
-        del columns
-        _emit("\n".join(lines), out_path)
+        _emit(csv_text(STATE_COLUMNS, [("", columns, "")]), out_path)
     return 0
 
 
@@ -208,17 +203,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # write leaves stdout empty as every other error does.
     if args.out and args.format == "csv":
         row = ",".join(["%.6f"] * len(numbers)) % tuple(numbers.values())
-        _emit(f"{','.join(numbers)}\n{row}\n", args.out)
+        _emit([f"{','.join(numbers)}\n{row}\n"], args.out)
         if pairs is not None:
             rows = ["%.6f,%.6f,%.6f" % (p, *q) for p, q in zip(quantile_grid(len(pairs)), pairs)]
             qq_csv = "\n".join(["p,reference,model", *rows, ""])
-            _emit(qq_csv, Path(args.out).with_suffix(".qq.csv"))
+            _emit([qq_csv], Path(args.out).with_suffix(".qq.csv"))
     elif args.out:
         texts = dict(zip(numbers, _json_floats(numbers.values())))
         texts["resampled"] = "true" if report.resampled else "false"
         if pairs is not None:
             texts["qq_pairs"] = _json_array([_json_array(_json_floats(q), 4) for q in pairs], 2)
-        _emit(_json_object(0, **texts) + "\n", args.out)
+        _emit([_json_object(0, **texts) + "\n"], args.out)
     # Every number but the first, the plain normalized distance, which its
     # percentage restates.
     for name, value in list(numbers.items())[1:]:
@@ -267,7 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[_SweepRow] = []
     for name in names:
         cell_columns = [(ratio, next(results)) for ratio in ratios]
-        maxima = {ratio: max(columns[_F_SPA]) for ratio, columns in cell_columns}
+        maxima = {ratio: float(columns[_F_SPA].max()) for ratio, columns in cell_columns}
         try:
             mean_max = math.fsum(maxima.values()) / len(maxima)
         except OverflowError:
@@ -283,14 +278,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fmt = args.format or config.out_format
     h_ch = config.assumed_h_ch
     if fmt == "json":
-        _emit(_sweep_json(rows, h_ch), out_path)
+        _emit([_sweep_json(rows, h_ch)], out_path)
     else:
-        lines = [",".join(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL)]
-        for name, ratio, columns, top, mean_max in rows:
-            head = f"{name},{ratio:.6f},{h_ch:.6f},"
-            tail = f",{top:.6f},{mean_max:.6f}"
-            lines.extend(head + _STATE_ROW % row + tail for row in zip(*columns))
-        _emit("\n".join(lines) + "\n", out_path)
+        csv_cells = [
+            (f"{name},{ratio:.6f},{h_ch:.6f},", columns, f",{top:.6f},{mean_max:.6f}")
+            for name, ratio, columns, top, mean_max in rows
+        ]
+        _emit(csv_text(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL, csv_cells), out_path)
     return 0
 
 

@@ -580,11 +580,40 @@ def check_cli_contract(run, finite, codes=(0, 2, 3)):
     return result
 
 
-# A third of the examples carry no fault in names, so 600 examples keep 200
-# runs that fuzz the values alone.
+def custom_numbers():
+    # CUSTOM_CONFIG's number under each numeric key, and for a key it does
+    # not set a value the key could take.
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(CUSTOM_CONFIG)
+    numbers = {("material", "c3"): 0.001, ("material", "density"): 1080.0,
+               ("sarcomere", "i_band"): 20.0, ("spa", "assumed_h_ch"): 5.0}
+    numbers.update((key, float(parser[key[0]][key[1]])) for key in NUMERIC_KEYS if parser.has_option(*key))
+    assert sorted(numbers) == sorted(NUMERIC_KEYS)
+    return numbers
+
+
+CUSTOM_NUMBERS = custom_numbers()
+
+
+def near_values(key):
+    """Texts of values within 10 % of CUSTOM_CONFIG's, which mostly run."""
+    if GRAMMAR[key[0]][1][key[1]][0] is int:
+        return st.integers(1, 3).map(str)
+    return st.floats(0.9, 1.1).map(lambda factor: repr(CUSTOM_NUMBERS[key] * factor))
+
+
+# Half the values are near the shipped ones, so that accepted runs are
+# fuzzed too. A third of the examples carry no fault in names, so 600
+# examples keep 200 runs that fuzz the values alone.
 @settings(max_examples=600, deadline=None)
 @given(
-    st.dictionaries(st.sampled_from(NUMERIC_KEYS), odd_values, min_size=1, max_size=2),
+    st.lists(
+        st.sampled_from(NUMERIC_KEYS).flatmap(
+            lambda key: st.tuples(st.just(key), st.one_of(odd_values, near_values(key)))
+        ),
+        min_size=1,
+        max_size=2,
+    ).map(dict),
     st.one_of(st.none(), misspelt_keys(), unknown_sections()),
 )
 def test_config_fuzz_exits_0_2_or_3(values, fault):
@@ -1239,10 +1268,15 @@ def test_validate_curve_csv_fuzz_exits_0_or_2(model, reference, resample, qq, fm
         check_cli_contract(run, finite, codes=(0, 2))
 
 
+# One CSV row of a state, spelt out here: each number to six decimals by
+# CPython's %, the flag as is.
+STATE_ROW = "%.6f," * 11 + "%s"
+
+
 @pytest.mark.parametrize("shipped", [True, False], ids=["configs-prototype", "fixture"])
 def test_simulate_csv_bytes_equal_state_rows(shipped, proto_config):
     # The CSV is written from simulate_cells' columns; it must equal the
-    # rows of simulate_sweep's states, each formatted by _STATE_ROW.
+    # rows of simulate_sweep's states, each formatted by STATE_ROW.
     path = SHIPPED_PROTOTYPE if shipped else proto_config
     code, out, _ = run_quietly(["simulate", "--config", str(path)])
     run = load_config(path)
@@ -1253,7 +1287,7 @@ def test_simulate_csv_bytes_equal_state_rows(shipped, proto_config):
     header = ("pressure_mpa,lambda_jz,c_m,f_e_n,f_r_n,f_spa_n,theta_rad,"
               "f_contr_n,r1_mm,l_mf_mm,length_ratio,ratio_flag")
     assert code == 0
-    assert out == header + "\n" + "\n".join(cli._STATE_ROW % s for s in states) + "\n"
+    assert out == header + "\n" + "\n".join(STATE_ROW % s for s in states) + "\n"
 
 
 def test_sweep_csv_bytes_equal_state_rows():
@@ -1274,9 +1308,55 @@ def test_sweep_csv_bytes_equal_state_rows():
         mean_max = math.fsum(maxima) / len(maxima)
         for (ratio, states), top in zip(cells, maxima):
             head = f"{name},{ratio:.6f},{run.assumed_h_ch:.6f},"
-            lines.extend(head + cli._STATE_ROW % s + f",{top:.6f},{mean_max:.6f}" for s in states)
+            lines.extend(head + STATE_ROW % s + f",{top:.6f},{mean_max:.6f}" for s in states)
     assert code == 0
     assert out == "\n".join(lines) + "\n"
+
+
+def fine_config(tmp_path, end):
+    # configs/prototype.ini on a 20 001-point grid from 0 to end MPa.
+    config = tmp_path / "fine.ini"
+    config.write_text(
+        SHIPPED_PROTOTYPE.read_text(encoding="utf-8")
+        .replace("start = 0.01", "start = 0")
+        .replace("end = 0.1", f"end = {end!r}")
+        .replace("step = 0.01", f"step = {end / 20_000!r}"),
+        encoding="utf-8",
+    )
+    assert load_config(config).sweep._count() == 20_001
+    return config
+
+
+def test_simulate_csv_memory_is_bounded(tmp_path):
+    # The CSV is written a block of rows at a time from the pass's arrays:
+    # neither a Python float per number nor the whole text is held. Holding
+    # them peaked at 10.8 MB here; the pass alone peaks near 5.4 MB.
+    out = tmp_path / "fine.csv"
+    argv = ["simulate", "--config", str(fine_config(tmp_path, 0.4)), "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 20_002
+    assert peak <= 6_000_000
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_simulate_csv_model_error_writes_nothing(to_file, tmp_path):
+    # Every model error is raised by the pass, before the first block is
+    # written: the 20 001-point grid fails at 0.8 MPa.
+    out = tmp_path / "fine.csv"
+    argv = ["simulate", "--config", str(fine_config(tmp_path, 0.9))] + (["--out", str(out)] if to_file else [])
+    code, stdout, err = run_quietly(argv)
+    assert code == 3
+    assert err.startswith("model error: at pressure 0.")
+    assert stdout == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

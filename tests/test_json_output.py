@@ -6,7 +6,7 @@ json.dumps(payload, indent=2, sort_keys=True) plus a newline, where payload
 is the dict form of the output, built from rows of states: float fields of
 any value (signed zero, subnormals, the largest floats, NaN and infinities),
 any string, any int and empty lists included. The writers themselves take
-each cell's states as columns, one list per ActuationState field.
+each cell's states as columns, one numpy array per ActuationState field.
 """
 
 import contextlib
@@ -55,8 +55,10 @@ def state_dicts(state_list):
 
 
 def columns_of(state_list):
-    # The writers' input: one list per ActuationState field.
-    return [list(column) for column in zip(*state_list)] or [[] for _ in ActuationState._fields]
+    # The writers' input, as simulate_cells hands it on: one array per
+    # ActuationState field, float64 but for the flag's object array.
+    *numbers, flags = list(zip(*state_list)) or [()] * len(ActuationState._fields)
+    return [np.array(column, dtype=float) for column in numbers] + [np.array(flags, dtype=object)]
 
 
 def simulate_payload(material, n, sweep, state_list):

@@ -16,10 +16,12 @@ a free path proves its lower bound or the wavefront runs, also on near ties
 that send it to its exact fallback, be exactly symmetric, and be zero only
 on identical point sequences; its fast distances must stay within the
 certification slack of math.hypot, and its bit-parallel free-space reach
-must decide as a cell-by-cell reachability does.
+must decide as a cell-by-cell reachability does. The CSV writer must print
+each float as CPython's "%.6f" does, in blocks of at most BLOCK_ROWS rows.
 """
 
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -30,6 +32,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from apmsim import _numeric, geometry, validation
+from apmsim._csvtext import BLOCK_ROWS, csv_text
 from apmsim.actuation import (
     ActuationState,
     PressureSweep,
@@ -286,8 +289,9 @@ def study_cells(draw):
 @given(st.lists(study_cells(), min_size=1, max_size=8))
 def test_cells_equal_their_own_sweeps(cells):
     # One pass over all cells gives each cell the columns of its own sweep's
-    # states, value for value, or the error of the first cell that fails
-    # alone; simulate_sweep still hands out ActuationStates.
+    # states, as numpy arrays whose .tolist() equals them value for value
+    # and type for type, or the error of the first cell that fails alone;
+    # simulate_sweep still hands out ActuationStates.
     expected, error = [], None
     for spec, sweep in cells:
         try:
@@ -306,12 +310,13 @@ def test_cells_equal_their_own_sweeps(cells):
         assert all(type(state) is ActuationState for state in alone)
         assert len(columns) == len(ActuationState._fields)
         for field, column, reference in zip(ActuationState._fields, columns, zip(*alone), strict=True):
-            assert type(column) is list
-            assert len(column) == len(alone)
-            # Plain Python values, as the writers format them.
+            assert type(column) is np.ndarray
+            assert column.shape == (len(alone),)
+            # Plain Python values in .tolist(), as the JSON writers encode them.
+            values = column.tolist()
             want = str if field == "ratio_flag" else float
-            assert all(type(value) is want for value in column), field
-            assert column == list(reference), field
+            assert all(type(value) is want for value in values), field
+            assert values == list(reference), field
 
 
 # ------------------------------------------------------ grid and flag rules
@@ -748,3 +753,78 @@ def test_frechet_zero_only_on_identical_sequences(size, seed, change):
     identical = np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert (discrete_frechet(a, b) == 0.0) == identical
     assert identical == (change == "same")
+
+
+# -------------------------------------------------------------- CSV text
+
+def ulps_away(x, k):
+    # The float k steps of one ulp from x, towards +inf for k > 0.
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# Floats whose "%.6f" text is easy to get wrong: exact half ties (odd
+# multiples of 1/128, whose x*10**6 is a half integer), the floats nearest
+# k + 0.5 millionths (x*1e6 rounds onto a half integer that the exact
+# product is not), signed zeros and negatives that round to zero, carries
+# into a new digit and out of a seven-digit integer part, values around
+# 2**52 / 1e6 and far beyond, subnormals, and each of them a few ulps away.
+hard_floats = st.tuples(
+    st.one_of(
+        st.floats(),
+        st.integers(-(2**45), 2**45).map(lambda m: (2 * m + 1) / 128),
+        st.integers(-(10**13), 10**13).map(lambda k: (k + 0.5) / 1e6),
+        st.sampled_from([0.0, -0.0, 9.9999995, 999999.9999996, 9999999.9999995, 99999.9999995]),
+        st.floats(-5e-7, 5e-7),
+        st.integers(-6, 12).map(lambda k: 10.0**k - 5e-7),
+        st.floats(9.9e6, 1.01e7),
+        st.floats(4.5e9, 4.6e9),
+        st.sampled_from([2**52 / 1e6, 1e15, -1e15, 1e300, -1e300, sys.float_info.max, -sys.float_info.max]),
+        st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    ),
+    st.integers(-2, 2),
+).map(lambda pair: ulps_away(*pair))
+
+
+def per_row_csv(names, cells):
+    # The CSV text row by row with CPython's %: each cell's head, "%.6f,"
+    # of each float column, the last column's text, its tail and a newline.
+    lines = [",".join(names) + "\n"]
+    for head, columns, tail in cells:
+        row = "%.6f," * (len(columns) - 1) + "%s"
+        lines += [head + row % values + tail + "\n" for values in zip(*(c.tolist() for c in columns))]
+    return "".join(lines)
+
+
+@settings(max_examples=150, deadline=None)
+@example(  # one of each kind across a block boundary, in two cells
+    [-0.0, -1e-9, 0.0078125, 2.5e-06, 3.5e-06, 9.9999995, 999999.9999996, 9999999.9999995,
+     2**52 / 1e6, 1e15, 1e300, sys.float_info.max, 5e-324, -math.inf, math.nan],
+    513, 11, 3, 2, ["valid", "é"],
+)
+@given(
+    st.lists(hard_floats, min_size=1, max_size=40),
+    st.sampled_from([1, 2, 7, 511, 512, 513, 1025]),
+    st.integers(1, 11),
+    st.integers(0, 40),
+    st.integers(1, 3),
+    st.lists(st.sampled_from(["valid", "over-stretched", "é"]), min_size=1, max_size=3),
+)
+def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, labels):
+    # Every float cell the writer prints is '%.6f' % v, whichever row and
+    # column of whichever block or cell it sits in.
+    table = np.resize(np.roll(np.array(values), shift), rows * width).reshape(rows, width)
+    texts = np.array([labels[i % len(labels)] for i in range(rows)], dtype=object)
+    bounds = np.linspace(0, rows, min(cell_count, rows) + 1).astype(int)
+    cells = [
+        (f"m{i},{i}.5,", [*table[a:b].T, texts[a:b]], f",tail{i}")
+        for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+    names = tuple(f"c{i}" for i in range(width + 1))
+    pieces = list(csv_text(names, cells))
+    assert "".join(pieces) == per_row_csv(names, cells)
+    # The header, then the rows in blocks of BLOCK_ROWS.
+    assert [piece.count("\n") for piece in pieces] == [1] + [
+        min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)
+    ]
