@@ -352,16 +352,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with warnings.catch_warnings(), np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DomainError as err:
-        if args.command == "validate" or args.command == "design":
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        print(f"model error: {err}", file=sys.stderr)
-        return 3
-    except OSError as err:
+    except (ConfigError, DomainError, OSError) as err:
+        # Only simulate and sweep run the model, so only there is a
+        # DomainError a model error; every other fault is the input's.
+        if isinstance(err, DomainError) and args.command in ("simulate", "sweep"):
+            print(f"model error: {err}", file=sys.stderr)
+            return 3
         print(f"error: {err}", file=sys.stderr)
         return 2
     finally:

@@ -27,16 +27,22 @@ DEFAULT_PRESSURE_GRIDS: dict[str, PressureSweep] = {
 }
 
 
+def _built(what: str, build, /, *args, **kwargs):
+    # build(*args, **kwargs), where a DomainError is a fault in the config's
+    # text: ConfigError "invalid <what>: <error>", chained to the error.
+    try:
+        return build(*args, **kwargs)
+    except DomainError as err:
+        raise ConfigError(f"invalid {what}: {err}") from err
+
+
 def _spa_geometry(values: dict[str, float]) -> SpaGeometry:
     # The SpaGeometry of a complete set of [spa] dimensions; ConfigError
     # naming the missing keys or the invalid dimension otherwise.
     missing = [k for k in SPA_FIELDS if k not in values]
     if missing:
         raise ConfigError(f"[spa] section is missing {', '.join(missing)}")
-    try:
-        return SpaGeometry(**values)
-    except DomainError as err:
-        raise ConfigError(f"invalid [spa] geometry: {err}") from err
+    return _built("[spa] geometry", SpaGeometry, **values)
 
 
 @dataclass
@@ -66,12 +72,7 @@ class RunConfig:
     def spec_with_spa(self, spa: SpaGeometry, material: YeohMaterial | None = None) -> MyofibrilSpec:
         """Complete design from an SPA geometry and the configured material,
         or the given one."""
-        try:
-            return MyofibrilSpec(
-                n=self.n, sarcomere=self.sarcomere, spa=spa, material=material or self.material
-            )
-        except DomainError as err:
-            raise ConfigError(f"invalid design: {err}") from err
+        return _built("design", MyofibrilSpec, self.n, self.sarcomere, spa, material or self.material)
 
     def sweep_for_material(self, material_name: str) -> PressureSweep:
         """The [sweep] grid when present, else the built-in study grid."""
@@ -199,28 +200,22 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"[material] sets {given} next to the built-in name {name!r}")
     if given and "c1" not in coefficients:
         raise ConfigError(f"[material] sets {given} without c1")
-    try:
-        material = YeohMaterial(name, **coefficients) if coefficients else builtin_material(name)
-    except DomainError as err:
-        raise ConfigError(f"invalid custom material: {err}") from err
+    if coefficients:
+        material = _built("custom material", YeohMaterial, name, **coefficients)
+    else:
+        material = builtin_material(name)
 
     # i_band and actin_arc left out follow from a_band by the design rules.
     lengths = _section(parser, "sarcomere")
     n = lengths.pop("n")
-    try:
-        sarcomere = replace(design_from_a_band(lengths["a_band"]), **lengths)
-    except DomainError as err:
-        raise ConfigError(f"invalid sarcomere: {err}") from err
+    sarcomere = _built("sarcomere", lambda: replace(design_from_a_band(lengths["a_band"]), **lengths))
 
     spa_values = _section(parser, "spa")
     assumed_h_ch = spa_values.pop("assumed_h_ch")
 
     sweep = _section(parser, "sweep")
     if sweep is not None:
-        try:
-            sweep = PressureSweep(**sweep)
-        except DomainError as err:
-            raise ConfigError(f"invalid [sweep]: {err}") from err
+        sweep = _built("[sweep]", PressureSweep, **sweep)
 
     output = _section(parser, "output")
     if output["format"] not in ("csv", "json"):

@@ -143,6 +143,21 @@ def test_state_columns_follow_actuation_state_fields():
         assert column == field or column.startswith(field + "_")
 
 
+# The start of each key's error line: the ConfigError's "invalid <what>: ",
+# then the model layer's name for the value.
+NON_FINITE_PREFIX = {
+    "a_band": "invalid sarcomere: sarcomere dimension ",
+    "actin_arc": "invalid sarcomere: sarcomere dimension ",
+    "myosin_height": "invalid sarcomere: ",
+    "t_w": "invalid [spa] geometry: SPA dimension ",
+    "h_ch": "invalid [spa] geometry: SPA dimension ",
+    "c1": "invalid custom material: lot: ",
+    "c2": "invalid custom material: lot: ",
+    "end": "invalid [sweep]: ",
+    "step": "invalid [sweep]: ",
+}
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -156,9 +171,13 @@ def test_state_columns_follow_actuation_state_fields():
         ("h_ch", "inf", "h_ch must be positive and finite, got inf"),
         ("c1", "nan", "c1 must be positive and finite, got nan"),
         ("c2", "inf", "c2 must be finite, got inf"),
+        ("end", "nan", "start and end must be finite, got start=0.01, end=nan"),
+        ("step", "inf", "step must be positive and finite, got inf"),
     ],
 )
 def test_simulate_rejects_non_finite_design_exit_2(tmp_path, capsys, key, value, message):
+    # The whole stderr line, so that each row pins the prefix naming what
+    # failed to build as well as the model layer's message.
     config = tmp_path / "design.ini"
     text = PROTOTYPE_CONFIG.replace("name = dragonskin-30", "name = lot\nc1 = 0.096\nc2 = 0.0095")
     lines = [
@@ -169,7 +188,30 @@ def test_simulate_rejects_non_finite_design_exit_2(tmp_path, capsys, key, value,
     assert main(["simulate", "--config", str(config)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert message in captured.err
+    assert captured.err == f"error: {NON_FINITE_PREFIX[key]}{message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, what",
+    [
+        (("t_w = 1.5", "t_w = -1"), "[spa] geometry"),
+        (("\nn = 1\n", "\nn = 0\n"), "design"),
+        (("name = dragonskin-30", "name = lot\nc1 = -1"), "custom material"),
+        (("a_band = 30", "a_band = nan"), "sarcomere"),
+        (("step = 0.01", "step = 0"), "[sweep]"),
+    ],
+    ids=["spa", "design", "material", "sarcomere", "sweep"],
+)
+def test_config_error_is_chained_to_the_domain_error(tmp_path, edit, what):
+    # Each of the five builds from config text turns the model layer's
+    # DomainError into a ConfigError naming what failed, chained to it.
+    config = tmp_path / "faulty.ini"
+    config.write_text(PROTOTYPE_CONFIG.replace(*edit), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(config).build_spec()
+    cause = info.value.__cause__
+    assert type(cause) is DomainError
+    assert str(info.value) == f"invalid {what}: {cause}"
 
 
 def test_main_reuses_one_parser_across_calls(proto_config, tmp_path, capsys):

@@ -18,12 +18,20 @@ on identical point sequences; its fast distances must stay within the
 certification slack of math.hypot, and its bit-parallel free-space reach
 must decide as a cell-by-cell reachability does. The CSV writer must print
 each float as CPython's "%.6f" does, in blocks of at most BLOCK_ROWS rows.
+Every float that simulate and sweep print, in CSV and in JSON, must agree
+with the chain evaluated exactly by mpmath, within an error bound derived
+from the solve tolerances and the stages' condition numbers.
 """
 
+import contextlib
+import io
+import json
 import math
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -41,12 +49,15 @@ from apmsim.actuation import (
     simulate_pressure,
     simulate_sweep,
 )
-from apmsim.config import DEFAULT_PRESSURE_GRIDS
+from apmsim.cli import STATE_COLUMNS, main
+from apmsim.config import DEFAULT_PRESSURE_GRIDS, load_config, parse_ratio
 from apmsim.errors import DomainError
 from apmsim.geometry import (
+    SPA_FIELDS,
     MyofibrilSpec,
     SarcomereGeometry,
     SpaGeometry,
+    check_length_ratio,
     design_from_a_band,
     semi_ellipse_arc_length,
     solve_major_axis,
@@ -828,3 +839,272 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
     assert [piece.count("\n") for piece in pieces] == [1] + [
         min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)
     ]
+
+
+# --------------------------------------------- printed digits against mpmath
+
+# The oracle evaluates simulate's chain exactly, to 50 digits, on the float
+# inputs: the config's values, each grid point's float pressure and the c_m
+# fit's coefficients as floats, with pi exact. Each output float lies within
+# a first-order error bound of that exact value (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., ch. 1-3), the sum of:
+# - the solve tolerances. The stress inverse stops at a residual of
+#   1e-12*max(1, sigma) and the axis solve at 1e-12*arc; the last Newton
+#   step only shrinks that. A residual r moves a root by r over the slope
+#   there, the root's condition number.
+# - the rounding of each float stage. A stage of at most 16 operations,
+#   each rounded with relative error at most u = 2**-53 (the standard model,
+#   (2.4)), is off by at most 16u times the same expression evaluated with
+#   every term made non-negative (Lemma 3.1 and the sum and product bounds
+#   of ch. 3). _ROUNDING is that 16u.
+# - the Cephes elliptic integral's 3e-16 relative error in the axis solve.
+# - each stage's input errors times its partial derivatives.
+# A printed "%.6f" cell must be the correctly rounded exact value, or the
+# other neighbour of a rounding tie that lies within the bound of it; a JSON
+# float, printed in full, must lie within the bound.
+_ROUNDING = 16 * 2.0**-53
+_CEPHES = 3e-16
+_SOLVE_TOL = 1e-12
+# The fitted c_m(t_w/h_ch, P) = -2.49*(t_w/h_ch) - 6.101*P + 11.457.
+_CM_FIT = (-2.49, -6.101, 11.457)
+
+
+def exact_arc(x, b):
+    # Arc 2*major*E(1 - (minor/major)^2) of the half ellipse of horizontal
+    # semi-axis x and vertical semi-axis b.
+    major, minor = max(x, b), min(x, b)
+    return 2 * major * mpmath.ellipe(1 - (minor / major) ** 2)
+
+
+def exact_arc_slopes(x, b):
+    # d(arc)/dx and d(arc)/db. With E, K at m = 1 - r^2, r = minor/major and
+    # dE/dm = (E - K)/(2m): along the major axis 2E + 2(E - K)r^2/m, along
+    # the minor one 2(K - E)r/m.
+    major, minor = max(x, b), min(x, b)
+    r = minor / major
+    m = 1 - r * r
+    e, k = mpmath.ellipe(m), mpmath.ellipk(m)
+    along_major, along_minor = 2 * e + 2 * (e - k) * r * r / m, 2 * (k - e) * r / m
+    return (along_major, along_minor) if x >= b else (along_minor, along_major)
+
+
+def exact_axis(arc, chord, chord_bound, start):
+    # The horizontal semi-axis of the half ellipse with this arc and vertical
+    # chord, found from the float solve's result, and the bound on that
+    # result's error: the residual tolerance, the arc's evaluation error and
+    # the chord's error, over the slope in x.
+    b = chord / 2
+    x = mpmath.findroot(lambda x: exact_arc(x, b) - arc, (start, start * (1 + 1e-9)))
+    along_x, along_b = exact_arc_slopes(x, b)
+    residual = (_SOLVE_TOL + _CEPHES) * arc + _ROUNDING * (arc + along_x * x + along_b * b)
+    return x, (residual + along_b * chord_bound / 2) / along_x
+
+
+def exact_states(spec, pressures, columns):
+    """One dict per pressure of one design's sweep: each float field's exact
+    value and the bound on its float's error. The float columns only seed
+    the root searches."""
+    mpf = mpmath.mpf
+    t_w, a_ch, b_ch, h_ch, h_jz, a_hz, b_hz = (mpf(getattr(spec.spa, name)) for name in SPA_FIELDS)
+    c1, c2, c3 = (mpf(getattr(spec.material, name)) for name in ("c1", "c2", "c3"))
+    sarc, n, jpm = spec.sarcomere, spec.n, spec.sarcomere.junctions_per_myosin
+    a_band, arc = mpf(sarc.a_band), mpf(sarc.actin_arc)
+    if sarc.myosin_height is None:
+        rest_chord, rest_bound = mpf(sarc.i_band), 0
+    else:
+        rest_chord = sarc.myosin_height - 2 * t_w - h_ch
+        rest_bound = _ROUNDING * (sarc.myosin_height + 2 * t_w + h_ch)
+    # The float branch test t_w < h_ch/4 is exact.
+    if spec.spa.t_w < spec.spa.h_ch / 4:
+        k_wall = h_ch / (2 * t_w)
+    else:
+        k_wall = 1 + h_ch**2 / (2 * t_w * (t_w + h_ch))
+
+    def stress(lam):
+        # Yeoh stress, its slope, and the stress expression with every term
+        # made non-negative, which bounds its float evaluation's error.
+        u, geo = lam**2 + lam**-2 - 2, lam - lam**-3
+        poly = 2 * c1 + 4 * c2 * u + 6 * c3 * u**2
+        slope = (1 + 3 * lam**-4) * poly + 2 * geo**2 * (4 * c2 + 12 * c3 * u)
+        s = lam**2 + lam**-2 + 4
+        magnitude = (lam + lam**-3) * (2 * c1 + 4 * abs(c2) * s + 6 * abs(c3) * s**2)
+        return geo * poly, slope, magnitude
+
+    r0, r0_bound = exact_axis(arc, rest_chord, rest_bound, rest_chord / 2)
+    l_rest = n * (a_band + 2 * r0)
+    l_rest_bound = n * (2 * r0_bound + _ROUNDING * l_rest / n)
+    states = []
+    for i, p in enumerate(pressures):
+        P = mpf(p)
+        sigma = 2 * P * k_wall * a_ch * b_ch / (a_hz * b_hz)
+        lam0 = columns["lambda_jz"][i]
+        lam = mpmath.findroot(lambda x: stress(x)[0] - sigma, (lam0, lam0 * (1 + 1e-9)))
+        _, slope, magnitude = stress(lam)
+        # The inverse's residual: its tolerance, the rounding of the target
+        # and of the stress evaluated at the float root.
+        residual = _SOLVE_TOL * max(1, sigma) + _ROUNDING * (sigma + magnitude)
+        lam_bound = residual / slope
+
+        ratio = t_w / h_ch
+        c_m = _CM_FIT[0] * ratio + _CM_FIT[1] * P + _CM_FIT[2]
+        c_m_bound = _ROUNDING * (abs(_CM_FIT[0]) * ratio + abs(_CM_FIT[1]) * P + _CM_FIT[2])
+        height = lam * h_jz + h_ch + 2 * t_w
+        f_e = c_m * P * mpmath.pi * a_ch * height
+        f_e_bound = abs(f_e) * (
+            c_m_bound / abs(c_m) + (h_jz * lam_bound + _ROUNDING * height) / height + _ROUNDING
+        )
+        # sigma(lam) is the target itself; the float f_r is off by the
+        # inverse's residual plus the stress's rounding at the float root.
+        f_r = sigma * a_hz * b_hz
+        f_r_bound = a_hz * b_hz * (residual + _ROUNDING * magnitude) + _ROUNDING * f_r
+        f_spa = f_e - f_r
+        f_spa_bound = f_e_bound + f_r_bound + _ROUNDING * abs(f_spa)
+        stacked = 2 * t_w + h_ch + 2 * lam * h_jz
+        cos_theta = stacked / arc
+        theta = mpmath.acos(cos_theta)
+        cos_bound = (2 * h_jz * lam_bound + _ROUNDING * stacked) / arc
+        theta_bound = cos_bound / mpmath.sqrt(1 - cos_theta**2) + _ROUNDING * theta
+        tan = mpmath.tan(theta)
+        f_contr = f_spa * tan
+        f_contr_bound = (
+            tan * f_spa_bound + abs(f_spa) * (1 + tan**2) * theta_bound + _ROUNDING * abs(f_contr)
+        )
+        delta = jpm * (lam - 1) * h_jz
+        chord = rest_chord + delta
+        chord_bound = rest_bound + jpm * h_jz * (lam_bound + _ROUNDING * (lam + 1)) + _ROUNDING * chord
+        r1, r1_bound = exact_axis(arc, chord, chord_bound, columns["r1"][i])
+        l_mf = n * (a_band + 2 * r1)
+        l_mf_bound = n * (2 * r1_bound + _ROUNDING * (a_band + 2 * r1))
+        length_ratio = l_mf / l_rest
+        ratio_bound = length_ratio * (l_mf_bound / l_mf + l_rest_bound / l_rest + _ROUNDING)
+        states.append({
+            "pressure": (P, 0),
+            "lambda_jz": (lam, lam_bound),
+            "c_m": (c_m, c_m_bound),
+            "f_e": (f_e, f_e_bound),
+            "f_r": (f_r, f_r_bound),
+            "f_spa": (f_spa, f_spa_bound),
+            "theta": (theta, theta_bound),
+            "f_contr": (f_contr, f_contr_bound),
+            "r1": (r1, r1_bound),
+            "l_mf": (l_mf, l_mf_bound),
+            "length_ratio": (length_ratio, ratio_bound),
+        })
+    return states
+
+
+def rounded_text(x) -> str:
+    # The "%.6f" text of the exact value x correctly rounded.
+    q = abs(x) * 10**6
+    k = int(mpmath.floor(q + mpmath.mpf(0.5)))
+    return f"{'-' if x < 0 else ''}{k // 10**6}.{k % 10**6:06d}"
+
+
+def check_printed(text, value, exact, bound, what):
+    # A window narrower than half the last printed digit, so at most one
+    # rounding tie lies in it, and text either neighbour of that tie.
+    assert bound < 5e-7, what
+    assert text in {rounded_text(exact - bound), rounded_text(exact + bound)}, (what, exact, bound)
+    assert abs(value - exact) <= bound, (what, value, exact, bound)
+
+
+def near(value):
+    return st.floats(0.9 * value, 1.1 * value)
+
+
+def ini(sections) -> str:
+    return "".join(
+        f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+        for name, keys in sections.items()
+    )
+
+
+@st.composite
+def oracle_runs(draw):
+    """A config text and the CLI command that runs it: simulate of a design
+    near configs/prototype.ini, or sweep at one or two of the study ratios of
+    a design near configs/wall_ratio_study.ini. Either takes one built-in
+    material and a [sweep] grid of 1-4 points that ends at up to its study
+    grid's end."""
+    name = draw(st.sampled_from(sorted(MATERIALS)))
+    points = draw(st.integers(1, 4))
+    end = draw(st.floats(0.1, 1.0)) * DEFAULT_PRESSURE_GRIDS[name].end
+    grid = {"start": repr(end / points), "end": repr(end), "step": repr(end / points)}
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        shipped = dict(zip(SPA_FIELDS, (1.5, 9.5, 10.0, 5.0, 2.0, 6.0, 15.0)))
+        sarcomere = {"a_band": draw(near(30.0))}
+        if draw(st.booleans()):
+            sarcomere.update(actin_arc=draw(near(32.0)), myosin_height=draw(near(28.0)))
+        sarcomere.update(junctions_per_myosin=draw(st.integers(1, 2)), n=n)
+        command = ["simulate"]
+    else:
+        shipped = {"a_ch": 14.0, "b_ch": 14.0, "h_jz": 3.0, "a_hz": 6.0, "b_hz": 20.0, "assumed_h_ch": 10.0}
+        sarcomere = {"a_band": draw(near(60.0)), "n": n}
+        ratios = st.sampled_from(["1/5", "1/4", "1/3", "1/2", "1", "3/2"])
+        chosen = draw(st.lists(ratios, min_size=1, max_size=2, unique=True))
+        command = ["sweep", "--materials", name, "--ratios", ",".join(chosen)]
+    spa = {key: draw(near(value)) for key, value in shipped.items()}
+    text = ini({"material": {"name": name}, "spa": spa, "sarcomere": sarcomere, "sweep": grid})
+    return text, command
+
+
+def run_cli(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=40, deadline=None)
+@given(oracle_runs())
+def test_printed_digits_equal_an_mpmath_oracle(run):
+    # Every float that simulate and sweep print, as a "%.6f" CSV cell and as
+    # a JSON float, against the exact chain on the same inputs; a sweep's
+    # cell maxima and their mean too.
+    text, command = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        path.write_text(text, encoding="utf-8")
+        argv = [command[0], "--config", str(path), *command[1:]]
+        csv_rows = [line.split(",") for line in run_cli(argv).splitlines()[1:]]
+        document = json.loads(run_cli([*argv, "--format", "json"]))
+        config = load_config(path)
+    pressures = config.sweep.pressures()
+    if command[0] == "simulate":
+        specs = [config.build_spec()]
+        cells = [(csv_rows, document)]
+    else:
+        specs = [config.spec_with_spa(config.spa_for_ratio(parse_ratio(r)), MATERIALS[command[2]])
+                 for r in command[4].split(",")]
+        count = len(pressures)
+        cells = [(csv_rows[i * count:(i + 1) * count], cell) for i, cell in enumerate(document["cells"])]
+    assert len(csv_rows) == len(specs) * len(pressures)
+    fields = list(zip(ActuationState._fields, STATE_COLUMNS))
+    maxima = []
+    with mpmath.workdps(50):
+        for spec, (rows, cell) in zip(specs, cells, strict=True):
+            # A sweep row holds material, ratio and h_ch before the states.
+            offset = 3 if command[0] == "sweep" else 0
+            columns = {name: [state[key] for state in cell["states"]] for name, key in fields}
+            exact = exact_states(spec, pressures, columns)
+            for row, state, point in zip(rows, cell["states"], exact, strict=True):
+                for i, (name, key) in enumerate(fields[:-1]):
+                    check_printed(row[offset + i], state[key], *point[name], name)
+                ratio, bound = point["length_ratio"]
+                flags = {check_length_ratio(float(ratio + side), 1.0) for side in (-bound, bound)}
+                assert row[offset + 11] == state["ratio_flag"] and state["ratio_flag"] in flags
+            # The largest f_spa of a cell is within the largest bound of the
+            # cell's f_spa values.
+            top = (max(point["f_spa"][0] for point in exact), max(point["f_spa"][1] for point in exact))
+            maxima.append(top)
+            if command[0] == "sweep":
+                for row in rows:
+                    check_printed(row[-2], cell["max_f_spa_n"], *top, "max_f_spa")
+        if command[0] == "sweep":
+            mean = sum(value for value, _ in maxima) / len(maxima)
+            mean_bound = sum(bound for _, bound in maxima) / len(maxima) + _ROUNDING * abs(mean)
+            for rows, cell in cells:
+                for row in rows:
+                    check_printed(row[-1], cell["mean_max_f_spa_n"], mean, mean_bound, "mean_max_f_spa")
