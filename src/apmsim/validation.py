@@ -44,10 +44,10 @@ class Curve:
             raise DomainError("curve needs matching 1-d x and y arrays")
         if self.x.size < 2:
             raise DomainError(f"curve {self.label!r} needs at least 2 points")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise DomainError(f"curve {self.label!r} contains non-finite values")
         # A comparison, not np.diff: the step of a wide finite x overflows.
-        if not np.all(self.x[1:] > self.x[:-1]):
+        if not (self.x[1:] > self.x[:-1]).all():
             raise DomainError(f"curve {self.label!r} must have strictly increasing x")
 
     def __len__(self) -> int:
@@ -357,17 +357,24 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     return value
 
 
-def _rescale_by_reference(curve: Curve, reference: Curve) -> Curve:
-    x0, x1 = float(np.min(reference.x)), float(np.max(reference.x))
-    y0, y1 = float(np.min(reference.y)), float(np.max(reference.y))
+def _reference_box(reference: Curve) -> tuple[float, float, float, float]:
+    """The reference's lower corner and spans (x0, y0, x_span, y_span);
+    DomainError if a span is zero or overflows a float."""
+    x0, x1 = float(reference.x.min()), float(reference.x.max())
+    y0, y1 = float(reference.y.min()), float(reference.y.max())
     x_span, y_span = x1 - x0, y1 - y0
     if x_span == 0.0 or y_span == 0.0:
         raise DomainError("reference curve has a degenerate x or y range")
     if not (math.isfinite(x_span) and math.isfinite(y_span)):
         raise DomainError("reference curve x or y range overflows a float")
+    return x0, y0, x_span, y_span
+
+
+def _rescale(curve: Curve, box: tuple[float, float, float, float]) -> Curve:
+    x0, y0, x_span, y_span = box
     with np.errstate(over="ignore"):
         x, y = (curve.x - x0) / x_span, (curve.y - y0) / y_span
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise DomainError(
             f"curve {curve.label!r} lies too far outside the reference range to normalise"
         )
@@ -385,10 +392,8 @@ def normalized_frechet(model: Curve, reference: Curve) -> float:
     result is a fraction of the reference range (multiply by 100 for a
     percentage) and is invariant under joint affine changes of units.
     """
-    return discrete_frechet(
-        _rescale_by_reference(model, reference),
-        _rescale_by_reference(reference, reference),
-    )
+    box = _reference_box(reference)
+    return discrete_frechet(_rescale(model, box), _rescale(reference, box))
 
 
 def r_squared(pairs) -> float:
@@ -416,8 +421,12 @@ def r_squared(pairs) -> float:
 
 
 def quantile_grid(k: int) -> np.ndarray:
-    """qq_pairs's k probabilities: i * (1/(k-1)) for i = 0..k-2, then exactly 1."""
-    return np.linspace(0.0, 1.0, k)
+    """qq_pairs's k probabilities: i * (1/(k-1)) for i = 0..k-2, then exactly 1.
+
+    np.linspace(0.0, 1.0, k) bit for bit, by its own arithmetic."""
+    grid = np.arange(k, dtype=float) * (1.0 / (k - 1))
+    grid[-1] = 1.0
+    return grid
 
 
 def check_quantile_count(k: int) -> None:
@@ -428,11 +437,50 @@ def check_quantile_count(k: int) -> None:
         raise DomainError(f"quantile count must be at most {MAX_QUANTILES}, got {k}")
 
 
+def _quantile_positions(n: int, probs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Where np.quantile(·, probs, method="linear") reads a sample of size n:
+    the order statistics below and above each virtual index (n - 1) * p, its
+    weight t, and numpy's kth list for the partition.
+
+    numpy moves an index at or past the last order statistic to -1 before it
+    takes the weight, so t is then index + 1; the lerp's t >= 0.5 branch
+    still gives the last value, but with the sign of zero numpy gives it.
+    """
+    index = (n - 1) * probs
+    lower = np.floor(index)
+    upper = lower + 1
+    last = index >= n - 1
+    lower[last] = upper[last] = -1
+    t = index - lower
+    lower, upper = lower.astype(np.intp), upper.astype(np.intp)
+    return lower, upper, t, np.unique(np.concatenate(([0, -1], lower, upper)))
+
+
+def _linear_quantiles(sample: np.ndarray, positions) -> np.ndarray:
+    """np.quantile(sample, probs, method="linear") bit for bit, at
+    _quantile_positions(sample.size, probs)."""
+    lower, upper, t, kth = positions
+    # numpy's partition, not a sort: the two place 0.0 and -0.0 differently.
+    ordered = sample.flatten()
+    ordered.partition(kth)
+    a, b = ordered[lower], ordered[upper]
+    # numpy's _lerp, which takes the upper end's form from t = 0.5 on.
+    diff = b - a
+    q = a + diff * t
+    np.subtract(b, diff * (1 - t), out=q, where=t >= 0.5)
+    # A NaN sorts last, and numpy then gives it as every quantile.
+    if math.isnan(ordered[-1]):
+        q.fill(ordered[-1])
+    return q
+
+
 def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
     """k paired quantiles of two samples at evenly spaced probabilities.
 
     Probabilities quantile_grid(k); quantiles use linear interpolation
-    between order statistics with inclusive endpoints. Pairs are monotone
+    between order statistics with inclusive endpoints (Hyndman & Fan 1996,
+    method 7), bit for bit numpy's np.quantile(·, method="linear"), computed
+    by its own steps without its per-call overhead. Pairs are monotone
     nondecreasing in both coordinates. k must lie in [2, MAX_QUANTILES].
     """
     a = np.asarray(a, dtype=float)
@@ -441,9 +489,10 @@ def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
         raise DomainError("q-q pairing needs non-empty samples")
     check_quantile_count(k)
     probs = quantile_grid(k)
-    qa = np.quantile(a, probs, method="linear")
-    qb = np.quantile(b, probs, method="linear")
-    return [(float(x), float(y)) for x, y in zip(qa, qb)]
+    at_a = _quantile_positions(a.size, probs)
+    at_b = at_a if b.size == a.size else _quantile_positions(b.size, probs)
+    qa, qb = _linear_quantiles(a, at_a), _linear_quantiles(b, at_b)
+    return list(zip(qa.tolist(), qb.tolist()))
 
 
 def compare_curves(

@@ -18,6 +18,8 @@ on identical point sequences; its fast distances must stay within the
 certification slack of math.hypot, and its bit-parallel free-space reach
 must decide as a cell-by-cell reachability does. The CSV writer must print
 each float as CPython's "%.6f" does, in blocks of at most BLOCK_ROWS rows.
+qq_pairs must give np.quantile's linear quantiles bit for bit, signs of zero
+included, and quantile_grid np.linspace's probabilities.
 Every float that simulate and sweep print, in CSV and in JSON, must agree
 with the chain evaluated exactly by mpmath, within an error bound derived
 from the solve tolerances and the stages' condition numbers.
@@ -764,6 +766,52 @@ def test_frechet_zero_only_on_identical_sequences(size, seed, change):
     identical = np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     assert (discrete_frechet(a, b) == 0.0) == identical
     assert identical == (change == "same")
+
+
+# ----------------------------------------------------------- Q-Q quantiles
+
+# Sample values that make a quantile's bits easy to get wrong: subnormals,
+# magnitudes near 1e+-300 whose differences overflow or underflow, and small
+# values. A sample of 1-60 values draws from a few of them and both zeros,
+# so that values repeat and zeros of both signs meet.
+quantile_values = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e299, 1e301),
+    st.floats(-1e301, -1e299),
+    st.floats(-1e-299, 1e-299),
+    st.floats(-10.0, 10.0).map(lambda v: round(v, 1)),
+)
+quantile_samples = st.tuples(st.integers(1, 60), st.lists(quantile_values, max_size=8)).flatmap(
+    lambda size_pool: st.lists(
+        st.sampled_from([0.0, -0.0, *size_pool[1]]), min_size=size_pool[0], max_size=size_pool[0]
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@example([0.0, -0.0, -0.0, 5e-324], [-0.0, 1e300, -1e300], validation.MAX_QUANTILES)
+# A NaN sample gives NaN at every probability, and inf - inf gives NaN too.
+@example([1.0, math.nan, -0.0], [math.inf, 2.0, -math.inf, 2.0], 7)
+@given(quantile_samples, quantile_samples, st.integers(2, 500))
+def test_qq_pairs_are_numpy_linear_quantiles_bit_for_bit(a, b, k):
+    # Equal values and equal signs of zero: qq_pairs follows np.quantile's
+    # own steps, whose partition and lerp decide which zero comes out.
+    probs = np.linspace(0.0, 1.0, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = np.array(validation.qq_pairs(a, b, k))
+        want = np.column_stack([np.quantile(np.array(s), probs, method="linear") for s in (a, b)])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@example(2)
+@example(3)
+@example(9)
+@example(validation.MAX_QUANTILES)
+@given(st.integers(2, validation.MAX_QUANTILES))
+def test_quantile_grid_is_linspace_bit_for_bit(k):
+    assert validation.quantile_grid(k).tobytes() == np.linspace(0.0, 1.0, k).tobytes()
 
 
 # -------------------------------------------------------------- CSV text

@@ -224,6 +224,16 @@ def test_normalized_frechet_rejects_model_far_outside_reference():
         normalized_frechet(model, reference)
 
 
+def test_normalized_frechet_checks_the_reference_box_before_the_model():
+    # Both faults at once: the reference's y range is degenerate, and the
+    # model lies too far outside its x range. The box is checked once,
+    # before either curve is rescaled, so its error comes first.
+    model = Curve([0.0, 1.5e308], [0.0, 1.0], "model")
+    reference = Curve([-1e308, 5e307], [2.0, 2.0], "reference")
+    with pytest.raises(DomainError, match="^reference curve has a degenerate x or y range$"):
+        normalized_frechet(model, reference)
+
+
 # ------------------------------------------------------------------------ R^2
 
 def test_r_squared_exact_agreement():
