@@ -12,6 +12,7 @@ All functions are pure; batch comparisons may run in parallel across pairs.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import csv
 import math
@@ -121,7 +122,7 @@ class AgreementReport:
 FAST_DISTANCE_REL = 8 * 2.0**-52
 FAST_DISTANCE_ABS = 8 * 5e-324
 # Cells per block of every scan of the m x n cells, or one row when a row is
-# longer: the lower bound, the reach and the certification all fill one pair
+# longer: the lower bound, the reach and the exact reaches all fill one pair
 # of buffers, 64 KB of complex differences and 32 KB of distances, and the
 # reach adds a 4 KB free mask and its 512 packed bytes. Larger blocks raise
 # a validate run's peak RSS: 8192 cells added about 0.2 MB at numpy's default
@@ -146,8 +147,8 @@ def _exact_distances(dz: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.hypot, dz.real.tolist(), dz.imag.tolist()), float, dz.size)
 
 
-def _wavefront(za: np.ndarray, zb: np.ndarray, distances) -> float:
-    """The Eiter & Mannila DP over points za, zb with the given distance kernel.
+def _wavefront(za: np.ndarray, zb: np.ndarray) -> float:
+    """The Eiter & Mannila DP over points za, zb on fast distances.
 
     Swept as an anti-diagonal wavefront: every cell on diagonal k = i + j
     depends only on diagonals k-1 and k-2, so one numpy min/max step fills
@@ -165,12 +166,12 @@ def _wavefront(za: np.ndarray, zb: np.ndarray, distances) -> float:
     # only slot 0.
     prev2 = np.full(m + 1, math.inf)
     prev = np.full(m + 1, math.inf)
-    prev[1] = distances(za[:1] - zb[:1])[0]
+    prev[1] = np.abs(za[:1] - zb[:1])[0]
     # prev holds diagonal k - 1 and prev2 diagonal k - 2, which diagonal k
     # overwrites.
     for k in range(1, m + n - 1):
         lo, hi = max(0, k - n + 1), min(m - 1, k)
-        dist = distances(za[lo : hi + 1] - zr[n - 1 - k + lo : n - k + hi])
+        dist = np.abs(za[lo : hi + 1] - zr[n - 1 - k + lo : n - k + hi])
         best = np.minimum(prev[lo : hi + 1], prev[lo + 1 : hi + 2])
         np.minimum(best, prev2[lo : hi + 1], out=best)
         np.maximum(best, dist, out=prev2[lo + 1 : hi + 2])
@@ -200,41 +201,43 @@ class _Scan:
 
 
 class _Window:
-    """The exact distances of the cells whose fast distance lies near `fast`.
+    """The cells whose fast distance lies near t, and their exact distances.
 
     The DP commutes with the monotone slack bounds, so the exact DP value
-    lies within one slack of a fast DP value `fast`, and the cell that
-    attains it has a fast distance within one more slack; a third slack
-    covers the rounding of the window bounds. The value is certified when
-    every cell whose fast distance lies in that window has the same exact
-    distance.
+    lies within one slack of a fast DP value t, and the cell that attains
+    it has a fast distance within one more slack; a third slack covers the
+    rounding of the window bounds. The distinct exact distances of the
+    window's cells, `values`, thus hold the exact DP value. The same bounds
+    also tell which cells have an exact distance of at most t: those below
+    the window do, those above it do not, and math.hypot decides inside it.
     """
 
-    def __init__(self, fast: float) -> None:
+    def __init__(self, t: float) -> None:
         rel, tiny = 3.0 * FAST_DISTANCE_REL, 3.0 * FAST_DISTANCE_ABS
-        # An infinite fast value may stand for a finite exact one near the
+        # An infinite t may stand for a finite exact distance near the
         # largest float, so the window then reaches down from there.
-        self.low = min(fast, _FLOAT_MAX) * (1.0 - rel) - tiny
-        self.high = fast * (1.0 + rel) + tiny
-        self.value = None
-        self.certified = True
+        self.t = t
+        self.low = min(t, _FLOAT_MAX) * (1.0 - rel) - tiny
+        self.high = t * (1.0 + rel) + tiny
+        self.values = set()
 
     def add(self, dz: np.ndarray, d: np.ndarray) -> None:
-        """Take the window cells of one block; two exact distances that
-        differ end the certification."""
-        if not self.certified:
-            return
+        """Take the exact distances of one block's window cells."""
         inside = (d >= self.low) & (d <= self.high)
-        if not inside.any():
-            return
-        exact = _exact_distances(dz[inside])
-        if self.value is None:
-            self.value = float(exact[0])
-        self.certified = bool(np.all(exact == self.value))
+        if inside.any():
+            self.values.update(_exact_distances(dz[inside]).tolist())
 
-    def result(self) -> float | None:
-        """The exact DP value, if the window pins it down; else None."""
-        return self.value if self.certified else None
+    def fast_free(self, dz: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+        """Take one block's window cells, and mark in `out` its cells whose
+        fast distance is at most t."""
+        self.add(dz, d)
+        np.less_equal(d, self.t, out=out)
+
+    def exact_free(self, dz: np.ndarray, d: np.ndarray, out: np.ndarray) -> None:
+        """Mark in `out` one block's cells whose exact distance is at most t."""
+        inside = (d >= self.low) & (d <= self.high)
+        np.less(d, self.low, out=out)
+        out[inside] = _exact_distances(dz[inside]) <= self.t
 
 
 def _lower_bound(scan: _Scan) -> float:
@@ -252,11 +255,9 @@ def _lower_bound(scan: _Scan) -> float:
     return float(max(first, row_min.max(), column_min.max(), d[-1, -1]))
 
 
-def _reaches(scan: _Scan, bound: float, window: _Window) -> bool:
-    """Whether a monotone path of free cells, fast distance <= bound, joins
-    (0, 0) to (m-1, n-1); the fast DP value is then at most `bound`, and
-    equal to it when `bound` is a lower bound. Each block's cells also go
-    to `window`.
+def _reaches(scan: _Scan, free) -> bool:
+    """Whether a monotone path of free cells joins (0, 0) to (m-1, n-1),
+    where free(dz, d, out) marks in `out` the free cells of each block.
 
     Row by row, bit j of an integer stands for column j. A free cell is
     entered from the reach of the row above at its own column or the one
@@ -265,14 +266,13 @@ def _reaches(scan: _Scan, bound: float, window: _Window) -> bool:
     & Dix, 1986). The reach stops (False) at a row with no seed.
     """
     n = scan.zb.size
-    free = np.empty(scan.d.shape, bool)
+    mask = np.empty(scan.d.shape, bool)
     width = (n + 7) // 8
     # Row -1 reaches only column -1, so row 0 is entered at column 0 alone.
     below = 1
     for _, dz, d in scan:
-        window.add(dz, d)
-        np.less_equal(d, bound, out=free[: len(d)])
-        rows = np.packbits(free[: len(d)], axis=1, bitorder="little").tobytes()
+        free(dz, d, mask[: len(d)])
+        rows = np.packbits(mask[: len(d)], axis=1, bitorder="little").tobytes()
         for k in range(0, len(rows), width):
             f = int.from_bytes(rows[k : k + width], "little")
             seeds = f & below
@@ -281,17 +281,6 @@ def _reaches(scan: _Scan, bound: float, window: _Window) -> bool:
             reach = ((f + seeds) ^ f) & f | seeds
             below = reach | reach << 1
     return bool(reach >> (n - 1) & 1)
-
-
-def _certify(scan: _Scan, fast: float) -> float | None:
-    """The exact DP value, if the fast DP value `fast` pins it down
-    (_Window); else None."""
-    window = _Window(fast)
-    for _, dz, d in scan:
-        window.add(dz, d)
-        if not window.certified:
-            return None
-    return window.result()
 
 
 def discrete_frechet(a: Curve, b: Curve) -> float:
@@ -306,37 +295,39 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     within FAST_DISTANCE_REL relative plus FAST_DISTANCE_ABS. The DP only
     takes mins and maxes, which commute with that monotone slack, so the
     exact result is the math.hypot distance of a cell whose fast distance
-    lies in a window around the fast DP value. Computed in three stages:
+    lies in a window around the fast DP value. Computed in two stages:
 
-    1. Bound and reach, always. One scan of the fast distances gives a
-       lower bound B on the fast DP value: the largest of every row's and
-       every column's minimum and both end cells' distances. A second scan
-       decides, as in Alt & Godau (1995), whether a monotone path of free
-       cells, fast distance <= B, joins the end cells: bit-parallel, one
-       row of free cells as one integer, whose reach a carry spreads along
-       each run of free cells (Allison & Dix, 1986). If such a path
-       exists, the fast DP value is B; the same scan gathers the cells of
-       the window around B and computes math.hypot on the few inside. If
-       they all share one exact distance, that is the result, and no
-       wavefront runs.
-    2. Fast wavefront, only when no free path was found: the couplings of
-       noisy curves often leave the row and column minima. The DP runs as
-       an anti-diagonal wavefront on fast distances, and a third scan
-       certifies the window around its value as in stage 1.
-    3. Exact wavefront, only when a window holds two distinct exact
-       distances: the wavefront runs again with math.hypot distances.
+    1. The fast DP value and its window. One scan of the fast distances
+       gives a lower bound B on the fast DP value: the largest of every
+       row's and every column's minimum and both end cells' distances. A
+       second scan decides, as in Alt & Godau (1995), whether a monotone
+       path of free cells, fast distance <= B, joins the end cells:
+       bit-parallel, one row of free cells as one integer, whose reach a
+       carry spreads along each run of free cells (Allison & Dix, 1986).
+       If such a path exists, the fast DP value is B, and the same scan
+       computes math.hypot on the few cells of the window around B. Else,
+       as for noisy curves whose couplings leave the row and column
+       minima, the DP runs as an anti-diagonal wavefront on fast
+       distances, and a third scan takes the window around its value.
+    2. The exact value. The window's distinct exact distances hold the
+       exact DP value. If there is one, it is the result. Else the result
+       is the least at which an exact reach joins the end cells: the same
+       reach with free cells of exact distance <= t, which computes
+       math.hypot only on the cells in the window around t. Whether it
+       joins is monotone in t, so a bisection of the sorted candidates
+       finds it. A window spans fewer than a hundred floats, so at most
+       seven exact reaches run.
 
     np.abs of a block and of a diagonal may differ in the last bit, so the
     proved B and the fast wavefront's value may too; the window's slack
     covers either. Overflowing differences give inf in both kernels.
 
-    Each stage returns only an exact distance proved to be the exact DP
-    value, so the result is bit-identical to the row-by-row DP on
-    math.hypot distances, exactly symmetric, and zero exactly when the
-    point sequences coincide. O(m*n) time, O(m+n) memory: every scan fills
-    the same buffers of _SCAN_BLOCK_CELLS cells, the reach keeps the bits
-    of one row, and each wavefront a few diagonals; no m x n array is
-    built.
+    The result is an exact distance proved to be the exact DP value, so it
+    is bit-identical to the row-by-row DP on math.hypot distances, exactly
+    symmetric, and zero exactly when the point sequences coincide. O(m*n)
+    time, O(m+n) memory: every scan fills the same buffers of
+    _SCAN_BLOCK_CELLS cells, the reach keeps the bits of one row, and the
+    wavefront a few diagonals; no m x n array is built.
     """
     za, zb = _points(a), _points(b)
     scan = _Scan(za, zb)
@@ -344,14 +335,17 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
         # Restored by hand too: numpy 1.x does not tie it to errstate.
         bufsize = np.setbufsize(_UFUNC_BUFSIZE)
         try:
-            bound = _lower_bound(scan)
-            window = _Window(bound)
-            if _reaches(scan, bound, window):
-                value = window.result()
-            else:
-                value = _certify(scan, _wavefront(za, zb, np.abs))
-            if value is None:
-                value = _wavefront(za, zb, _exact_distances)
+            window = _Window(_lower_bound(scan))
+            if not _reaches(scan, window.fast_free):
+                window = _Window(_wavefront(za, zb))
+                for _, dz, d in scan:
+                    window.add(dz, d)
+            # The least candidate at which the exact reach joins; the last
+            # one joins, so only those before it are tried.
+            values = sorted(window.values)
+            value = values[bisect.bisect_left(
+                values, True, hi=len(values) - 1, key=lambda t: _reaches(scan, _Window(t).exact_free)
+            )]
         finally:
             np.setbufsize(bufsize)
     return value

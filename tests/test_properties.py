@@ -13,9 +13,10 @@ mpmath to 1e-15 relative, be exact at the circle and where the squared axis
 ratio underflows, and give each element of an array the bits of its own
 call. The Frechet DP must give exactly the row-by-row DP's result, whether
 a free path proves its lower bound or the wavefront runs, also on near ties
-that send it to its exact fallback, be exactly symmetric, and be zero only
-on identical point sequences; its fast distances must stay within the
-certification slack of math.hypot, and its bit-parallel free-space reach
+and offset pairs whose value an exact reach decides, be exactly symmetric,
+and be zero only on identical point sequences; its fast distances must stay
+within the window slack of math.hypot, its exact free mask must free the
+cells of exact distance at most t, and its bit-parallel free-space reach
 must decide as a cell-by-cell reachability does. The CSV writer must print
 each float as CPython's "%.6f" does, in blocks of at most BLOCK_ROWS rows.
 qq_pairs must give np.quantile's linear quantiles bit for bit, signs of zero
@@ -444,11 +445,10 @@ def curve_pairs(draw):
     """Two curves; b may reuse points of a, which makes exact distance ties,
     or be some of a's points shifted by one offset in y with one point
     nudged a few ulps, which makes near ties: distinct exact distances a
-    few ulps apart, so discrete_frechet's certification falls back to the
-    exact DP. A close b is a's polyline resampled at n points with small
-    noise in y: about half of such pairs have a free path at the lower
-    bound and half do not, so both the proved value and the fast wavefront
-    are drawn."""
+    few ulps apart in the window, between which an exact reach decides. A
+    close b is a's polyline resampled at n points with small noise in y:
+    about half of such pairs have a free path at the lower bound and half
+    do not, so both the proved value and the fast wavefront are drawn."""
     m, n = draw(curve_sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = seeded_curve(rng, m)
@@ -473,7 +473,14 @@ def curve_pairs(draw):
 @given(curve_pairs())
 def test_frechet_equals_row_by_row_dp(pair):
     a, b = pair
-    assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        spy(patch, "_reaches", runs.append)
+        spy(patch, "_wavefront", lambda value: runs.append(None))
+        assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
+    # runs holds each reach's result and None for a wavefront: one runs
+    # only right after the fast reach failed.
+    assert [k for k, run in enumerate(runs) if run is None] == ([1] if runs[0] is False else [])
 
 
 @settings(max_examples=60, deadline=None)
@@ -516,42 +523,55 @@ def test_fast_distance_slack_holds():
         assert np.all(np.abs(fast - exact) <= slack)
 
 
+def spy(monkeypatch, name, record):
+    """Patch validation.<name> to pass each call's result to record."""
+    real = getattr(validation, name)
+
+    def spied(*args):
+        result = real(*args)
+        record(result)
+        return result
+
+    monkeypatch.setattr(validation, name, spied)
+
+
 @pytest.fixture
-def wavefront_kernels(monkeypatch):
-    """The distance kernel of every wavefront pass discrete_frechet runs."""
-    kernels = []
-    wavefront = validation._wavefront
-
-    def spy(za, zb, distances):
-        kernels.append(distances)
-        return wavefront(za, zb, distances)
-
-    monkeypatch.setattr(validation, "_wavefront", spy)
-    return kernels
+def wavefront_runs(monkeypatch):
+    """The value of every wavefront pass discrete_frechet runs."""
+    values = []
+    spy(monkeypatch, "_wavefront", values.append)
+    return values
 
 
 @pytest.fixture
 def reach_results(monkeypatch):
     """Whether each free-space reach that discrete_frechet runs finds a path."""
     results = []
-    reaches = validation._reaches
-
-    def spy(*args):
-        results.append(reaches(*args))
-        return results[-1]
-
-    monkeypatch.setattr(validation, "_reaches", spy)
+    spy(monkeypatch, "_reaches", results.append)
     return results
 
 
-def test_frechet_near_tie_falls_back_to_exact_dp(wavefront_kernels):
+def test_frechet_near_tie_falls_back_to_exact_dp(reach_results, wavefront_runs):
     # The optimum is d(1, 1) = 1 + 2**-52, the lower bound, and the diagonal
     # reaches it, so no fast wavefront runs; d(0, 0) = 1 lies in the window
-    # around that value, so the window holds two exact values.
+    # around that value, so the window holds two exact values, and the
+    # exact reach at 1.0 fails, which decides for the other.
     a = Curve([0.0, 1.0], [0.0, 0.0])
     b = Curve([0.0, 1.0], [1.0, 1.0 + 2.0**-52])
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == 1.0 + 2.0**-52
-    assert wavefront_kernels == [validation._exact_distances]
+    assert reach_results == [True, False]
+    assert wavefront_runs == []
+
+
+def test_frechet_bisects_the_window_of_an_offset_pair(reach_results, wavefront_runs):
+    # The diagonal cells of a pair offset by 0.01 in y have exact distances
+    # a few ulps apart, all in the window around the proved lower bound.
+    x = np.linspace(0.0, 2.0 * math.pi, 300)
+    a, b = Curve(x, np.sin(3.0 * x)), Curve(x, np.sin(3.0 * x) + 0.01)
+    value = discrete_frechet(a, b)
+    assert value.hex() == row_by_row_frechet(a, b).hex() == (0.010000000000000009).hex()
+    assert wavefront_runs == []
+    assert reach_results[0] is True and len(reach_results) > 2
 
 
 def force_curve_pairs(count):
@@ -566,11 +586,13 @@ def force_curve_pairs(count):
         yield model, ref
 
 
-def test_frechet_certifies_long_force_curves(wavefront_kernels):
+def test_frechet_certifies_long_force_curves(reach_results, wavefront_runs):
     for model, ref in force_curve_pairs(3):
         assert discrete_frechet(model, ref) == row_by_row_frechet(model, ref)
-    # The lower bound is proved and certified: no wavefront runs.
-    assert wavefront_kernels == []
+    # The lower bound is proved and its window holds one exact value: one
+    # reach per pair and no wavefront.
+    assert reach_results == [True] * 3
+    assert wavefront_runs == []
 
 
 def test_frechet_scans_keep_one_set_of_block_buffers():
@@ -597,13 +619,13 @@ def test_frechet_scans_keep_one_set_of_block_buffers():
     # d(m-1, n-1), the same pair reversed.
     ([(0.0, 0.0), (1.0, 0.0), (2.0, 5.0)], [(0.0, 0.0), (1.0, 5.0), (2.0, 0.0)], 5.0),
 ])
-def test_frechet_lower_bound_takes_every_part(a_points, b_points, bound, reach_results, wavefront_kernels):
+def test_frechet_lower_bound_takes_every_part(a_points, b_points, bound, reach_results, wavefront_runs):
     # The value is each case's one part of the bound that is not a row or
     # column minimum below it, so a bound without that part has no free path.
     a, b = Curve.from_points(a_points), Curve.from_points(b_points)
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == bound
     assert reach_results == [True]
-    assert wavefront_kernels == []
+    assert wavefront_runs == []
 
 
 @pytest.mark.parametrize("a_points, b_points", [
@@ -618,7 +640,7 @@ def test_reach_needs_a_free_cell_in_every_row_and_at_both_ends(a_points, b_point
     # Below the lower bound such cells can be missing; at the threshold 1.0
     # no free path joins the end cells, and the reach must not find one.
     za, zb = (validation._points(Curve.from_points(p)) for p in (a_points, b_points))
-    assert not validation._reaches(validation._Scan(za, zb), 1.0, validation._Window(1.0))
+    assert not validation._reaches(validation._Scan(za, zb), validation._Window(1.0).fast_free)
 
 
 def test_frechet_restores_numpy_settings():
@@ -643,20 +665,20 @@ def zigzag_curve(size, phase):
     lambda rng: (noise_curve(rng, 5000), noise_curve(rng, 3)),
     lambda rng: (noise_curve(rng, 3), noise_curve(rng, 5000)),
 ], ids=["noise_400x400", "noise_5000x3", "noise_3x5000"])
-def test_frechet_without_a_free_path_runs_the_wavefront(make_pair, reach_results, wavefront_kernels):
+def test_frechet_without_a_free_path_runs_the_wavefront(make_pair, reach_results, wavefront_runs):
     a, b = make_pair(np.random.default_rng(0))
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
     assert reach_results == [False]
-    assert wavefront_kernels[0] is np.abs
+    assert len(wavefront_runs) == 1
 
 
-def test_frechet_proves_the_zigzag_pair_without_a_wavefront(reach_results, wavefront_kernels):
+def test_frechet_proves_the_zigzag_pair_without_a_wavefront(reach_results, wavefront_runs):
     # Every other cell of a row is free, 200 runs per row, and the diagonal
     # at the value 2: one carry per row follows them all.
     a, b = zigzag_curve(400, 0), zigzag_curve(400, 1)
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b) == 2.0
     assert reach_results == [True]
-    assert wavefront_kernels == []
+    assert wavefront_runs == []
 
 
 class MaskScan(validation._Scan):
@@ -719,7 +741,58 @@ def free_masks(draw):
 @given(free_masks())
 def test_reach_equals_cell_by_cell_reachability(free):
     scan = MaskScan(free)
-    assert validation._reaches(scan, 1.0, validation._Window(1.0)) == cell_by_cell_reach(free)
+    assert validation._reaches(scan, validation._Window(1.0).fast_free) == cell_by_cell_reach(free)
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+# Thresholds of the exact free mask: zero, subnormal, normal, near and at the
+# largest float, and inf.
+free_thresholds = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1.0, 0.01, FLOAT_MAX, math.inf]),
+    st.floats(5e-324, 2.2250738585072014e-308),
+    st.floats(1e-300, 1e300),
+    st.floats(1e307, FLOAT_MAX),
+)
+
+
+@st.composite
+def blocks_near(draw):
+    """A threshold t and a block of complex differences whose exact
+    distances lie at t or within 1-8 ulps of it, along the axes and at
+    random angles. A radius nudged past the largest float stays at it, and
+    its direction grows by the nudge instead, so those differences overflow
+    in np.abs, math.hypot, both or neither."""
+    t = draw(free_thresholds)
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = rng.integers(-8, 9, shape) * (rng.random(shape) < 0.7)
+    radius = np.full(shape, t)
+    with np.errstate(over="ignore"):
+        for k in range(8):
+            radius = np.where(steps > k, np.nextafter(radius, math.inf), radius)
+            radius = np.where(steps < -k, np.nextafter(radius, 0.0), radius)
+    grow = np.where(radius > FLOAT_MAX, 1.0 + np.maximum(steps, 0) * 2.0**-52, 1.0)
+    radius = np.minimum(radius, FLOAT_MAX)
+    angle = np.where(rng.random(shape) < 0.2, rng.choice([0.0, math.pi / 2], shape), rng.uniform(0.0, math.pi / 2, shape))
+    dz = np.empty(shape, complex)
+    dz.real = np.minimum(np.cos(angle) * grow, 1.0) * radius
+    dz.imag = np.minimum(np.sin(angle) * grow, 1.0) * radius
+    return t, dz
+
+
+@settings(max_examples=300, deadline=None)
+# With numpy 2.4.6 on x86-64, np.abs reads this cell 2 ulps below math.hypot
+# and t lies between the two, so a window without its lower margin frees it.
+@example((1.8050029237453802, np.array([[1.7517541995616157 + 0.43519280675077143j]])))
+@given(blocks_near())
+def test_exact_reach_frees_the_cells_of_exact_distance_at_most_t(block):
+    t, dz = block
+    with np.errstate(over="ignore"):
+        d = np.abs(dz)
+    free = np.empty(dz.shape, bool)
+    validation._Window(t).exact_free(dz, d, free)
+    exact = validation._exact_distances(dz.ravel()).reshape(dz.shape)
+    assert np.array_equal(free, exact <= t)
 
 
 @pytest.mark.parametrize("a_points, b_points, expected", [
