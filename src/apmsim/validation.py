@@ -122,11 +122,11 @@ class AgreementReport:
 FAST_DISTANCE_REL = 8 * 2.0**-52
 FAST_DISTANCE_ABS = 8 * 5e-324
 # Cells per block of every scan of the m x n cells, or one row when a row is
-# longer: the lower bound, the reach and the exact reaches all fill one pair
-# of buffers, 64 KB of complex differences and 32 KB of distances, and the
-# reach adds a 4 KB free mask and its 512 packed bytes. Larger blocks raise
-# a validate run's peak RSS: 8192 cells added about 0.2 MB at numpy's default
-# ufunc buffer size.
+# longer: every scan fills one pair of buffers, 64 KB of complex differences
+# and 32 KB of distances, and the reach adds a 4 KB free mask and its 512
+# packed bytes; a banded block takes more rows of fewer columns. Larger blocks
+# raise a validate run's peak RSS: 8192 cells added about 0.2 MB at numpy's
+# default ufunc buffer size.
 _SCAN_BLOCK_CELLS = 4096
 # numpy's ufunc buffer size, in elements, during the DP. At the default
 # 8192, numpy 2.4.6 copies a block's broadcast operands into buffers before
@@ -180,24 +180,44 @@ def _wavefront(za: np.ndarray, zb: np.ndarray) -> float:
 
 
 class _Scan:
-    """The m x n cells of za against zb in row blocks of _SCAN_BLOCK_CELLS,
-    computed into one pair of buffers that every scan of one DP reuses, so
-    every scan sees the same fast distance for a cell."""
+    """The m x n cells of za against zb in row blocks of _SCAN_BLOCK_CELLS, in buffers
+    that every scan of one DP reuses. A scan at t covers each block's columns within a
+    margin of t in x; full rows if one block holds all, the margin spans x or x is unsorted."""
 
     def __init__(self, za: np.ndarray, zb: np.ndarray) -> None:
         self.za, self.zb = za, zb
-        rows = max(1, min(za.size, _SCAN_BLOCK_CELLS // zb.size))
-        self.dz = np.empty((rows, zb.size), complex)
-        self.d = np.empty((rows, zb.size))
+        self.rows = max(1, min(za.size, _SCAN_BLOCK_CELLS // zb.size))
+        self.dz = np.empty(self.rows * zb.size, complex)
+        self.d = np.empty(self.rows * zb.size)
+        xa, xb = za.real, zb.real
+        in_order = self.rows < za.size and (xa[1:] >= xa[:-1]).all() and (xb[1:] >= xb[:-1]).all()
+        self.span = max(xa[-1], xb[-1]) - min(xa[0], xb[0]) if in_order else 0.0
 
-    def __iter__(self):
-        """Each block's first row, complex differences and fast distances."""
-        rows = len(self.d)
-        for start in range(0, self.za.size, rows):
-            block = self.za[start : start + rows, None]
-            dz, d = self.dz[: len(block)], self.d[: len(block)]
-            np.abs(np.subtract(block, self.zb, out=dz), out=d)
-            yield start, dz, d
+    def blocks(self, t: float):
+        """Each block's first row and column, and its band's differences and distances at t."""
+        m, n = self.za.size, self.zb.size
+        # A column left out lies at least the margin away in x even after
+        # x -+ margin rounds, so its fast distances exceed _Window(t).high.
+        margin = t * (1.0 + 5.0 * FAST_DISTANCE_REL) + 5.0 * FAST_DISTANCE_ABS
+        banded = margin < self.span
+        if banded:
+            firsts = np.searchsorted(self.zb.real, self.za.real - margin)
+            lasts = np.searchsorted(self.zb.real, self.za.real + margin, "right")
+        start = 0
+        while start < m:
+            first, end, last = 0, min(m, start + self.rows), n
+            if banded:
+                # The most rows whose band, of at least one column, fits.
+                first = min(int(firsts[start]), n - 1)
+                end = start + bisect.bisect(
+                    range(start + 1, m + 1), self.d.size, key=lambda e: (e - start) * max(int(lasts[e - 1]) - first, 1)
+                )
+                last = max(int(lasts[end - 1]), first + 1)
+            dz = self.dz[: (end - start) * (last - first)].reshape(end - start, last - first)
+            d = self.d[: dz.size].reshape(dz.shape)
+            np.abs(np.subtract(self.za[start:end, None], self.zb[first:last], out=dz), out=d)
+            yield start, first, dz, d
+            start = end
 
 
 class _Window:
@@ -240,39 +260,36 @@ class _Window:
         out[inside] = _exact_distances(dz[inside]) <= self.t
 
 
-def _lower_bound(scan: _Scan) -> float:
-    """max(every row's minimum, every column's minimum, d(0,0), d(m-1,n-1))
-    of the fast distances. Every coupling visits every row, every column
-    and both end cells, so this bounds the fast DP value from below."""
-    row_min = np.empty(scan.za.size)
-    column_min = np.full(scan.zb.size, math.inf)
-    for start, _, d in scan:
-        # The first block holds d(0, 0), the last one d(m-1, n-1).
-        if start == 0:
-            first = d[0, 0]
-        d.min(axis=1, out=row_min[start : start + len(d)])
-        np.minimum(column_min, d.min(axis=0), out=column_min)
-    return float(max(first, row_min.max(), column_min.max(), d[-1, -1]))
+def _minima(blocks, row_min: np.ndarray, column_min: np.ndarray):
+    """Pass on each block after taking its row and column minima."""
+    column_min.fill(math.inf)
+    for block in blocks:
+        start, first, _, d = block
+        np.minimum.reduce(d, axis=1, out=row_min[start : start + len(d)])
+        columns = column_min[first : first + d.shape[1]]
+        np.minimum(columns, np.minimum.reduce(d, axis=0), out=columns)
+        yield block
 
 
-def _reaches(scan: _Scan, free) -> bool:
+def _reaches(scan: _Scan, blocks, free) -> bool:
     """Whether a monotone path of free cells joins (0, 0) to (m-1, n-1),
     where free(dz, d, out) marks in `out` the free cells of each block.
 
-    Row by row, bit j of an integer stands for column j. A free cell is
-    entered from the reach of the row above at its own column or the one
-    before (`below`); from each such seed the reach runs right to the end
-    of its run of free cells, which one addition carries through (Allison
-    & Dix, 1986). The reach stops (False) at a row with no seed.
+    Row by row, bit j of an integer stands for column shift + j of the band.
+    A free cell is entered from the reach of the row above at its own column
+    or the one before (`below`); from each such seed the reach runs right to
+    the end of its run of free cells, which one addition carries through
+    (Allison & Dix, 1986). The reach stops (False) at a row with no seed.
     """
-    n = scan.zb.size
-    mask = np.empty(scan.d.shape, bool)
-    width = (n + 7) // 8
+    mask = np.empty(scan.d.size, bool)
     # Row -1 reaches only column -1, so row 0 is entered at column 0 alone.
-    below = 1
-    for _, dz, d in scan:
-        free(dz, d, mask[: len(d)])
-        rows = np.packbits(mask[: len(d)], axis=1, bitorder="little").tobytes()
+    below, shift = 1, 0
+    for _, first, dz, d in blocks:
+        out = mask[: d.size].reshape(d.shape)
+        free(dz, d, out)
+        width = (d.shape[1] + 7) // 8
+        rows = np.packbits(out, axis=1, bitorder="little").tobytes()
+        below, shift = below >> (first - shift), first
         for k in range(0, len(rows), width):
             f = int.from_bytes(rows[k : k + width], "little")
             seeds = f & below
@@ -280,7 +297,7 @@ def _reaches(scan: _Scan, free) -> bool:
                 return False
             reach = ((f + seeds) ^ f) & f | seeds
             below = reach | reach << 1
-    return bool(reach >> (n - 1) & 1)
+    return bool(reach >> (scan.zb.size - 1 - shift) & 1)
 
 
 def discrete_frechet(a: Curve, b: Curve) -> float:
@@ -297,18 +314,18 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     exact result is the math.hypot distance of a cell whose fast distance
     lies in a window around the fast DP value. Computed in two stages:
 
-    1. The fast DP value and its window. One scan of the fast distances
-       gives a lower bound B on the fast DP value: the largest of every
-       row's and every column's minimum and both end cells' distances. A
-       second scan decides, as in Alt & Godau (1995), whether a monotone
-       path of free cells, fast distance <= B, joins the end cells:
-       bit-parallel, one row of free cells as one integer, whose reach a
-       carry spreads along each run of free cells (Allison & Dix, 1986).
-       If such a path exists, the fast DP value is B, and the same scan
-       computes math.hypot on the few cells of the window around B. Else,
-       as for noisy curves whose couplings leave the row and column
-       minima, the DP runs as an anti-diagonal wavefront on fast
-       distances, and a third scan takes the window around its value.
+    1. The fast DP value and its window. Every coupling visits both end cells,
+       every row and every column, so the fast DP value is at least B, the
+       largest of t_end = max(d(0, 0), d(m-1, n-1)) and every row's and
+       column's minimum. One scan takes the minima and decides, as in Alt &
+       Godau (1995), whether a monotone path of free cells, fast distance
+       <= t_end (B if one block holds every cell), joins the end cells:
+       bit-parallel, one row of free cells as one integer, whose reach a carry
+       spreads along each run (Allison & Dix, 1986). If one does, that is the
+       fast DP value, and the same scan takes math.hypot of the window's few
+       cells. Else a scan at B decides alike; for noisy curves whose couplings
+       leave the row and column minima, the DP then runs as an anti-diagonal
+       wavefront on fast distances, and a scan takes the window around it.
     2. The exact value. The window's distinct exact distances hold the
        exact DP value. If there is one, it is the result. Else the result
        is the least at which an exact reach joins the end cells: the same
@@ -318,9 +335,9 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
        finds it. A window spans fewer than a hundred floats, so at most
        seven exact reaches run.
 
-    np.abs of a block and of a diagonal may differ in the last bit, so the
-    proved B and the fast wavefront's value may too; the window's slack
-    covers either. Overflowing differences give inf in both kernels.
+    np.abs of blocks of other shapes and of a diagonal may differ in the last
+    bit, so the proved bound and the fast wavefront's value may too; the
+    window's slack covers either. Overflowing differences give inf in both.
 
     The result is an exact distance proved to be the exact DP value, so it
     is bit-identical to the row-by-row DP on math.hypot distances, exactly
@@ -330,21 +347,44 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
     wavefront a few diagonals; no m x n array is built.
     """
     za, zb = _points(a), _points(b)
-    scan = _Scan(za, zb)
+    row_min, column_min = np.empty(za.size), np.empty(zb.size)
     with np.errstate(over="ignore"):
         # Restored by hand too: numpy 1.x does not tie it to errstate.
         bufsize = np.setbufsize(_UFUNC_BUFSIZE)
         try:
-            window = _Window(_lower_bound(scan))
-            if not _reaches(scan, window.fast_free):
+            scan, t_end = _Scan(za, zb), 0.0
+            if scan.rows < za.size:
+                ends = np.abs(za[:: za.size - 1] - zb[:: zb.size - 1 or 1]).tolist()
+                # Reach from the end cell setting t_end, near which blocking rows or
+                # columns lie most often; reversed and negated, x keeps order and span.
+                scan.za, scan.zb = (-za[::-1], -zb[::-1]) if ends[1] > ends[0] else (za, zb)
+                t_end = max(ends)
+            # A path at t_end, or at the last scan's bound t once that is B (full rows, or a
+            # bound within its window), proves t; with none at a t >= B the wavefront runs.
+            t, scanned = t_end, None
+            while t != scanned:
+                blocks = _minima(scan.blocks(t), row_min, column_min)
+                if scan.rows >= za.size:  # one block: its minima, so B, come first
+                    blocks = [next(blocks)]
+                    t_end = float(max(blocks[0][3][0, 0], blocks[0][3][-1, -1]))
+                    t = max(t_end, float(row_min.max()), float(column_min.max()))
+                window = _Window(t)
+                joined = _reaches(scan, blocks, window.fast_free)
+                if joined == (scanned is None):
+                    break
+                for _ in blocks:  # the rows after a failed reach
+                    pass
+                t, scanned = max(t_end, float(row_min.max()), float(column_min.max())), t
+            if not joined:
                 window = _Window(_wavefront(za, zb))
-                for _, dz, d in scan:
+                for _, _, dz, d in scan.blocks(window.t):
                     window.add(dz, d)
             # The least candidate at which the exact reach joins; the last
             # one joins, so only those before it are tried.
             values = sorted(window.values)
             value = values[bisect.bisect_left(
-                values, True, hi=len(values) - 1, key=lambda t: _reaches(scan, _Window(t).exact_free)
+                values, True, hi=len(values) - 1,
+                key=lambda t: _reaches(scan, scan.blocks(t), _Window(t).exact_free),
             )]
         finally:
             np.setbufsize(bufsize)

@@ -16,8 +16,10 @@ a free path proves its lower bound or the wavefront runs, also on near ties
 and offset pairs whose value an exact reach decides, be exactly symmetric,
 and be zero only on identical point sequences; its fast distances must stay
 within the window slack of math.hypot, its exact free mask must free the
-cells of exact distance at most t, and its bit-parallel free-space reach
-must decide as a cell-by-cell reachability does. The CSV writer must print
+cells of exact distance at most t, its bit-parallel free-space reach must
+decide as a cell-by-cell reachability does, and a scan's band must leave
+out only cells whose fast distance lies above the window, and no cell when
+x is out of order. The CSV writer must print
 each float as CPython's "%.6f" does, in blocks of at most BLOCK_ROWS rows.
 qq_pairs must give np.quantile's linear quantiles bit for bit, signs of zero
 included, and quantile_grid np.linspace's probabilities.
@@ -27,6 +29,7 @@ from the solve tolerances and the stages' condition numbers.
 """
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -478,9 +481,10 @@ def test_frechet_equals_row_by_row_dp(pair):
         spy(patch, "_reaches", runs.append)
         spy(patch, "_wavefront", lambda value: runs.append(None))
         assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
-    # runs holds each reach's result and None for a wavefront: one runs
-    # only right after the fast reach failed.
-    assert [k for k, run in enumerate(runs) if run is None] == ([1] if runs[0] is False else [])
+    # runs holds each reach's result and None for a wavefront: at most one
+    # runs, right after a failed fast reach, of which there are at most three.
+    waves = [k for k, run in enumerate(runs) if run is None]
+    assert waves == [] or len(waves) == 1 and 1 <= waves[0] <= 3 and runs[waves[0] - 1] is False
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,13 +569,14 @@ def test_frechet_near_tie_falls_back_to_exact_dp(reach_results, wavefront_runs):
 
 def test_frechet_bisects_the_window_of_an_offset_pair(reach_results, wavefront_runs):
     # The diagonal cells of a pair offset by 0.01 in y have exact distances
-    # a few ulps apart, all in the window around the proved lower bound.
+    # a few ulps apart, all in the window around the proved lower bound. The
+    # end cells' distances lie below it, so the reach at them fails first.
     x = np.linspace(0.0, 2.0 * math.pi, 300)
     a, b = Curve(x, np.sin(3.0 * x)), Curve(x, np.sin(3.0 * x) + 0.01)
     value = discrete_frechet(a, b)
     assert value.hex() == row_by_row_frechet(a, b).hex() == (0.010000000000000009).hex()
     assert wavefront_runs == []
-    assert reach_results[0] is True and len(reach_results) > 2
+    assert reach_results[:2] == [False, True] and len(reach_results) > 3
 
 
 def force_curve_pairs(count):
@@ -639,8 +644,8 @@ def test_frechet_lower_bound_takes_every_part(a_points, b_points, bound, reach_r
 def test_reach_needs_a_free_cell_in_every_row_and_at_both_ends(a_points, b_points):
     # Below the lower bound such cells can be missing; at the threshold 1.0
     # no free path joins the end cells, and the reach must not find one.
-    za, zb = (validation._points(Curve.from_points(p)) for p in (a_points, b_points))
-    assert not validation._reaches(validation._Scan(za, zb), validation._Window(1.0).fast_free)
+    scan = validation._Scan(*(validation._points(Curve.from_points(p)) for p in (a_points, b_points)))
+    assert not validation._reaches(scan, scan.blocks(1.0), validation._Window(1.0).fast_free)
 
 
 def test_frechet_restores_numpy_settings():
@@ -660,15 +665,17 @@ def zigzag_curve(size, phase):
     return Curve(np.linspace(0.0, 1.0, size), np.where(np.arange(size) % 2 == phase, 1.0, -1.0))
 
 
-@pytest.mark.parametrize("make_pair", [
-    lambda rng: (noise_curve(rng, 400), noise_curve(rng, 400)),
-    lambda rng: (noise_curve(rng, 5000), noise_curve(rng, 3)),
-    lambda rng: (noise_curve(rng, 3), noise_curve(rng, 5000)),
+# The reach at the end cells' distance fails; where the row and column
+# minima set a bound above it, the reach at that bound fails too.
+@pytest.mark.parametrize("make_pair, reaches", [
+    (lambda rng: (noise_curve(rng, 400), noise_curve(rng, 400)), [False]),
+    (lambda rng: (noise_curve(rng, 5000), noise_curve(rng, 3)), [False, False]),
+    (lambda rng: (noise_curve(rng, 3), noise_curve(rng, 5000)), [False, False]),
 ], ids=["noise_400x400", "noise_5000x3", "noise_3x5000"])
-def test_frechet_without_a_free_path_runs_the_wavefront(make_pair, reach_results, wavefront_runs):
+def test_frechet_without_a_free_path_runs_the_wavefront(make_pair, reaches, reach_results, wavefront_runs):
     a, b = make_pair(np.random.default_rng(0))
     assert discrete_frechet(a, b) == row_by_row_frechet(a, b)
-    assert reach_results == [False]
+    assert reach_results == reaches
     assert len(wavefront_runs) == 1
 
 
@@ -681,6 +688,113 @@ def test_frechet_proves_the_zigzag_pair_without_a_wavefront(reach_results, wavef
     assert wavefront_runs == []
 
 
+def test_frechet_proves_an_end_cell_bound_in_one_scan(monkeypatch, reach_results, wavefront_runs):
+    # In these validate_long-like pairs the last cell sets the lower bound,
+    # raw and normalized: the scan at the end cells' distance takes the
+    # minima and finds the path, so no second scan or reach runs.
+    scans = []
+    blocks = validation._Scan.blocks
+    monkeypatch.setattr(validation._Scan, "blocks", lambda scan, t: scans.append(t) or blocks(scan, t))
+    for model, ref in force_curve_pairs(3):
+        for frechet in (discrete_frechet, validation.normalized_frechet):
+            scans.clear()
+            frechet(model, ref)
+            assert len(scans) == 1
+    assert reach_results == [True] * 6
+    assert wavefront_runs == []
+
+
+@st.composite
+def band_cases(draw):
+    """Two curves and a threshold for _Scan.blocks. The threshold is a cell's
+    fast or exact distance, a few ulps off it, zero, the largest float or
+    inf. The curves come from curve_pairs, or are level (distances are x
+    differences, so cells lie at the band's edge), or have runs of equal x
+    reassigned after construction, as a rescaled copy may, or have x spread
+    over most of the float range, where x differences and x +- margin
+    overflow."""
+    a, b = draw(curve_pairs())
+    kind = draw(st.sampled_from(["drawn", "level", "equal_x", "huge"]))
+    if kind == "level":
+        a, b = Curve(a.x, np.zeros(len(a))), Curve(b.x, np.zeros(len(b)))
+    elif kind in ("equal_x", "huge"):
+        a, b = copy.copy(a), copy.copy(b)
+        scale = max(np.abs(a.x).max(), np.abs(b.x).max())
+        for c in (a, b):
+            c.x = np.floor(c.x / scale * 8.0) if kind == "equal_x" else c.x / scale * 0.9 * FLOAT_MAX
+    za, zb = validation._points(a), validation._points(b)
+    i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(b) - 1))
+    with np.errstate(over="ignore"):
+        dz = za[i : i + 1] - zb[j : j + 1]
+        t = draw(st.sampled_from([np.abs(dz)[0], validation._exact_distances(dz)[0], 0.0, FLOAT_MAX, math.inf]))
+        for _ in range(draw(st.integers(0, 4))):
+            t = np.nextafter(t, math.inf)
+        for _ in range(draw(st.integers(0, 4))):
+            t = np.nextafter(t, 0.0)
+    return a, b, float(t)
+
+
+@settings(max_examples=300, deadline=None)
+# Level rows half a step apart: with a margin of t alone, the first row's
+# band leaves out cell (0, 0) at distance 0.5, just above t.
+@example((Curve(np.arange(40.0), np.zeros(40)), Curve(np.arange(40.0) - 0.5, np.zeros(40)), 0.5 - 2.0**-54))
+@given(band_cases())
+def test_scan_band_leaves_out_only_cells_above_the_window(case):
+    a, b, t = case
+    za, zb = validation._points(a), validation._points(b)
+    covered = np.zeros((za.size, zb.size), bool)
+    rows = 0
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+        # Blocks of 64 cells: pairs of a few dozen points have many.
+        patch.setattr(validation, "_SCAN_BLOCK_CELLS", 64)
+        scan = validation._Scan(za, zb)
+        for start, first, dz, d in scan.blocks(t):
+            # The blocks take the rows in order, each with one run of columns.
+            assert start == rows
+            rows += len(d)
+            assert np.array_equal(dz, za[start:rows, None] - zb[first : first + d.shape[1]])
+            covered[start:rows, first : first + d.shape[1]] = True
+        fast = np.abs(za[:, None] - zb)
+    assert rows == za.size
+    assert np.all(fast[~covered] > validation._Window(t).high)
+
+
+def with_x(x, y):
+    """A Curve of points (x, y) whose x, in any order, was reassigned after
+    construction, as a Curve allows."""
+    curve = Curve(np.arange(len(x), dtype=float), y)
+    curve.x = np.asarray(x, dtype=float)
+    return curve
+
+
+@st.composite
+def unsorted_pairs(draw):
+    """A curve_pairs pair whose second curve's x is reassigned out of order:
+    two neighbours swapped, or all shuffled."""
+    a, b = draw(curve_pairs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = b.x.copy()
+    if draw(st.booleans()):
+        k = rng.integers(0, len(x) - 1)
+        x[[k, k + 1]] = x[[k + 1, k]]
+    else:
+        rng.shuffle(x)
+    return a, with_x(x, b.y)
+
+
+@settings(max_examples=60, deadline=None)
+# A band taken from x out of order leaves out a cell of the optimum here.
+@example((with_x([0, 4, 2, 3, 3], [2, 1, 2, 3, 1]), with_x([2, 1], [3, 2])))
+@given(unsorted_pairs())
+def test_frechet_with_x_out_of_order_equals_row_by_row_dp(pair):
+    # The scans keep full rows, since the band needs x in order.
+    a, b = pair
+    with pytest.MonkeyPatch.context() as patch:
+        # One row per block, so that a band could apply to every pair.
+        patch.setattr(validation, "_SCAN_BLOCK_CELLS", 1)
+        assert discrete_frechet(a, b) == discrete_frechet(b, a) == row_by_row_frechet(a, b)
+
+
 class MaskScan(validation._Scan):
     """A _Scan with the real block layout whose fast distances are 0 on
     the free cells of `free` and 2 elsewhere, so threshold 1 frees exactly
@@ -691,10 +805,10 @@ class MaskScan(validation._Scan):
         super().__init__(np.zeros(m, complex), np.zeros(n, complex))
         self.distances = np.where(free, 0.0, 2.0)
 
-    def __iter__(self):
-        for start, dz, d in super().__iter__():
-            d[...] = self.distances[start : start + len(d)]
-            yield start, dz, d
+    def blocks(self, t):
+        for start, first, dz, d in super().blocks(t):
+            d[...] = self.distances[start : start + len(d), first : first + d.shape[1]]
+            yield start, first, dz, d
 
 
 def cell_by_cell_reach(free):
@@ -741,7 +855,7 @@ def free_masks(draw):
 @given(free_masks())
 def test_reach_equals_cell_by_cell_reachability(free):
     scan = MaskScan(free)
-    assert validation._reaches(scan, validation._Window(1.0).fast_free) == cell_by_cell_reach(free)
+    assert validation._reaches(scan, scan.blocks(1.0), validation._Window(1.0).fast_free) == cell_by_cell_reach(free)
 
 
 FLOAT_MAX = float(np.finfo(float).max)
