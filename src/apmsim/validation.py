@@ -17,6 +17,7 @@ import copy
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,8 @@ class Curve:
         """
         path = Path(path)
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            # utf-8-sig drops the byte-order mark that some spreadsheets write.
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 rows = list(csv.reader(fh))
         except (UnicodeDecodeError, csv.Error) as err:
             raise DomainError(f"{path}: {err}") from None
@@ -82,10 +84,10 @@ class Curve:
                     f"{path}: malformed data row {r!r}: expected 2 fields, got {len(r)}"
                 )
         try:
-            pts = np.array([(float(x), float(y)) for x, y in body]).reshape(-1, 2)
+            xy = np.array(list(map(float, chain.from_iterable(body))))
         except ValueError as err:
             raise DomainError(f"{path}: malformed data row ({err})") from None
-        return cls(pts[:, 0], pts[:, 1], label or path.stem)
+        return cls(xy[0::2], xy[1::2], label or path.stem)
 
 
 @dataclass
@@ -180,39 +182,50 @@ def _wavefront(za: np.ndarray, zb: np.ndarray) -> float:
 
 
 class _Scan:
-    """The m x n cells of za against zb in row blocks of _SCAN_BLOCK_CELLS, in buffers
-    that every scan of one DP reuses. A scan at t covers each block's columns within a
-    margin of t in x; full rows if one block holds all, the margin spans x or x is unsorted."""
+    """The m x n cells of za against zb in row blocks of _SCAN_BLOCK_CELLS, in buffers that
+    every scan of one DP reuses. A scan at t covers, per block, the run of columns that the
+    envelopes of x and y keep within a margin of t of its rows (of a coordinate that reaches
+    over 3 * least); full rows if one block holds every cell or the band keeps every column."""
 
-    def __init__(self, za: np.ndarray, zb: np.ndarray) -> None:
+    def __init__(self, za: np.ndarray, zb: np.ndarray, least: float = 0.0) -> None:
         self.za, self.zb = za, zb
         self.rows = max(1, min(za.size, _SCAN_BLOCK_CELLS // zb.size))
         self.dz = np.empty(self.rows * zb.size, complex)
         self.d = np.empty(self.rows * zb.size)
-        xa, xb = za.real, zb.real
-        in_order = self.rows < za.size and (xa[1:] >= xa[:-1]).all() and (xb[1:] >= xb[:-1]).all()
-        self.span = max(xa[-1], xb[-1]) - min(xa[0], xb[0]) if in_order else 0.0
+        # Per coordinate, the suffix minima and prefix maxima of za and of zb, each
+        # nondecreasing, and the margin from which they band nothing. One reaching under
+        # 3 * least bands out little, for envelopes that cost as much as a thin grid's scan.
+        self.envelopes = [
+            (np.minimum.accumulate(ca[::-1])[::-1], np.maximum.accumulate(ca),
+             np.minimum.accumulate(cb[::-1])[::-1], np.maximum.accumulate(cb), reach)
+            for ca, cb in ((za.real, zb.real), (za.imag, zb.imag))
+            for reach in [max(ca[-1] - cb[0], cb[-1] - ca[0])] if 3.0 * least < reach
+        ] if self.rows < za.size else []
 
     def blocks(self, t: float):
         """Each block's first row and column, and its band's differences and distances at t."""
         m, n = self.za.size, self.zb.size
-        # A column left out lies at least the margin away in x even after
-        # x -+ margin rounds, so its fast distances exceed _Window(t).high.
+        # A column left out lies at least the margin away in x or y even after an
+        # envelope -+ margin rounds, so its fast distances exceed _Window(t).high.
         margin = t * (1.0 + 5.0 * FAST_DISTANCE_REL) + 5.0 * FAST_DISTANCE_ABS
-        banded = margin < self.span
-        if banded:
-            firsts = np.searchsorted(self.zb.real, self.za.real - margin)
-            lasts = np.searchsorted(self.zb.real, self.za.real + margin, "right")
+        firsts, lasts = [0], [n]
+        for a_low, a_top, b_low, b_top, reach in self.envelopes:
+            if margin < reach:
+                # Row i drops column j if zb up to j lies more than the margin below za from i on,
+                # or zb from j on above za up to i: bounds that never fall over the rows.
+                firsts = np.maximum(firsts, np.searchsorted(b_top, a_low - margin))
+                lasts = np.minimum(lasts, np.searchsorted(b_low, a_top + margin, "right"))
+        banded = firsts[-1] > 0 or lasts[0] < n
         start = 0
         while start < m:
             first, end, last = 0, min(m, start + self.rows), n
             if banded:
                 # The most rows whose band, of at least one column, fits.
-                first = min(int(firsts[start]), n - 1)
+                first = min(firsts.item(start), n - 1)
                 end = start + bisect.bisect(
-                    range(start + 1, m + 1), self.d.size, key=lambda e: (e - start) * max(int(lasts[e - 1]) - first, 1)
+                    range(start + 1, m + 1), self.d.size, key=lambda e: (e - start) * max(lasts.item(e - 1) - first, 1)
                 )
-                last = max(int(lasts[end - 1]), first + 1)
+                last = max(lasts.item(end - 1), first + 1)
             dz = self.dz[: (end - start) * (last - first)].reshape(end - start, last - first)
             d = self.d[: dz.size].reshape(dz.shape)
             np.abs(np.subtract(self.za[start:end, None], self.zb[first:last], out=dz), out=d)
@@ -326,6 +339,9 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
        cells. Else a scan at B decides alike; for noisy curves whose couplings
        leave the row and column minima, the DP then runs as an anti-diagonal
        wavefront on fast distances, and a scan takes the window around it.
+       A scan at t computes only a band of cells: a cell left out lies more
+       than t from its partner in x or in y, by the curves' prefix maxima and
+       suffix minima of each, so it is neither free nor in the window.
     2. The exact value. The window's distinct exact distances hold the
        exact DP value. If there is one, it is the result. Else the result
        is the least at which an exact reach joins the end cells: the same
@@ -352,13 +368,14 @@ def discrete_frechet(a: Curve, b: Curve) -> float:
         # Restored by hand too: numpy 1.x does not tie it to errstate.
         bufsize = np.setbufsize(_UFUNC_BUFSIZE)
         try:
-            scan, t_end = _Scan(za, zb), 0.0
-            if scan.rows < za.size:
-                ends = np.abs(za[:: za.size - 1] - zb[:: zb.size - 1 or 1]).tolist()
+            t_end = 0.0
+            if za.size * zb.size > _SCAN_BLOCK_CELLS:  # more than one block
+                ends = np.abs(za[:: za.size - 1] - zb[:: zb.size - 1]).tolist()
                 # Reach from the end cell setting t_end, near which blocking rows or
-                # columns lie most often; reversed and negated, x keeps order and span.
-                scan.za, scan.zb = (-za[::-1], -zb[::-1]) if ends[1] > ends[0] else (za, zb)
+                # columns lie most often; reversed and negated, every distance stays.
+                za, zb = (-za[::-1], -zb[::-1]) if ends[1] > ends[0] else (za, zb)
                 t_end = max(ends)
+            scan = _Scan(za, zb, t_end)
             # A path at t_end, or at the last scan's bound t once that is B (full rows, or a
             # bound within its window), proves t; with none at a t >= B the wavefront runs.
             t, scanned = t_end, None

@@ -801,6 +801,19 @@ def test_validate_unreadable_curve_exit_2(body, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_validate_reads_a_curve_with_a_byte_order_mark(tmp_path, capsys):
+    # Spreadsheets may write a UTF-8 byte-order mark before the header row.
+    model, plain, marked = tmp_path / "m.csv", tmp_path / "r.csv", tmp_path / "r_bom.csv"
+    write_curve(model, [0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+    write_curve(plain, [0.0, 1.0, 2.0], [0.0, 1.0, 4.0])
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert main(["validate", str(model), str(plain)]) == 0
+    expected = capsys.readouterr()
+    assert main(["validate", str(model), str(marked)]) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.splitlines()[0] == "frechet_normalized_pct=25.000000"
+
+
 @pytest.mark.parametrize("k, row, p", [(641, 3, "0.004688"), (1921, 111, "0.057812")])
 def test_validate_qq_csv_p_is_the_probability_used(k, row, p, tmp_path, monkeypatch):
     # The quantiles are taken at np.linspace's i * (1/(k-1)), which for these

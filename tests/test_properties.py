@@ -18,9 +18,11 @@ and be zero only on identical point sequences; its fast distances must stay
 within the window slack of math.hypot, its exact free mask must free the
 cells of exact distance at most t, its bit-parallel free-space reach must
 decide as a cell-by-cell reachability does, and a scan's band must leave
-out only cells whose fast distance lies above the window, and no cell when
-x is out of order. The CSV writer must print
-each float as CPython's "%.6f" does, in blocks of at most BLOCK_ROWS rows.
+out only cells whose fast distance lies above the window, with x or y out
+of order too, and leave out most cells of a raw force-curve pair.
+Curve.from_csv must read every text as a row-by-row csv oracle does. The
+CSV writer must print each float as CPython's "%.6f" does, in blocks of at
+most BLOCK_ROWS rows.
 qq_pairs must give np.quantile's linear quantiles bit for bit, signs of zero
 included, and quantile_grid np.linspace's probabilities.
 Every float that simulate and sweep print, in CSV and in JSON, must agree
@@ -30,6 +32,7 @@ from the solve tolerances and the stages' condition numbers.
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -704,6 +707,38 @@ def test_frechet_proves_an_end_cell_bound_in_one_scan(monkeypatch, reach_results
     assert wavefront_runs == []
 
 
+def out_of_order(rng, values):
+    """values with two neighbours swapped, or a run of them shuffled."""
+    values = values.copy()
+    k = rng.integers(0, len(values) - 1)
+    if rng.random() < 0.5:
+        values[[k, k + 1]] = values[[k + 1, k]]
+    else:
+        rng.shuffle(values[k : k + rng.integers(2, 40)])
+    return values
+
+
+def test_raw_force_curves_scan_a_band_in_y(monkeypatch):
+    # Raw validate_long-like pairs pit MPa against N: the threshold is about
+    # the x span or more, so the x band keeps nearly every cell, and the y
+    # band leaves most of them out of the first scan.
+    fractions = []
+    blocks = validation._Scan.blocks
+
+    def counted(scan, t):
+        cells = 0
+        for block in blocks(scan, t):
+            cells += block[3].size
+            yield block
+        fractions.append(cells / (scan.za.size * scan.zb.size))
+
+    monkeypatch.setattr(validation._Scan, "blocks", counted)
+    for model, ref in force_curve_pairs(3):
+        fractions.clear()
+        discrete_frechet(model, ref)
+        assert fractions[0] < 0.4
+
+
 @st.composite
 def band_cases(draw):
     """Two curves and a threshold for _Scan.blocks. The threshold is a cell's
@@ -712,16 +747,24 @@ def band_cases(draw):
     differences, so cells lie at the band's edge), or have runs of equal x
     reassigned after construction, as a rescaled copy may, or have x spread
     over most of the float range, where x differences and x +- margin
-    overflow."""
+    overflow, or have x reassigned out of order, or y sorted and then put
+    out of order in places, so that the y band prunes where the raw y are
+    not monotone."""
     a, b = draw(curve_pairs())
-    kind = draw(st.sampled_from(["drawn", "level", "equal_x", "huge"]))
+    kind = draw(st.sampled_from(["drawn", "level", "equal_x", "huge", "unsorted_x", "unsorted_y"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "level":
         a, b = Curve(a.x, np.zeros(len(a))), Curve(b.x, np.zeros(len(b)))
-    elif kind in ("equal_x", "huge"):
+    elif kind == "unsorted_y":
+        a, b = (Curve(c.x, out_of_order(rng, np.sort(c.y))) for c in (a, b))
+    elif kind != "drawn":
         a, b = copy.copy(a), copy.copy(b)
         scale = max(np.abs(a.x).max(), np.abs(b.x).max())
         for c in (a, b):
-            c.x = np.floor(c.x / scale * 8.0) if kind == "equal_x" else c.x / scale * 0.9 * FLOAT_MAX
+            if kind == "unsorted_x":
+                c.x = out_of_order(rng, c.x)
+            else:
+                c.x = np.floor(c.x / scale * 8.0) if kind == "equal_x" else c.x / scale * 0.9 * FLOAT_MAX
     za, zb = validation._points(a), validation._points(b)
     i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(b) - 1))
     with np.errstate(over="ignore"):
@@ -738,6 +781,9 @@ def band_cases(draw):
 # Level rows half a step apart: with a margin of t alone, the first row's
 # band leaves out cell (0, 0) at distance 0.5, just above t.
 @example((Curve(np.arange(40.0), np.zeros(40)), Curve(np.arange(40.0) - 0.5, np.zeros(40)), 0.5 - 2.0**-54))
+# Rows whose y alternate 7, 0, 7, ...: a block's first column must come from
+# the least y of its rows and all later ones, not from its first row's 7.
+@example((Curve(np.arange(17.0) * 1e-9, [7.0, 0.0] * 8 + [7.0]), Curve(np.arange(8.0) * 1e-9, np.arange(8.0)), 0.5))
 @given(band_cases())
 def test_scan_band_leaves_out_only_cells_above_the_window(case):
     a, b, t = case
@@ -787,7 +833,7 @@ def unsorted_pairs(draw):
 @example((with_x([0, 4, 2, 3, 3], [2, 1, 2, 3, 1]), with_x([2, 1], [3, 2])))
 @given(unsorted_pairs())
 def test_frechet_with_x_out_of_order_equals_row_by_row_dp(pair):
-    # The scans keep full rows, since the band needs x in order.
+    # The scans band by the envelopes of x, which x out of order only widen.
     a, b = pair
     with pytest.MonkeyPatch.context() as patch:
         # One row per block, so that a band could apply to every pair.
@@ -1074,6 +1120,84 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
     assert [piece.count("\n") for piece in pieces] == [1] + [
         min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)
     ]
+
+
+# ------------------------------------------------------------ curve CSV read
+
+def row_by_row_from_csv(path):
+    """Curve.from_csv with one (x, y) float pair per csv row, the byte-order
+    mark stripped from the decoded text (oracle)."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(io.StringIO(fh.read().removeprefix("\ufeff"), newline="")))
+    if not rows or tuple(c.strip() for c in rows[0]) != validation.CURVE_CSV_HEADER:
+        raise DomainError(f"{path}: expected header row 'x,y'")
+    body = [r for r in rows[1:] if r]
+    for r in body:
+        if len(r) != 2:
+            raise DomainError(f"{path}: malformed data row {r!r}: expected 2 fields, got {len(r)}")
+    try:
+        pts = np.array([(float(x), float(y)) for x, y in body]).reshape(-1, 2)
+    except ValueError as err:
+        raise DomainError(f"{path}: malformed data row ({err})") from None
+    return Curve(pts[:, 0], pts[:, 1], path.stem)
+
+
+# Fields that float() reads oddly or rejects: underscores, padding, signed
+# zero, overflow, nan, inf, hex, empty and plain bad text.
+odd_fields = st.sampled_from([
+    "1_000", "1_0.5", "1__0", "_1", "1_", " 2 ", "\t3", "-0", "-0.0", "1e400", "nan", "inf",
+    "0x10", "", "abc", "1.5.2", "1,5", "1\n2",
+])
+
+
+@st.composite
+def curve_texts(draw):
+    """The bytes of a curve CSV: a header, maybe padded or wrong, after an
+    optional byte-order mark; rows of increasing x and drawn y as repr
+    texts, a few fields replaced by odd ones, quoted, dropped or added to;
+    blank and whitespace-only lines; LF, CRLF or CR line ends."""
+    header = draw(st.sampled_from(["x,y"] * 6 + [" x , y", '"x","y"', "x,y,", "X,Y", "y,x"]))
+    count = draw(st.integers(0, 12))
+    x = np.cumsum(draw(st.lists(st.floats(1e-3, 1e3), min_size=count, max_size=count)))
+    y = draw(st.lists(st.floats(-1e6, 1e6), min_size=count, max_size=count))
+    rows = [[repr(float(a)), repr(b)] for a, b in zip(x, y)]
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.integers(0, len(row) - 1)) if row else 0
+        edit = draw(st.sampled_from(["odd", "quote", "drop", "add"]))
+        if edit == "odd" and row:
+            row[k] = draw(odd_fields)
+        if edit in ("odd", "quote") and row and draw(st.booleans()):
+            row[k] = '"' + row[k] + '"'
+        elif edit == "drop" and row:
+            del row[k]
+        elif edit == "add":
+            row.append(draw(odd_fields | st.just("1")))
+    lines = [header] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", "", " ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + (end if draw(st.booleans()) else "")
+    return (b"\xef\xbb\xbf" if draw(st.booleans()) else b"") + text.encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_texts())
+def test_from_csv_equals_a_row_by_row_oracle(data):
+    # The same float bits, or the same DomainError text, as one float pair
+    # per row.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        path.write_bytes(data)
+        results = []
+        for read in (Curve.from_csv, row_by_row_from_csv):
+            try:
+                curve = read(path)
+                results.append((curve.x.tobytes(), curve.y.tobytes(), curve.label))
+            except DomainError as err:
+                results.append(str(err))
+    assert results[0] == results[1]
 
 
 # --------------------------------------------- printed digits against mpmath
