@@ -10,7 +10,7 @@ import functools
 import math
 import sys
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -20,6 +20,7 @@ import numpy as np
 
 from . import geometry
 from ._csvtext import csv_text
+from ._jsontext import json_floats, state_text
 from ._numeric import check_positive_finite
 from .actuation import MAX_GRID_POINTS, ActuationState, PressureSweep, simulate_cells
 from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simulate_sweep)
@@ -65,24 +66,9 @@ _F_SPA = ActuationState._fields.index("f_spa")
 
 # JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
 # plus a newline, written by _json_object and _json_array from the texts of
-# the values. Floats are float.__repr__ texts, except that non-finite values
-# take json's spellings below; strings are escaped to ASCII by json's own
-# encoder; ints are int.__repr__ texts.
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(values) -> list[str]:
-    # json.dumps's text of each float.
-    texts = list(map(float.__repr__, values))
-    return list(map(_NON_FINITE.get, texts, texts))
-
-
-def _json_strings(values) -> list[str]:
-    return list(map(encode_basestring_ascii, values))
-
-
-# The encoder of each state column: floats but the last, the flag's text.
-_STATE_ENCODERS = (_json_floats,) * (len(STATE_COLUMNS) - 1) + (_json_strings,)
+# the values, and by state_text for the states. Floats are json_floats'
+# texts; strings are escaped to ASCII by json's own encoder; ints are
+# int.__repr__ texts.
 
 
 @functools.cache
@@ -111,41 +97,42 @@ def _json_array(items, indent: int) -> str:
     return f"[\n{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
-def _state_objects(cells: list[list[np.ndarray]], indent: int) -> list[str]:
-    """The JSON object of every state of the cells' columns, in cell order,
-    keyed by STATE_COLUMNS and closed at indent spaces; each column is
-    encoded once over all cells, from the Python values of its .tolist()."""
-    template, pick = _object_template(STATE_COLUMNS, indent)
-    texts = [
-        encode(chain.from_iterable(cell[i].tolist() for cell in cells))
-        for i, encode in enumerate(_STATE_ENCODERS)
-    ]
-    return list(map(template.__mod__, zip(*pick(texts))))
+# The place of the state arrays in the text around them: no text that
+# json_floats or encode_basestring_ascii gives holds a NUL.
+_STATES = "\0"
 
 
-def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[np.ndarray]) -> str:
-    # The grid's fields under their own names.
-    grid = dict(zip(vars(sweep), _json_floats(vars(sweep).values())))
+def _simulate_json_text(material: str, n: int, sweep: PressureSweep, columns: list[np.ndarray]) -> Iterator[str]:
+    # The grid's fields under their own names; the states are written in
+    # blocks between the text before and after them.
+    grid = dict(zip(vars(sweep), json_floats(vars(sweep).values())))
     metadata = _json_object(
         2,
         material=encode_basestring_ascii(material),
         n=int.__repr__(n),
         sweep=_json_object(4, **grid),
     )
-    states = _json_array(_state_objects([columns], 4), 2)
-    return _json_object(0, metadata=metadata, states=states) + "\n"
+    around = _json_object(0, metadata=metadata, states=_STATES) + "\n"
+    return state_text(STATE_COLUMNS, around.split(_STATES), [columns], 4)
+
+
+def _sweep_json_text(rows: list[_SweepRow], h_ch: float) -> Iterator[str]:
+    # Every cell's text around its states, its floats' texts made in one
+    # call; all cells' states in blocks.
+    template, pick = _object_template((*_CELL_HEAD, *_CELL_TAIL, "states"), 4)
+    floats = iter(json_floats(chain.from_iterable((row[1], h_ch, *row[3:]) for row in rows)))
+    cells = [template % pick((encode_basestring_ascii(row[0]), *islice(floats, 4), _STATES)) for row in rows]
+    around = _json_object(0, cells=_json_array(cells, 2)) + "\n"
+    return state_text(STATE_COLUMNS, around.split(_STATES), [row[2] for row in rows], 8)
+
+
+# The whole texts that the commands write in pieces.
+def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[np.ndarray]) -> str:
+    return "".join(_simulate_json_text(material, n, sweep, columns))
 
 
 def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
-    # Every cell's states are encoded in one pass, then dealt out per cell.
-    objects = iter(_state_objects([row[2] for row in rows], 8))
-    template, pick = _object_template((*_CELL_HEAD, *_CELL_TAIL, "states"), 4)
-    cells = []
-    for name, ratio, columns, top, mean_max in rows:
-        states = _json_array(islice(objects, len(columns[0])), 6)
-        values = (encode_basestring_ascii(name), *_json_floats((ratio, h_ch, top, mean_max)), states)
-        cells.append(template % pick(values))
-    return _json_object(0, cells=_json_array(cells, 2)) + "\n"
+    return "".join(_sweep_json_text(rows, h_ch))
 
 
 def _emit(texts: Iterable[str], out_path: str | Path | None) -> None:
@@ -183,7 +170,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     if fmt == "json":
-        _emit([_simulate_json(config.material.name, spec.n, sweep, columns)], out_path)
+        _emit(_simulate_json_text(config.material.name, spec.n, sweep, columns), out_path)
     else:
         _emit(csv_text(STATE_COLUMNS, [("", columns, "")]), out_path)
     return 0
@@ -209,10 +196,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             qq_csv = "\n".join(["p,reference,model", *rows, ""])
             _emit([qq_csv], Path(args.out).with_suffix(".qq.csv"))
     elif args.out:
-        texts = dict(zip(numbers, _json_floats(numbers.values())))
+        texts = dict(zip(numbers, json_floats(numbers.values())))
         texts["resampled"] = "true" if report.resampled else "false"
         if pairs is not None:
-            texts["qq_pairs"] = _json_array([_json_array(_json_floats(q), 4) for q in pairs], 2)
+            texts["qq_pairs"] = _json_array([_json_array(json_floats(q), 4) for q in pairs], 2)
         _emit([_json_object(0, **texts) + "\n"], args.out)
     # Every number but the first, the plain normalized distance, which its
     # percentage restates.
@@ -278,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fmt = args.format or config.out_format
     h_ch = config.assumed_h_ch
     if fmt == "json":
-        _emit([_sweep_json(rows, h_ch)], out_path)
+        _emit(_sweep_json_text(rows, h_ch), out_path)
     else:
         csv_cells = [
             (f"{name},{ratio:.6f},{h_ch:.6f},", columns, f",{top:.6f},{mean_max:.6f}")

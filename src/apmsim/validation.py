@@ -73,7 +73,16 @@ class Curve:
             # utf-8-sig drops the byte-order mark that some spreadsheets write.
             with open(path, newline="", encoding="utf-8-sig") as fh:
                 rows = list(csv.reader(fh))
-        except (UnicodeDecodeError, csv.Error) as err:
+        except UnicodeDecodeError as err:
+            # Its position counts from the start of the chunk the codec was
+            # given, and after a mark; the whole file's bytes give the
+            # first bad byte's offset in the file.
+            try:
+                path.read_bytes().decode("utf-8")
+            except UnicodeDecodeError as whole:
+                err = whole
+            raise DomainError(f"{path}: {err}") from None
+        except csv.Error as err:
             raise DomainError(f"{path}: {err}") from None
         if not rows or tuple(c.strip() for c in rows[0]) != CURVE_CSV_HEADER:
             raise DomainError(f"{path}: expected header row 'x,y'")

@@ -1401,12 +1401,36 @@ def test_simulate_csv_memory_is_bounded(tmp_path):
     assert peak <= 6_000_000
 
 
-@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
-def test_simulate_csv_model_error_writes_nothing(to_file, tmp_path):
+def test_simulate_json_memory_is_bounded(tmp_path):
+    # The JSON states are written a block of rows at a time, as the CSV rows
+    # are: holding a Python float and a text per number and the whole text
+    # peaked at 29.4 MB here; the pass alone peaks near 5.4 MB.
+    out = tmp_path / "fine.json"
+    argv = ["simulate", "--config", str(fine_config(tmp_path, 0.4)), "--format", "json", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out.read_text(encoding="utf-8"))["states"]) == 20_001
+    assert peak <= 6_000_000
+
+
+@pytest.mark.parametrize(
+    "fmt, to_file",
+    [("csv", True), ("csv", False), ("json", True), ("json", False)],
+    ids=["out", "stdout", "json-out", "json-stdout"],
+)
+def test_simulate_csv_model_error_writes_nothing(fmt, to_file, tmp_path):
     # Every model error is raised by the pass, before the first block is
-    # written: the 20 001-point grid fails at 0.8 MPa.
-    out = tmp_path / "fine.csv"
-    argv = ["simulate", "--config", str(fine_config(tmp_path, 0.9))] + (["--out", str(out)] if to_file else [])
+    # written, in either format: the 20 001-point grid fails at 0.8 MPa.
+    out = tmp_path / f"fine.{fmt}"
+    argv = ["simulate", "--config", str(fine_config(tmp_path, 0.9)), "--format", fmt]
+    argv += ["--out", str(out)] if to_file else []
     code, stdout, err = run_quietly(argv)
     assert code == 3
     assert err.startswith("model error: at pressure 0.")

@@ -7,6 +7,8 @@ is the dict form of the output, built from rows of states: float fields of
 any value (signed zero, subnormals, the largest floats, NaN and infinities),
 any string, any int and empty lists included. The writers themselves take
 each cell's states as columns, one numpy array per ActuationState field.
+The state writer's text of every float, computed in numpy, must be
+float.__repr__'s.
 """
 
 import contextlib
@@ -23,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apmsim import cli
+from apmsim import _jsontext, cli
 from apmsim.actuation import ActuationState, simulate_sweep
 from apmsim.config import builtin_material, load_config, parse_ratio
 from apmsim.validation import AgreementReport
@@ -31,7 +33,11 @@ from apmsim.validation import AgreementReport
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
-               math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7]
+               math.nan, math.inf, -math.inf, 0.1, 1e16, 1e-7,
+               # The writer's edges: repr's switch to and from an exponent,
+               # powers of two, texts of at most 15 digits and one of 17.
+               1e-4, 9.999999999999999e-05, 9999999999999998.0, 0.5, 2.0**-20, 2.0**52,
+               0.3, 1234.5, 100.0, 0.1 + 0.2]
 
 floats = st.one_of(
     st.sampled_from(EDGE_FLOATS),
@@ -104,6 +110,41 @@ def test_sweep_json_equals_json_dumps(rows, h_ch):
     column_rows = [(name, ratio, columns_of(state_list), top, mean_max)
                    for name, ratio, state_list, top, mean_max in rows]
     assert cli._sweep_json(column_rows, h_ch) == oracle(sweep_payload(rows, h_ch))
+
+
+def float_texts(values) -> list[str]:
+    # The state writer's text of each float, read from its slot.
+    x = np.array(values, dtype=float)
+    slots, keep = _jsontext._float_slots(x)
+    texts, marks = slots.view(np.uint8).reshape(len(x), -1), keep.view(bool).reshape(len(x), -1)
+    return [text[mark].tobytes().decode("ascii") for text, mark in zip(texts, marks)]
+
+
+raw_floats = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
+
+
+@settings(max_examples=300, deadline=None)
+# The floats that take float.__repr__: zero, the non-finite, those repr
+# writes with an exponent, and those whose chosen digits are an exact half
+# (of 16 digits twice, of 17 digits twice; 1234.5, exact in few digits, is
+# not).
+@example([0.0, -0.0])
+@example([math.nan, -math.nan, math.inf, -math.inf])
+@example([9.999999999999999e-05, -1e16, 5e-324, 2.2250738585072014e-308, 1e22])
+@example([779630182280701.8, 722039075.2148438, 0.0038080215454101562, 1e15 + 0.25, 1234.5])
+# Powers of two, whose gap below is half the gap above, and the floats
+# beside an odd integer above 2**53, the only point half way between two
+# floats of this range that has at most 16 digits: the kernel decides them.
+@example([0.5, -1.0, 2.0**-13, 8.0, 2.0**52, 2.0**53])
+@example([9007199254740994.0, 9007199254740996.0, 9999999999999998.0])
+# Just below a power of ten, where np.log10 rounds up to it, and at it.
+@example([0.09999999999999999, 0.1, 999.9999999999999, 1000.0, 1e-4, 0.3, 0.1 + 0.2])
+@given(st.lists(st.one_of(st.floats(), raw_floats), min_size=1, max_size=50))
+def test_float_texts_are_float_repr(values):
+    # Every float's text is json.dumps's, float.__repr__ with NaN and the
+    # infinities spelled as json spells them, whether the kernel decides it
+    # or hands it to float.__repr__.
+    assert float_texts(values) == [json.dumps(value) for value in values]
 
 
 def validate_json(report: AgreementReport) -> str:

@@ -103,6 +103,22 @@ def test_curve_from_csv_rejects_rows_without_two_fields(tmp_path):
             Curve.from_csv(path)
 
 
+@pytest.mark.parametrize("data, offset", [
+    (b"\xef\xbb\xbfx,y\n0,0\n1,\xff\n", 13),
+    # 27 784 bytes of rows: the bad byte lies in the fourth 8 KB chunk that
+    # the text reader decodes, 3210 bytes into it.
+    (b"x,y\n" + b"".join(b"%d,0\n" % i for i in range(4126)) + b"4126,00\n1,\xff\n", 27786),
+], ids=["after-byte-order-mark", "in-a-later-chunk"])
+def test_curve_from_csv_decode_error_names_the_file_offset(data, offset, tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    assert data.index(0xFF) == offset
+    message = f"{path}: 'utf-8' codec can't decode byte 0xff in position {offset}: invalid start byte"
+    with pytest.raises(DomainError) as raised:
+        Curve.from_csv(path)
+    assert str(raised.value) == message
+
+
 # ----------------------------------------------------------- discrete Frechet
 
 def test_frechet_identical_curves():
