@@ -3,56 +3,16 @@ rows at a time.
 
 A row is one state object and the text after it. Its keys' texts are
 constants but for the one around the length-ratio flag's value, which is
-one text per distinct flag; each float's text fills a slot after its key.
-state_text hands the text out in blocks of BLOCK_ROWS rows, so neither a
-Python value per number nor the whole text is ever held.
-
-Every float's text is float.__repr__'s, the shortest that reads back to it
-and of those the nearest (Gay 1990). For 1e-4 <= |x| < 1e16, where repr
-writes no exponent, let s = 16 - floor(log10|x|), in [1, 20], so that
-10**s is a float and X = |x| * 10**s lies in [1e16, 1e17). floor(log10|x|)
-comes from the binary exponent: a binade holds at most one power of ten,
-so the decade of its bottom and one comparison with the least float of the
-next decade decide it. Dekker's (1971) TwoProduct gives X exactly as
-p + lo, with p = fl(|x| * 10**s). X rounded to 17, 16 and 15 significant
-digits, D17 = p + rint(lo), D16 and D15, follow from the last two digits of
-D17 and the remainder lo - rint(lo), which is exact; so are the distances
-of D16 * 10 and D15 * 100 from X, sums of a small integer and that
-remainder. Half the gap between x and the floats beside it, times 10**s,
-is a float h, and a candidate closer to X than h reads back to x. Numbers
-of 15 significant digits lie further apart than the gaps, so at most one
-can, and D15 is it if one does; then D16, the nearest of 16 digits; D17
-always does. The text is the first that reads back, its trailing zeros
-dropped, with the point after 17 - s digits. It never rounds up to
-10**17: that would take x to be the float nearest a power of ten and
-below it, and none of this range is.
-
-A float takes float.__repr__ itself, with json's spellings of NaN and the
-infinities, where that argument does not decide its text: zero, NaN, the
-infinities and every |x| outside [1e-4, 1e16), and the chosen candidate
-lying half way between two numbers of its digits (X an exact half at that
-rounding step). Two cases that could undo the argument do not arise in
-this range. No candidate lies exactly h from X, where whether it reads
-back would depend on x's last bit: a point half way between two floats of
-this range has at least 17 significant digits, or is an odd integer above
-2**53 whose nearest candidate is x itself. And a power of two, whose gap
-below is half the gap above, is here a decimal of at most 16 digits, so
-D15 or D16 is X itself and is chosen: a D15 that is not lies 20 or 40
-units away, more than h.
-
-A float's slot is 24 bytes, three little-endian int64 words holding its
-text from the first byte. The 17 digits are gathered four at a time from
-a table, then the words are shifted to make room for the sign and the
-point, or for the sign, "0." and the zeros before the digits of a number
-below 1. Every fallback text fits in a slot. A block's bytes are
-compacted with one mask, and the end of each cell's array is a NUL there,
-which the text between cells replaces.
+one text per distinct flag; each float's text fills a slot after its key,
+the text _floattext gives it. state_text hands the text out in blocks of
+BLOCK_ROWS rows, so neither a Python value per number nor the whole text
+is ever held. A block's bytes are compacted with one mask, and the end of
+each cell's array is a NUL there, which the text between cells replaces.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from codecs import ascii_decode
 from collections.abc import Iterator
 from itertools import accumulate, chain
@@ -61,233 +21,14 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from ._csvtext import _text_slots
+from ._floattext import _SLOT, _float_slots
 
-# Rows per block: 128 wrote design_study's 288-row operations faster than
-# 256 or 512, and keeps each buffer of a block under 128 KB, glibc's
-# default threshold for mapping an allocation's pages afresh.
-BLOCK_ROWS = 128
-# The slot words are read back as bytes, so they are little-endian on every
-# machine. Every byte of a word is below 0x80, so a word is a non-negative
-# int64: a shift is a product or quotient by a power of two, and fields in
-# disjoint bytes add without a carry.
-_WORD = np.dtype("<i8")
-_SLOT = 24
-# The largest float below 1e16: clamping |x| into [1e-4, _TOP] changes
-# every float that repr writes with an exponent, and NaN.
-_TOP = 9999999999999998.0
-# Dekker's splitter for 53-bit floats: 2**27 + 1.
-_SPLIT = 134217729.0
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def json_floats(values) -> list[str]:
-    """json.dumps's text of each float: float.__repr__, with json's
-    spellings of NaN and the infinities."""
-    texts = list(map(float.__repr__, values))
-    return list(map(_NON_FINITE.get, texts, texts))
-
-
-def _slot_words(text: bytes) -> np.ndarray:
-    # The bytes in a slot's three words.
-    return np.frombuffer(text.ljust(_SLOT, b"\0"), _WORD)
-
-
-def _at_least(num: int, den: int, k: int) -> bool:
-    # num / den >= 10**k, exactly.
-    return num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0)
-
-
-def _binade_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Per b in [0, 67], the binade [2**(b - 14), 2**(b - 13)) of the floats
-    # of [1e-4, 1e16): the decade d = floor(log10) + 4 of its bottom; the
-    # least float of the decade above, which a float of the binade reaches
-    # only if d is one more; and half the gap between its floats.
-    decades, above = [], []
-    for b in range(68):
-        bottom = (2 ** max(b - 14, 0), 2 ** max(14 - b, 0))
-        d = max(k for k in range(-5, 17) if _at_least(*bottom, k)) + 4
-        least = 10.0 ** (d - 3)
-        decades.append(d)
-        above.append(least if _at_least(*least.as_integer_ratio(), d - 3) else math.nextafter(least, math.inf))
-    return np.array(decades), np.array(above), np.array([2.0 ** (b - 67) for b in range(68)])
-
-
-_DECADE, _ABOVE, _HALF_GAP = _binade_tables()
-
-
-def _decade_tables() -> tuple[np.ndarray, np.ndarray]:
-    # Per decade d: 10**s, s = 20 - d, and its two Dekker halves. Per code
-    # 2 * d + sign, the slot's shape: the mask of the bytes of the digits
-    # before the point; the fixed bytes (the sign, then the point, or "0."
-    # and zeros); the factor that moves the other digits up past them and
-    # the divisor that takes their carry into the next word; the factor
-    # that moves the digits before the point past the sign, and the sign.
-    powers, shape = [], []
-    for d in range(20):
-        power = float(10 ** (20 - d))
-        scaled = power * _SPLIT
-        high = scaled - (scaled - power)
-        powers.append((power, high, power - high))
-        whole = max(d - 3, 0)
-        for sign in (0, 1):
-            fixed = b"-" * sign + (b"\0" * whole + b"." if whole else b"0." + b"0" * (3 - d))
-            shift = 8 * (len(fixed) - whole)
-            head = _slot_words(b"\x7f" * whole)[:2]
-            shape.append([*head, *_slot_words(fixed), 2**shift, 2 ** (64 - shift), 256**sign, sign])
-    return np.array(powers), np.array(shape, _WORD)
-
-
-_POWERS, _SHAPE = _decade_tables()
-# The last digit of each of 0..99.
-_UNITS = np.arange(100.0) % 10
-
-
-def _kept_table() -> np.ndarray:
-    # Per 18 * (2 * d + sign) + last, last being the number of the last
-    # nonzero digit: the mask of the text's bytes, with at least one digit
-    # after the point.
-    kept = []
-    for d in range(20):
-        whole = d - 3
-        for sign in (0, 1):
-            for last in range(18):
-                length = sign + (whole + 1 + max(last - whole, 1) if whole > 0 else 2 - whole + last)
-                kept.append((b"\1" * length).ljust(_SLOT, b"\0"))
-    return np.frombuffer(b"".join(kept), _WORD).reshape(-1, 3)
-
-
-_KEPT = _kept_table()
-# The offset of each group of N's digits: plus the place of the group's
-# last nonzero digit, that digit's number.
-_OFFSETS = np.array([[0], [4], [8], [12], [16]])
-
-
-@functools.cache
-def _group_table() -> np.ndarray:
-    # Built by the first JSON text, 80 KB. For g in 0..9999: the ASCII
-    # digits of g in the low four bytes, the first in the lowest, and above
-    # them the place of its last nonzero digit, 1 to 4, or below -1 for 0.
-    tens, ones = np.indices((10, 10)).reshape(2, 100)
-    pair = 0x3030 + tens + ones * 256
-    last = np.where(ones > 0, 2, np.where(tens > 0, 1, -20))
-    table = np.add.outer(pair, pair * 65536)
-    table += np.maximum.outer(last, last + 2) * 2**32
-    table.flags.writeable = False
-    return table.ravel()
-
-
-def _shortest(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """For floats c in [1e-4, _TOP]: the decade d = floor(log10 c) + 4, the
-    digits of the text scaled to 17 significant digits as an int64 N, and
-    where N is undecided."""
-    # The decade d from c's binary exponent, and 10**s.
-    b = c.view(np.int64) // 2**52
-    b -= 1009
-    d = _DECADE.take(b)
-    d += c >= _ABOVE.take(b)
-    power, high, low = _POWERS.take(d, axis=0).T
-    # TwoProduct: X = c * power = p + lo exactly.
-    p = c * power
-    t = c * _SPLIT
-    c_high = t - (t - c)
-    c_low = c - c_high
-    lo = c_high * high
-    lo -= p
-    c_high *= low
-    lo += c_high
-    lo += c_low * high
-    c_low *= low
-    lo += c_low
-    # h: half the gap between c's neighbours, times 10**s.
-    h = _HALF_GAP.take(b)
-    h *= power
-    r = np.rint(lo)
-    f = lo - r
-    n = p.astype(np.int64)
-    # X less D15 * 100 and less D16 * 10: D17's last digits and the
-    # remainder, less the step where the rounding goes up.
-    m = n + r.astype(np.int64)
-    m -= m // 100 * 100
-    f15 = m + f
-    f15 -= (f15 > 50.0) * 100.0
-    f16 = _UNITS.take(m)
-    f16 += f
-    f16 -= (f16 > 5.0) * 10.0
-    a15 = np.abs(f15)
-    a16 = np.abs(f16)
-    chosen = np.where(a15 < h, f15, np.where(a16 < h, f16, f))
-    # Undecided: the chosen candidate half way between two numbers of its
-    # digits (or, rarely, just half a unit or five units from X).
-    np.abs(chosen, out=a15)
-    undecided = a15 == 5.0
-    undecided |= a15 == 0.5
-    # N = X less the chosen remainder.
-    lo -= chosen
-    n += lo.astype(np.int64)
-    return d, n, undecided
-
-
-def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The float.__repr__ text of each float of a 1-d array, as json writes
-    it: the slot words, of shape (len(x), 3), and the words of the mask of
-    the bytes that hold the text."""
-    a = np.abs(x)
-    c = np.maximum(a, 1e-4)
-    np.fmin(c, _TOP, out=c)
-    own = c != a
-    d, n, undecided = _shortest(c)
-    own |= undecided
-    # N's digits 1-4, 5-8, 9-12 and 13-16 and, times 1000, its 17th: five
-    # groups of four digits. A division by a constant is much faster than
-    # by an array of them.
-    groups = np.empty((5, len(x)), np.int64)
-    for group, power in zip(groups, (10**13, 10**9, 10**5, 10)):
-        np.floor_divide(n, power, out=group)
-    np.subtract(n, groups[3] * 10, out=groups[4])
-    groups[4] *= 1000
-    groups[1:4] -= groups[:3] * 10**4
-    groups = _group_table().take(groups)
-    places = groups // 2**32
-    groups -= places * 2**32
-    places += _OFFSETS
-    last = places.max(axis=0)
-    # The digits' words; the digits before the point move up past the
-    # sign, the others past the sign and the point, or all of them, below 1,
-    # past the sign, "0." and zeros.
-    d += d
-    d += np.signbit(x)
-    shape = _SHAPE.take(d, axis=0)
-    up, down, lead, sign = shape[:, 5], shape[:, 6], shape[:, 7], shape[:, 8]
-    slots = np.empty((len(x), 3), _WORD)
-    carry = 0
-    for word in (0, 1):
-        low, high = groups[2 * word], groups[2 * word + 1]
-        high *= 2**32
-        high += low
-        np.bitwise_and(high, shape[:, word], out=low)
-        high -= low
-        # The digits before the point moved past the sign, the carries from
-        # the word below, the other digits moved up and the fixed bytes.
-        out = slots[:, word]
-        np.multiply(low, lead, out=out)
-        out += carry
-        out += high * up
-        out += shape[:, 2 + word]
-        low //= 2**56
-        low *= sign
-        high //= down
-        carry = low + high
-    np.multiply(groups[4], up, out=slots[:, 2])
-    slots[:, 2] += carry
-    slots[:, 2] += shape[:, 4]
-    d *= 18
-    d += last
-    keep = _KEPT.take(d, axis=0, mode="clip")
-    if np.count_nonzero(own):
-        texts, marks = _text_slots(json_floats(x[own].tolist()), _SLOT)
-        slots[own] = texts.view(_WORD)
-        keep[own] = marks.view(np.uint8).view(_WORD)
-    return slots, keep
+# Rows per block: 96 wrote design_study's 288-row operations fastest of
+# 48-144 rows. A block's buffers, each under glibc's 128 KB threshold for
+# mapping an allocation's pages afresh, come from the heap, which keeps
+# the pages of its largest block: 128 rows raised the peak RSS of every
+# benchmark workload, whose gate writes JSON, by 0.1-0.3 MB.
+BLOCK_ROWS = 96
 
 
 def _runs(starts: list[int], width: int) -> list[tuple[int, int, int, int]]:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import geometry
 from ._csvtext import csv_text
-from ._jsontext import json_floats, state_text
+from ._floattext import json_floats
+from ._jsontext import state_text
 from ._numeric import check_positive_finite
 from .actuation import MAX_GRID_POINTS, ActuationState, PressureSweep, simulate_cells
 from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simulate_sweep)

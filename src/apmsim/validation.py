@@ -40,8 +40,8 @@ class Curve:
     label: str = ""
 
     def __post_init__(self) -> None:
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
+        self.x = np.asarray(self.x, float)
+        self.y = np.asarray(self.y, float)
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise DomainError("curve needs matching 1-d x and y arrays")
         if self.x.size < 2:
@@ -57,7 +57,7 @@ class Curve:
 
     @classmethod
     def from_points(cls, points, label: str = "") -> "Curve":
-        pts = np.asarray(points, dtype=float)
+        pts = np.asarray(points, float)
         return cls(pts[:, 0], pts[:, 1], label)
 
     @classmethod
@@ -463,10 +463,10 @@ def r_squared(pairs) -> float:
     1 - SS_res/SS_tot with the reference as ground truth. Equals 1 for exact
     agreement, can be negative for models worse than the reference mean.
     """
-    arr = np.asarray(pairs, dtype=float)
+    arr = np.asarray(pairs, float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise DomainError("r_squared needs at least 2 (reference, model) pairs")
-    ref, model = arr[:, 0], arr[:, 1]
+    ref, model = arr.T
     with np.errstate(all="ignore"):
         ss_tot = float(np.sum((ref - ref.mean()) ** 2))
         ss_res = float(np.sum((ref - model) ** 2))
@@ -543,8 +543,7 @@ def qq_pairs(a, b, k: int) -> list[tuple[float, float]]:
     by its own steps without its per-call overhead. Pairs are monotone
     nondecreasing in both coordinates. k must lie in [2, MAX_QUANTILES].
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a, float), np.asarray(b, float)
     if a.size == 0 or b.size == 0:
         raise DomainError("q-q pairing needs non-empty samples")
     check_quantile_count(k)
@@ -572,15 +571,10 @@ def compare_curves(
     float raises DomainError.
     """
     quantiles = qq_pairs(reference.y, model.y, qq) if qq is not None else None
-    if resample:
-        model_y = np.interp(reference.x, model.x, model.y)
-        pairs = np.column_stack((reference.y, model_y))
-    else:
-        if len(model) != len(reference):
-            raise DomainError(
-                "curves have different lengths; use resample=True for R^2 pairing"
-            )
-        pairs = np.column_stack((reference.y, model.y))
+    model_y = np.interp(reference.x, model.x, model.y) if resample else model.y
+    if len(model_y) != len(reference):
+        raise DomainError("curves have different lengths; use resample=True for R^2 pairing")
+    pairs = np.column_stack((reference.y, model_y))
     normalized = normalized_frechet(model, reference)
     raw = discrete_frechet(model, reference)
     # The report also gives the normalized distance in percent.

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apmsim import _jsontext, cli
+from apmsim import _floattext, cli
 from apmsim.actuation import ActuationState, simulate_sweep
 from apmsim.config import builtin_material, load_config, parse_ratio
 from apmsim.validation import AgreementReport
@@ -115,7 +115,7 @@ def test_sweep_json_equals_json_dumps(rows, h_ch):
 def float_texts(values) -> list[str]:
     # The state writer's text of each float, read from its slot.
     x = np.array(values, dtype=float)
-    slots, keep = _jsontext._float_slots(x)
+    slots, keep = _floattext._float_slots(x)
     texts, marks = slots.view(np.uint8).reshape(len(x), -1), keep.view(bool).reshape(len(x), -1)
     return [text[mark].tobytes().decode("ascii") for text, mark in zip(texts, marks)]
 
