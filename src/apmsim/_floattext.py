@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvtext import _text_slots
+from ._csvtext import _table
 
 # The slot words are read back as bytes, so they are little-endian on every
 # machine. Every byte of a word is below 0x80, so a word is a non-negative
@@ -80,6 +80,13 @@ def json_floats(values) -> list[str]:
 def _slot_words(text: bytes) -> np.ndarray:
     # The bytes in a slot's three words.
     return np.frombuffer(text.ljust(_SLOT, b"\0"), _WORD)
+
+
+def _text_slots(texts: list[str], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    # The texts' _table, and the mask of the bytes that hold them.
+    table = _table(texts, width)
+    keep = _table(["\1" * len(text.encode("utf-8")) for text in texts], table.shape[1])
+    return table, keep.view(bool)
 
 
 def _at_least(num: int, den: int, k: int) -> bool:

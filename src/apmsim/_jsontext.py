@@ -5,9 +5,10 @@ A row is one state object and the text after it. Its keys' texts are
 constants but for the one around the length-ratio flag's value, which is
 one text per distinct flag; each float's text fills a slot after its key,
 the text _floattext gives it. state_text hands the text out in blocks of
-BLOCK_ROWS rows, so neither a Python value per number nor the whole text
-is ever held. A block's bytes are compacted with one mask, and the end of
-each cell's array is a NUL there, which the text between cells replaces.
+BLOCK_ROWS rows, so neither a Python value per number, nor the whole text,
+nor an index over every row is ever held. A block's bytes are compacted
+with one mask, and the end of each cell's array is a NUL there, which the
+text between cells replaces.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from __future__ import annotations
 import functools
 from codecs import ascii_decode
 from collections.abc import Iterator
-from itertools import accumulate, chain
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from ._csvtext import _text_slots
-from ._floattext import _SLOT, _float_slots
+from ._csvtext import _blocks
+from ._floattext import _SLOT, _float_slots, _text_slots
 
 # Rows per block: 96 wrote design_study's 288-row operations fastest of
 # 48-144 rows. A block's buffers, each under glibc's 128 KB threshold for
@@ -45,7 +46,9 @@ def _runs(starts: list[int], width: int) -> list[tuple[int, int, int, int]]:
     return [tuple(run) for run in runs]
 
 
-@functools.lru_cache(maxsize=8)
+# One layout per indent and set of a block's labels: the three flags make
+# seven sets for each of the two indents.
+@functools.lru_cache(maxsize=16)
 def _row_layout(keys: tuple[str, ...], label_key: str, labels: tuple[str, ...], indent: int):
     """A row's bytes and their mask, before its values are written: each
     part of the object's text right-aligned, those before a float but the
@@ -113,27 +116,35 @@ def state_text(names: tuple[str, ...], pieces: list[str], cells: list[list[np.nd
     yield around[0] + open_
     # What takes the place of the NUL after each array's last object.
     between = [close + text + open_ for text in around[1:-1]] + [close + around[-1]]
-    labels = list(chain.from_iterable(columns[-1].tolist() for columns in cells))
-    kinds = {label: i for i, label in enumerate(dict.fromkeys(labels))}
-    label_kind = np.fromiter(map(kinds.__getitem__, labels), np.intp, len(labels))
-    del labels
-    # Every other object is followed by a comma and the next one's indent.
-    end_kind = np.zeros(len(label_kind), np.intp)
-    end_kind[[end - 1 for end in accumulate(count for count in counts if count)]] = 1
-    keys = sorted(names)
+    keys = tuple(sorted(names))
     floats = [names.index(key) for key in keys if key != names[-1]]
-    row_text, row_keep, runs, varying = _row_layout(tuple(keys), names[-1], tuple(kinds), indent)
-    varying = [(*region, kind) for region, kind in zip(varying, (label_kind, end_kind))]
     # The float columns in key order: one cell's as they are, more joined.
     if len(cells) == 1:
         floats = [cells[0][i] for i in floats]
     else:
         floats = np.concatenate([columns[i] for i in floats for columns in cells]).reshape(len(floats), -1)
-    ends = 0
-    for start in range(0, len(label_kind), BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        slots, keep = _float_slots(np.concatenate([column[rows] for column in floats]))
-        count = len(slots) // len(floats)
+    ends = start = 0
+    for pieces in _blocks(counts, BLOCK_ROWS):
+        labels: list[str] = []
+        for cell, first, stop in pieces:
+            labels += cells[cell][-1][first:stop].tolist()
+        count = len(labels)
+        # Sorted, the block's labels share their layouts with other blocks';
+        # a block of one label needs no lookup.
+        kinds = {label: i for i, label in enumerate(sorted(set(labels)))}
+        label_kind = np.zeros(count, np.intp)
+        if len(kinds) > 1:
+            label_kind = np.fromiter(map(kinds.__getitem__, labels), np.intp, count)
+        # Every other object is followed by a comma and the next one's indent.
+        end_kind = np.zeros(count, np.intp)
+        at = -1
+        for cell, first, stop in pieces:
+            at += stop - first
+            if stop == counts[cell]:
+                end_kind[at] = 1
+        row_text, row_keep, runs, varying = _row_layout(keys, names[-1], tuple(kinds), indent)
+        slots, keep = _float_slots(np.concatenate([column[start:start + count] for column in floats]))
+        start += count
         slots = slots.view(np.uint8).reshape(len(floats), count, _SLOT).transpose(1, 0, 2)
         keep = keep.view(bool).reshape(len(floats), count, _SLOT).transpose(1, 0, 2)
         text = np.empty((count, len(row_text)), np.uint8)
@@ -144,13 +155,18 @@ def state_text(names: tuple[str, ...], pieces: list[str], cells: list[list[np.nd
             shape, strides = (count, length, _SLOT), (len(row_text), step, 1)
             np.ndarray(shape, np.uint8, text, at, strides)[:] = slots[:, first:first + length]
             np.ndarray(shape, bool, mask, at, strides)[:] = keep[:, first:first + length]
-        for at, table, marks, kind in varying:
-            table.take(kind[rows], axis=0, out=text[:, at:at + table.shape[1]])
-            marks.take(kind[rows], axis=0, out=mask[:, at:at + table.shape[1]])
+        for (at, table, marks), kind in zip(varying, (label_kind, end_kind)):
+            table.take(kind, axis=0, out=text[:, at:at + table.shape[1]])
+            marks.take(kind, axis=0, out=mask[:, at:at + table.shape[1]])
         parts = ascii_decode(text[mask])[0].split("\0")
         texts = [""] * (2 * len(parts) - 1)
         texts[::2] = parts
         texts[1::2] = between[ends:ends + len(parts) - 1]
         ends += len(parts) - 1
+        # The block's arrays are freed before its texts are handed out, so
+        # the next block reuses their heap below the texts instead of growing
+        # the heap past them: held, they raised design_study's peak RSS by
+        # 0.1 MB and made glibc trim and fault the heap in again.
+        del slots, keep, text, mask, parts
         yield from texts
 

@@ -1095,6 +1095,18 @@ def per_row_csv(names, cells):
      2**52 / 1e6, 1e15, 1e300, sys.float_info.max, 5e-324, -math.inf, math.nan],
     513, 11, 3, 2, ["valid", "é"],
 )
+@example(  # one column climbing through the decades: each block at its own width, the second unpadded
+    [1.5 * 10.0 ** (k // 86) for k in range(512)] + [1234567.25 + k for k in range(512)] + [0.5],
+    1025, 1, 0, 1, ["valid"],
+)
+@example(  # negative and positive values in each column of one block
+    [-12.5, 3.25, 0.125, -0.0, 1000000.5, -7.75, 99.0, -0.001],
+    4, 2, 0, 1, ["valid", "over-stretched"],
+)
+@example(  # one text of more than 16 bytes in an otherwise narrow block
+    [0.25, 1.5, 3.0, 0.75, -123456789.25, 2.0, 0.5, 1.0],
+    4, 2, 0, 2, ["valid"],
+)
 @given(
     st.lists(hard_floats, min_size=1, max_size=40),
     st.sampled_from([1, 2, 7, 511, 512, 513, 1025]),
@@ -1120,6 +1132,18 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
     assert [piece.count("\n") for piece in pieces] == [1] + [
         min(BLOCK_ROWS, rows - start) for start in range(0, rows, BLOCK_ROWS)
     ]
+
+
+@pytest.mark.parametrize(
+    "head, label, tail", [("m\0,", "valid", ""), ("", "val\0id", ""), ("", "valid", ",\0")],
+    ids=["head", "label", "tail"],
+)
+def test_csv_text_rejects_a_nul(head, label, tail):
+    # The writer drops every NUL byte of a block, so a NUL in a cell's text
+    # would vanish from the CSV: it is refused instead.
+    cells = [(head, [np.array([1.5]), np.array([label], dtype=object)], tail)]
+    with pytest.raises(ValueError, match="NUL"):
+        list(csv_text(("x", "flag"), cells))
 
 
 # ------------------------------------------------------------ curve CSV read
