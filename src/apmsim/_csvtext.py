@@ -26,7 +26,7 @@ compacts it; no head, label or tail may hold a NUL.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
 import numpy as np
@@ -102,19 +102,26 @@ def _blocks(counts: list[int], size: int) -> Iterator[list[tuple[int, int, int]]
         yield block
 
 
-def _rows(cells: list[tuple[str, list[np.ndarray], str]], pieces: list[tuple[int, int, int]], tables) -> np.ndarray:
-    # The row buffer of one block's pieces of cells: its CSV rows, with NULs.
-    sizes = [stop - first for _, first, stop in pieces]
-    # The block's float columns, one in each row.
-    x = np.empty((len(cells[0][1]) - 1, sum(sizes)))
+def _gather(cells: list[list[np.ndarray]], pieces: list[tuple[int, int, int]], order: Sequence[int]) -> tuple[np.ndarray, list[str]]:
+    """A block's float columns, each in a row in the given order of a cell's
+    columns, and its labels, from its pieces of cells: float64 columns, then
+    a last column of labels."""
+    # A piece that is a whole cell gives its columns as they are: a sweep's
+    # cells are often shorter than a block, and a slice of each column costs
+    # as much as its copy.
+    spans = [(cells[cell], first, stop, stop - first == len(cells[cell][-1])) for cell, first, stop in pieces]
+    x = np.concatenate([c[i] if whole else c[i][first:stop] for i in order for c, first, stop, whole in spans])
     labels: list[str] = []
-    at = 0
-    for (cell, first, stop), size in zip(pieces, sizes):
-        *floats, flags = cells[cell][1]
-        for row, column in zip(x, floats):
-            row[at:at + size] = column[first:stop]
-        labels += flags[first:stop].tolist()
-        at += size
+    for c, first, stop, whole in spans:
+        labels += (c[-1] if whole else c[-1][first:stop]).tolist()
+    return x.reshape(len(order), -1), labels
+
+
+def _rows(cells: list[tuple[str, list[np.ndarray], str]], columns: list[list[np.ndarray]], pieces: list[tuple[int, int, int]], tables) -> np.ndarray:
+    # The row buffer of one block's pieces of cells, whose columns are
+    # columns: its CSV rows, with NULs.
+    sizes = [stop - first for _, first, stop in pieces]
+    x, labels = _gather(columns, pieces, range(len(columns[0]) - 1))
     # A row's text after its numbers is its label and its cell's tail: one
     # entry per piece and distinct label; a block of one label needs no
     # lookup.
@@ -198,12 +205,13 @@ def csv_text(names: tuple[str, ...], cells: list[tuple[str, list[np.ndarray], st
         raise ValueError("a CSV head or tail holds a NUL")
     yield ",".join(names) + "\n"
     tables = _tables()
-    for pieces in _blocks([len(columns[0]) for _, columns, _ in cells], BLOCK_ROWS):
+    columns = [cell[1] for cell in cells]
+    for pieces in _blocks([len(cell[0]) for cell in columns], BLOCK_ROWS):
         # The row buffer is held until the next one is built: it sits above
         # the block's freed arrays, so glibc does not trim them away between
         # blocks, and the next block reuses their pages instead of faulting
         # in fresh ones. The cast is text != 0 without a uint8 comparison
         # loop, which nothing else runs: each new numpy loop maps in more of
         # numpy's code.
-        text = _rows(cells, pieces, tables)
+        text = _rows(cells, columns, pieces, tables)
         yield text[text.astype(bool)].tobytes().decode("utf-8")

@@ -35,10 +35,11 @@ D15 or D16 is X itself and is chosen: a D15 that is not lies 20 or 40
 units away, more than h.
 
 A float's slot is 24 bytes, three little-endian int64 words holding its
-text from the first byte. The 17 digits are gathered two at a time from a
+text with NULs after it. The 17 digits are gathered two at a time from a
 table of 0..99, then the words are shifted to make room for the sign and
 the point, or for the sign, "0." and the zeros before the digits of a
-number below 1. Every fallback text fits in a slot.
+number below 1, and one subtraction of a table turns the "0" digits after
+the text into NULs. Every fallback text fits in a slot.
 
 The tables are built by the first text, not at import, and every step
 runs only numpy loops that the rest of the program runs too: each new
@@ -80,13 +81,6 @@ def json_floats(values) -> list[str]:
 def _slot_words(text: bytes) -> np.ndarray:
     # The bytes in a slot's three words.
     return np.frombuffer(text.ljust(_SLOT, b"\0"), _WORD)
-
-
-def _text_slots(texts: list[str], width: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    # The texts' _table, and the mask of the bytes that hold them.
-    table = _table(texts, width)
-    keep = _table(["\1" * len(text.encode("utf-8")) for text in texts], table.shape[1])
-    return table, keep.view(bool)
 
 
 def _at_least(num: int, den: int, k: int) -> bool:
@@ -133,18 +127,20 @@ def _decade_tables() -> tuple[np.ndarray, np.ndarray]:
     return np.array(powers), np.array(shape, _WORD)
 
 
-def _kept_table() -> np.ndarray:
+def _pad_table() -> np.ndarray:
     # Per 18 * (2 * d + sign) + last, last being the number of the last
-    # nonzero digit: the mask of the text's bytes, with at least one digit
-    # after the point.
-    kept = []
+    # nonzero digit: the "0" bytes after the text, which keeps at least one
+    # digit after the point. They run to the "0" after the 17th digit, the
+    # second of its pair.
+    pads = []
     for d in range(20):
         whole = d - 3
         for sign in (0, 1):
+            end = sign + (19 if whole > 0 else 20 - whole)
             for last in range(18):
                 length = sign + (whole + 1 + max(last - whole, 1) if whole > 0 else 2 - whole + last)
-                kept.append((b"\1" * length).ljust(_SLOT, b"\0"))
-    return np.frombuffer(b"".join(kept), _WORD).reshape(-1, 3)
+                pads.append(_slot_words(bytes(length) + b"0" * (end - length)))
+    return np.array(pads)
 
 
 class _Tables(NamedTuple):
@@ -153,7 +149,7 @@ class _Tables(NamedTuple):
     half_gap: np.ndarray
     powers: np.ndarray
     shape: np.ndarray
-    kept: np.ndarray
+    pad: np.ndarray
     # For i in 0..99: the ASCII bytes of its two digits, the first in the
     # lower, and the place of its last nonzero digit, 1 or 2, or -20 for 0.
     pair_bytes: np.ndarray
@@ -169,7 +165,7 @@ def _tables() -> _Tables:
     tables = _Tables(
         *_binade_tables(),
         *_decade_tables(),
-        _kept_table(),
+        _pad_table(),
         np.array([0x3030 + tens + ones * 256 for tens, ones in pairs]),
         np.array([2 if ones else 1 if tens else -20 for tens, ones in pairs]),
         np.tile(np.arange(10.0), 10),
@@ -237,10 +233,9 @@ def _shortest(c: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray, n
     return d, n, undecided
 
 
-def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _float_slots(x: np.ndarray) -> np.ndarray:
     """The float.__repr__ text of each float of a 1-d array, as json writes
-    it: the slot words, of shape (len(x), 3), and the words of the mask of
-    the bytes that hold the text."""
+    it: the slot words, of shape (len(x), 3)."""
     a = np.abs(x)
     c = np.maximum(a, 1e-4)
     np.fmin(c, _TOP, out=c)
@@ -298,9 +293,7 @@ def _float_slots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slots[:, 2] += shape[:, 4]
     d *= 18
     d += last
-    keep = tables.kept.take(d, axis=0)
+    slots -= tables.pad.take(d, axis=0)
     if np.count_nonzero(own):
-        texts, marks = _text_slots(json_floats(x[own].tolist()), _SLOT)
-        slots[own] = texts.view(_WORD)
-        keep[own] = marks.view(np.uint8).view(_WORD)
-    return slots, keep
+        slots[own] = _table(json_floats(x[own].tolist()), _SLOT).view(_WORD)
+    return slots

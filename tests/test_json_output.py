@@ -104,8 +104,24 @@ def test_simulate_json_equals_json_dumps(material, n, start, end, step, state_li
     assert cli._simulate_json(material, n, sweep, columns_of(state_list)) == expected
 
 
+def control_state(value: float, flag: str) -> ActuationState:
+    return ActuationState(*[value] * (len(ActuationState._fields) - 1), flag)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(texts, floats, states, floats, floats), max_size=4), floats)
+# Control characters in the labels and material names: the writer ends each
+# cell's last object with a control byte, which their escaped texts never
+# hold.
+@example(
+    [
+        ("\0\1mat\x1f", 0.5, [control_state(1.5, "\1"), control_state(-0.0, "\0a\x7f")], 1.0, 2.0),
+        ("\1", 1.0, [control_state(0.1, "a\1b\x02\n")], 3.0, 4.0),
+        ("\x02\0", 2.0, [], 5.0, 6.0),
+        ("\t\r", 1.5, [control_state(1e-7, "\1\1")], 7.0, 8.0),
+    ],
+    0.25,
+)
 def test_sweep_json_equals_json_dumps(rows, h_ch):
     column_rows = [(name, ratio, columns_of(state_list), top, mean_max)
                    for name, ratio, state_list, top, mean_max in rows]
@@ -113,11 +129,11 @@ def test_sweep_json_equals_json_dumps(rows, h_ch):
 
 
 def float_texts(values) -> list[str]:
-    # The state writer's text of each float, read from its slot.
+    # The state writer's text of each float: the bytes of its slot that are
+    # not NUL.
     x = np.array(values, dtype=float)
-    slots, keep = _floattext._float_slots(x)
-    texts, marks = slots.view(np.uint8).reshape(len(x), -1), keep.view(bool).reshape(len(x), -1)
-    return [text[mark].tobytes().decode("ascii") for text, mark in zip(texts, marks)]
+    slots = _floattext._float_slots(x).view(np.uint8).reshape(len(x), -1)
+    return [slot[slot.astype(bool)].tobytes().decode("ascii") for slot in slots]
 
 
 raw_floats = st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64)))
