@@ -85,43 +85,35 @@ def _table(texts: list[str], width: int = 0) -> np.ndarray:
 
 
 def _blocks(counts: list[int], size: int) -> Iterator[list[tuple[int, int, int]]]:
-    """The rows of cells of counts rows each, in blocks of up to size rows:
-    per block, its pieces of cells as (cell, first row, stop row)."""
-    block, free = [], size
+    """The rows of cells of counts rows each, one cell after another, in
+    blocks of up to size rows: per block, its pieces of cells as (cell,
+    first row, stop row), rows counted over all the cells."""
+    block, row, end = [], 0, 0
     for cell, count in enumerate(counts):
-        first = 0
-        while first < count:
-            stop = min(count, first + free)
-            block.append((cell, first, stop))
-            free -= stop - first
-            first = stop
-            if not free:
+        end += count
+        while row < end:
+            stop = min(end, row - row % size + size)
+            block.append((cell, row, stop))
+            row = stop
+            if not row % size:
                 yield block
-                block, free = [], size
+                block = []
     if block:
         yield block
 
 
-def _gather(cells: list[list[np.ndarray]], pieces: list[tuple[int, int, int]], order: Sequence[int]) -> tuple[np.ndarray, list[str]]:
-    """A block's float columns, each in a row in the given order of a cell's
-    columns, and its labels, from its pieces of cells: float64 columns, then
-    a last column of labels."""
-    # A piece that is a whole cell gives its columns as they are: a sweep's
-    # cells are often shorter than a block, and a slice of each column costs
-    # as much as its copy.
-    spans = [(cells[cell], first, stop, stop - first == len(cells[cell][-1])) for cell, first, stop in pieces]
-    x = np.concatenate([c[i] if whole else c[i][first:stop] for i in order for c, first, stop, whole in spans])
-    labels: list[str] = []
-    for c, first, stop, whole in spans:
-        labels += (c[-1] if whole else c[-1][first:stop]).tolist()
-    return x.reshape(len(order), -1), labels
+def _gather(columns: list[np.ndarray], first: int, stop: int, order: Sequence[int]) -> tuple[np.ndarray, list[str]]:
+    """Rows first..stop of the float columns, in the given order, as the
+    rows of one array, and those rows' labels, from the last column."""
+    x = np.concatenate([columns[i][first:stop] for i in order])
+    return x.reshape(len(order), -1), columns[-1][first:stop].tolist()
 
 
-def _rows(cells: list[tuple[str, list[np.ndarray], str]], columns: list[list[np.ndarray]], pieces: list[tuple[int, int, int]], tables) -> np.ndarray:
-    # The row buffer of one block's pieces of cells, whose columns are
+def _rows(cells: list[tuple[str, int, str]], columns: list[np.ndarray], pieces: list[tuple[int, int, int]], tables) -> np.ndarray:
+    # The row buffer of one block's pieces of cells, a row range of
     # columns: its CSV rows, with NULs.
     sizes = [stop - first for _, first, stop in pieces]
-    x, labels = _gather(columns, pieces, range(len(columns[0]) - 1))
+    x, labels = _gather(columns, pieces[0][1], pieces[-1][2], range(len(columns) - 1))
     # A row's text after its numbers is its label and its cell's tail: one
     # entry per piece and distinct label; a block of one label needs no
     # lookup.
@@ -196,17 +188,18 @@ def _rows(cells: list[tuple[str, list[np.ndarray], str]], columns: list[list[np.
     return text
 
 
-def csv_text(names: tuple[str, ...], cells: list[tuple[str, list[np.ndarray], str]]) -> Iterator[str]:
-    """The CSV text of the cells under a header of names, in pieces: the
-    header line, then blocks of up to BLOCK_ROWS rows. A cell is (head,
-    columns, tail): float64 columns, then a last column of texts, all of
-    one length. No head, label or tail may hold a NUL (ValueError)."""
+def csv_text(names: tuple[str, ...], columns: list[np.ndarray], cells: list[tuple[str, int, str]]) -> Iterator[str]:
+    """The CSV text of the cells' rows of columns under a header of names,
+    in pieces: the header line, then blocks of up to BLOCK_ROWS rows. The
+    columns are float64 columns, then a last column of texts, all of one
+    length; a cell is (head, count, tail), and its rows are the count rows
+    of the columns after those of the cells before it. No head, label or
+    tail may hold a NUL (ValueError)."""
     if any("\0" in head + tail for head, _, tail in cells):
         raise ValueError("a CSV head or tail holds a NUL")
     yield ",".join(names) + "\n"
     tables = _tables()
-    columns = [cell[1] for cell in cells]
-    for pieces in _blocks([len(cell[0]) for cell in columns], BLOCK_ROWS):
+    for pieces in _blocks([count for _, count, _ in cells], BLOCK_ROWS):
         # The row buffer is held until the next one is built: it sits above
         # the block's freed arrays, so glibc does not trim them away between
         # blocks, and the next block reuses their pages instead of faulting

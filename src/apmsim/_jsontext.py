@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from codecs import ascii_decode
 from collections.abc import Iterator
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -71,15 +72,15 @@ def _row_layout(keys: tuple[str, ...], label_key: str, labels: tuple[str, ...], 
     return np.frombuffer(b"".join(row), np.uint8), slot_at, varying
 
 
-def state_text(names: tuple[str, ...], pieces: list[str], cells: list[list[np.ndarray]], indent: int) -> Iterator[str]:
-    """pieces[0], the JSON array of cells[0]'s state objects, pieces[1], and
-    so on to the array of the last cell and the last piece, as
-    json.dumps(..., indent=2, sort_keys=True) writes them with the objects
-    at indent spaces, in pieces: the text before the first state, then
-    blocks of up to BLOCK_ROWS states, the last with the text after them. A
-    cell is its columns, keyed by names: float64 columns, then a last column
-    of texts, all of one length."""
-    counts = [len(columns[0]) for columns in cells]
+def state_text(names: tuple[str, ...], pieces: list[str], columns: list[np.ndarray], counts: list[int], indent: int) -> Iterator[str]:
+    """pieces[0], the JSON array of the first cell's state objects,
+    pieces[1], and so on to the array of the last cell and the last piece,
+    as json.dumps(..., indent=2, sort_keys=True) writes them with the
+    objects at indent spaces, in pieces: the text before the first state,
+    then blocks of up to BLOCK_ROWS states, the last with the text after
+    them. The states are the rows of columns, keyed by names: float64
+    columns, then a last column of texts, all of one length; cell i's are
+    the counts[i] rows after those of the cells before it."""
     # The text around each array that has states; an empty one, "[]", is
     # part of it.
     around = [pieces[0]]
@@ -97,9 +98,11 @@ def state_text(names: tuple[str, ...], pieces: list[str], cells: list[list[np.nd
     between = [close + text + open_ for text in around[1:-1]] + [close + around[-1]]
     keys = tuple(sorted(names))
     order = [names.index(key) for key in keys if key != names[-1]]
+    stops = list(accumulate(counts))
     ends = 0
     for pieces in _blocks(counts, BLOCK_ROWS):
-        x, labels = _gather(cells, pieces, order)
+        first = pieces[0][1]
+        x, labels = _gather(columns, first, pieces[-1][2], order)
         count = len(labels)
         # Sorted, the block's labels share their layouts with other blocks';
         # a block of one label needs no lookup.
@@ -109,11 +112,9 @@ def state_text(names: tuple[str, ...], pieces: list[str], cells: list[list[np.nd
             label_kind = np.fromiter(map(kinds.__getitem__, labels), np.intp, count)
         # Every other object is followed by a comma and the next one's indent.
         end_kind = np.zeros(count, np.intp)
-        at = -1
-        for cell, first, stop in pieces:
-            at += stop - first
-            if stop == counts[cell]:
-                end_kind[at] = 1
+        for cell, _, stop in pieces:
+            if stop == stops[cell]:
+                end_kind[stop - first - 1] = 1
         row, slot_at, varying = _row_layout(keys, names[-1], tuple(kinds), indent)
         slots = _float_slots(x.reshape(-1)).view(f"V{_SLOT}").reshape(len(order), count, 1)
         text = np.empty((count, len(row)), np.uint8)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, pairwise
 from typing import NamedTuple
 
 import numpy as np
@@ -102,8 +101,8 @@ class ActuationState(NamedTuple):
     ratio_flag is the check_length_ratio classification. The field order is
     the output column order (cli.STATE_COLUMNS). simulate_pressure given an
     ndarray of pressures fills every field with an ndarray of the same
-    shape; simulate_cells hands each cell's fields on as columns, in this
-    order, and simulate_sweep zips them into one state per point.
+    shape; simulate_cells hands all its cells' fields on as columns, in
+    this order, and simulate_sweep zips them into one state per point.
     """
 
     pressure: float
@@ -296,23 +295,26 @@ def simulate_pressure(
 
 def simulate_cells(
     cells: Sequence[tuple[MyofibrilSpec, PressureSweep]],
-) -> list[list[np.ndarray]]:
-    """The columns of each (spec, sweep) cell, in cell order: one 1-d array
-    per ActuationState field, in field order, each in ascending pressure
-    order; the float fields are float64 arrays and the flag an object array
-    of the RATIO_* constants.
+) -> tuple[list[np.ndarray], list[int]]:
+    """The columns of the (spec, sweep) cells and each cell's row count:
+    one 1-d array per ActuationState field, in field order, with the cells'
+    rows in cell order, each cell's in ascending pressure order; the float
+    fields are float64 arrays and the flag an object array of the RATIO_*
+    constants.
 
-    All cells are one simulate_pressure pass over the concatenated grids,
-    and each column is a view of that pass's array, so zipping the .tolist()
-    of cell i's columns gives the states of simulate_sweep(*cells[i]).
-    Any model error aborts the whole call: the first cell, in the given
-    order, that fails on its own reports its lowest failing pressure as
-    simulate_sweep does. No cells give an empty list.
+    All cells are one simulate_pressure pass over their concatenated grids,
+    each distinct sweep's grid built once, and the columns are that pass's
+    arrays: cell i's count rows after those of the cells before it, zipped
+    after .tolist(), are the states of simulate_sweep(*cells[i]). Any model
+    error aborts the whole call: the first cell, in the given order, that
+    fails on its own reports its lowest failing pressure as simulate_sweep
+    does. No cells give ([], []).
     """
     if not cells:
-        return []
+        return [], []
     specs = [spec for spec, _ in cells]
-    grids = [sweep._grid() for _, sweep in cells]
+    built = {sweep: sweep._grid() for sweep in dict.fromkeys(sweep for _, sweep in cells)}
+    grids = [built[sweep] for _, sweep in cells]
     try:
         state = simulate_pressure(specs, grids)
     except DomainError:
@@ -323,8 +325,7 @@ def simulate_cells(
                 _raise_lowest_failure(spec, pressures)
                 raise
         raise
-    bounds = pairwise(accumulate(map(len, grids), initial=0))
-    return [[column[a:b] for column in state] for a, b in bounds]
+    return list(state), list(map(len, grids))
 
 
 def simulate_sweep(spec: MyofibrilSpec, sweep: PressureSweep) -> list[ActuationState]:

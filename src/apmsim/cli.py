@@ -11,7 +11,7 @@ import math
 import sys
 import warnings
 from collections.abc import Iterable, Iterator
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -60,9 +60,9 @@ _CELL_TAIL = (
     "max_f_spa_n",
     "mean_max_f_spa_n",
 )
-# One sweep cell: material, wall ratio, the columns of its states, their
-# largest f_spa and the material's mean of those maxima over its ratios.
-_SweepRow = tuple[str, float, list[np.ndarray], float, float]
+# One sweep cell: material, wall ratio, its count of rows of the sweep's
+# columns, their largest f_spa and the material's mean of those maxima.
+_SweepRow = tuple[str, float, int, float, float]
 _F_SPA = ActuationState._fields.index("f_spa")
 
 # JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
@@ -114,17 +114,17 @@ def _simulate_json_text(material: str, n: int, sweep: PressureSweep, columns: li
         sweep=_json_object(4, **grid),
     )
     around = _json_object(0, metadata=metadata, states=_STATES) + "\n"
-    return state_text(STATE_COLUMNS, around.split(_STATES), [columns], 4)
+    return state_text(STATE_COLUMNS, around.split(_STATES), columns, [len(columns[0])], 4)
 
 
-def _sweep_json_text(rows: list[_SweepRow], h_ch: float) -> Iterator[str]:
+def _sweep_json_text(rows: list[_SweepRow], columns: list[np.ndarray], h_ch: float) -> Iterator[str]:
     # Every cell's text around its states, its floats' texts made in one
-    # call; all cells' states in blocks.
+    # call; all cells' states, the rows of columns, in blocks.
     template, pick = _object_template((*_CELL_HEAD, *_CELL_TAIL, "states"), 4)
     floats = iter(json_floats(chain.from_iterable((row[1], h_ch, *row[3:]) for row in rows)))
     cells = [template % pick((encode_basestring_ascii(row[0]), *islice(floats, 4), _STATES)) for row in rows]
     around = _json_object(0, cells=_json_array(cells, 2)) + "\n"
-    return state_text(STATE_COLUMNS, around.split(_STATES), [row[2] for row in rows], 8)
+    return state_text(STATE_COLUMNS, around.split(_STATES), columns, [row[2] for row in rows], 8)
 
 
 # The whole texts that the commands write in pieces.
@@ -132,8 +132,8 @@ def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[np
     return "".join(_simulate_json_text(material, n, sweep, columns))
 
 
-def _sweep_json(rows: list[_SweepRow], h_ch: float) -> str:
-    return "".join(_sweep_json_text(rows, h_ch))
+def _sweep_json(rows: list[_SweepRow], columns: list[np.ndarray], h_ch: float) -> str:
+    return "".join(_sweep_json_text(rows, columns, h_ch))
 
 
 def _emit(texts: Iterable[str], out_path: str | Path | None) -> None:
@@ -166,14 +166,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     spec = config.build_spec()
     sweep = config.sweep_for_material(config.material.name)
-    columns = simulate_cells([(spec, sweep)])[0]
+    columns, counts = simulate_cells([(spec, sweep)])
 
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     if fmt == "json":
         _emit(_simulate_json_text(config.material.name, spec.n, sweep, columns), out_path)
     else:
-        _emit(csv_text(STATE_COLUMNS, [("", columns, "")]), out_path)
+        _emit(csv_text(STATE_COLUMNS, columns, [("", counts[0], "")]), out_path)
     return 0
 
 
@@ -235,44 +235,47 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     # Cells in material-then-ratio order, all evaluated in one pass. A cell
     # that fails to build is reported only when every cell before it
-    # simulates, so an earlier cell's model error takes precedence.
+    # simulates, so an earlier cell's model error takes precedence. Each
+    # ratio's SPA geometry is built once, when its first cell is.
+    spa_for_ratio = functools.cache(config.spa_for_ratio)
     cells: list[tuple[MyofibrilSpec, PressureSweep]] = []
     try:
         for material in materials:
             sweep = config.sweep_for_material(material.name)
             for ratio in ratios:
-                cells.append((config.spec_with_spa(config.spa_for_ratio(ratio), material), sweep))
+                cells.append((config.spec_with_spa(spa_for_ratio(ratio), material), sweep))
     except ConfigError:
         simulate_cells(cells)
         raise
-    results = iter(simulate_cells(cells))
+    columns, counts = simulate_cells(cells)
+    # Every cell's largest f_spa, in cell order, taken in one call.
+    tops = np.maximum.reduceat(columns[_F_SPA], list(accumulate(counts[:-1], initial=0))).tolist()
 
     rows: list[_SweepRow] = []
-    for name in names:
-        cell_columns = [(ratio, next(results)) for ratio in ratios]
-        maxima = {ratio: float(columns[_F_SPA].max()) for ratio, columns in cell_columns}
+    for at, name in zip(range(0, len(cells), len(ratios)), names):
+        maxima = tops[at:at + len(ratios)]
         try:
-            mean_max = math.fsum(maxima.values()) / len(maxima)
+            mean_max = math.fsum(maxima) / len(maxima)
         except OverflowError:
             # fsum raises where finite maxima sum beyond the float range.
             raise DomainError(
                 f"material {name!r}: the mean of its f_spa maxima overflows a float"
             ) from None
         rows.extend(
-            (name, ratio, columns, maxima[ratio], mean_max) for ratio, columns in cell_columns
+            (name, ratio, count, top, mean_max) for ratio, count, top in zip(ratios, counts[at:], maxima)
         )
 
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     h_ch = config.assumed_h_ch
     if fmt == "json":
-        _emit(_sweep_json_text(rows, h_ch), out_path)
+        _emit(_sweep_json_text(rows, columns, h_ch), out_path)
     else:
         csv_cells = [
-            (f"{name},{ratio:.6f},{h_ch:.6f},", columns, f",{top:.6f},{mean_max:.6f}")
-            for name, ratio, columns, top, mean_max in rows
+            (f"{name},{ratio:.6f},{h_ch:.6f},", count, f",{top:.6f},{mean_max:.6f}")
+            for name, ratio, count, top, mean_max in rows
         ]
-        _emit(csv_text(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL, csv_cells), out_path)
+        _emit(csv_text(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL, columns, csv_cells), out_path)
     return 0
 
 

@@ -156,9 +156,9 @@ def _check_names(parser: configparser.ConfigParser, path: str | Path) -> None:
 
 
 def _section(parser: configparser.ConfigParser, name: str) -> dict | None:
-    # The values of one GRAMMAR section, each key parsed by its kind or
-    # defaulted; None for a left-out [sweep].
-    section = parser[name] if name in parser else GRAMMAR[name][0]
+    # The values of one GRAMMAR section, read as one dict of texts, each key
+    # parsed by its kind or defaulted; None for a left-out [sweep].
+    section = dict(parser.items(name, raw=True)) if name in parser else GRAMMAR[name][0]
     if section is None:
         return None
     values = {}

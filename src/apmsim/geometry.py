@@ -373,15 +373,17 @@ def _lengths(spec: MyofibrilSpec) -> dict:
 
 def _record(spec: MyofibrilSpec | Sequence[MyofibrilSpec], design, counts=()) -> SimpleNamespace:
     # design(spec)'s values by name. One design's are as they are. A batch's
-    # are an ndarray per name with an element per design, repeated over the
-    # designs' grids (counts[i] points for design i) when there is more than
-    # one; a material name joins the designs' names.
+    # are a float64 row per name of one names x designs table, repeated over
+    # the designs' grids (counts[i] points for design i) in one call when
+    # there is more than one; a material name joins the designs' names.
     if isinstance(spec, MyofibrilSpec):
         return SimpleNamespace(**design(spec))
     designs = list(map(design, spec))
-    record = {key: np.array([one[key] for one in designs]) for key in designs[0] if key != "name"}
+    keys = [key for key in designs[0] if key != "name"]
+    table = np.array([[one[key] for one in designs] for key in keys], float)
     if len(counts) > 1:
-        record = {key: np.repeat(value, counts) for key, value in record.items()}
+        table = np.repeat(table, counts, axis=1)
+    record = dict(zip(keys, table))
     if "name" in designs[0]:
         record["name"] = ", ".join(dict.fromkeys(one["name"] for one in designs))
     return SimpleNamespace(**record)

@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ def study_spec(material_name, ratio, assumed_h_ch=10.0):
         spa=spa,
         material=MATERIALS[material_name],
     )
+
+
+def per_cell(columns, counts):
+    # Each cell's columns: its row range of simulate_cells' columns.
+    bounds = list(accumulate(counts, initial=0))
+    return [[column[a:b] for column in columns] for a, b in zip(bounds, bounds[1:])]
 
 
 def bisect_stress(material, sigma, lo=1.0, hi=5.0, iters=80):
@@ -383,7 +390,7 @@ def test_adjustment_coefficient_array_names_first_bad_ratio():
 
 
 def test_simulate_cells_of_no_cells():
-    assert simulate_cells([]) == []
+    assert simulate_cells([]) == ([], [])
 
 
 def test_simulate_cells_first_failing_cell_reports():
@@ -407,11 +414,43 @@ def test_simulate_cells_is_one_pipeline_pass(monkeypatch):
 
     monkeypatch.setattr(actuation, "simulate_pressure", counting)
     cells = [(study_spec(name, r), grid) for name, grid in STUDY_GRIDS.items() for r in (0.2, 1.0)]
-    results = simulate_cells(cells)
+    columns, counts = simulate_cells(cells)
+    results = per_cell(columns, counts)
     assert passes == [[len(grid.pressures()) for _, grid in cells]]
     # Each cell gets one column per ActuationState field, cut to its grid.
     assert [len(columns) for columns in results] == [len(ActuationState._fields)] * len(cells)
     assert [{len(column) for column in columns} for columns in results] == [{n} for n in passes[0]]
+
+
+def test_simulate_cells_hands_on_the_pass_columns(monkeypatch):
+    # The columns are the one pass's own arrays, each cell's count is its
+    # grid's length, and its row range of the columns is its own sweep. Each
+    # distinct sweep's grid is built once, however many cells share it.
+    states, built = [], []
+    simulate, grid = actuation.simulate_pressure, PressureSweep._grid
+
+    def recording(spec, pressure):
+        states.append(simulate(spec, pressure))
+        return states[-1]
+
+    def counting(sweep):
+        built.append(sweep)
+        return grid(sweep)
+
+    cells = [(study_spec(name, r), sweep) for name, sweep in STUDY_GRIDS.items() for r in (0.2, 0.5, 1.0)]
+    # A sweep equal to the first, made apart from it, and a one-point grid.
+    cells += [(study_spec("ecoflex-00-30", 1.5), PressureSweep(0.001, 0.011, 0.001)),
+              (proto_spec(), PressureSweep(0.0, 0.0, 0.01))]
+    monkeypatch.setattr(actuation, "simulate_pressure", recording)
+    monkeypatch.setattr(PressureSweep, "_grid", counting)
+    columns, counts = simulate_cells(cells)
+    assert len(states) == 1
+    assert all(column is field for column, field in zip(columns, states[0], strict=True))
+    assert built == [*STUDY_GRIDS.values(), PressureSweep(0.0, 0.0, 0.01)]
+    assert counts == [11, 11, 11, 16, 16, 16, 11, 11, 11, 11, 1]
+    monkeypatch.undo()
+    for (spec, sweep), cell in zip(cells, per_cell(columns, counts), strict=True):
+        assert list(zip(*(column.tolist() for column in cell))) == simulate_sweep(spec, sweep)
 
 
 def test_float_pressure_gives_plain_python_values():

@@ -1016,6 +1016,50 @@ def test_validate_qq_above_cap_exit_2(tmp_path, capsys):
     assert f"quantile count must be at most {MAX_QUANTILES}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "grid", ["", "\n[sweep]\nstart = 0\nend = 0\nstep = 0.01\n"], ids=["built-in-grids", "one-point-grids"]
+)
+def test_sweep_maxima_equal_each_cells_own(grid, fmt, study_config, tmp_path):
+    # The sweep takes every cell's largest f_spa in one call over the pass's
+    # column; each must be float(column.max()) of the cell's own column, and
+    # each mean that of its material's maxima. The built-in grids have 10 to
+    # 16 points; a one-point grid's only f_spa is 0.0.
+    study_config.write_text(STUDY_CONFIG + grid, encoding="utf-8")
+    materials, ratios = ["ecoflex-00-30", "elastosil-m4601", "smooth-sil-950", "dragonskin-30"], ["1/5", "1/2", "3/2"]
+    out = tmp_path / f"study.{fmt}"
+    argv = ["sweep", "--config", str(study_config), "--materials", ",".join(materials),
+            "--ratios", ",".join(ratios), "--format", fmt, "--out", str(out)]
+    assert run_quietly(argv)[0] == 0
+    run, expected = load_config(study_config), {}
+    for name in materials:
+        tops = {}
+        for ratio in map(parse_ratio, ratios):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                spec = run.spec_with_spa(run.spa_for_ratio(ratio), builtin_material(name))
+            columns, _ = actuation.simulate_cells([(spec, run.sweep_for_material(name))])
+            tops[ratio] = float(columns[cli._F_SPA].max())
+        mean_max = math.fsum(tops.values()) / len(tops)
+        expected.update({(name, ratio): (top, mean_max) for ratio, top in tops.items()})
+    if grid:
+        assert {top for top, _ in expected.values()} == {0.0}
+    text = out.read_text(encoding="utf-8")
+    if fmt == "json":
+        got = {(cell["material"], cell["tw_hch_ratio"]): (cell["max_f_spa_n"], cell["mean_max_f_spa_n"])
+               for cell in json.loads(text)["cells"]}
+        assert {key: tuple(map(repr, value)) for key, value in got.items()} == {
+            key: tuple(map(repr, value)) for key, value in expected.items()
+        }
+    else:
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert {(row[0], row[1], row[-2], row[-1]) for row in rows} == {
+            (name, f"{ratio:.6f}", f"{top:.6f}", f"{mean_max:.6f}")
+            for (name, ratio), (top, mean_max) in expected.items()
+        }
+        assert len(rows) == (len(expected) if grid else 3 * (11 + 16 + 11 + 10))
+
+
 SHIPPED_STUDY = Path(__file__).resolve().parents[1] / "configs" / "wall_ratio_study.ini"
 
 
@@ -1453,18 +1497,20 @@ def test_writers_memory_does_not_grow_with_the_grid(tmp_path):
     peaks = {}
     for points in (20_001, 98_902):
         name, n, sweep, columns = prototype_columns(tmp_path, points)
-        peaks["csv", points] = writer_peak(cli.csv_text(cli.STATE_COLUMNS, [("", columns, "")]))
+        peaks["csv", points] = writer_peak(cli.csv_text(cli.STATE_COLUMNS, columns, [("", points, "")]))
         peaks["json", points] = writer_peak(cli._simulate_json_text(name, n, sweep, columns))
     # The same over a sweep of 24 cells of 1 000 and of 4 000 rows: each block
-    # gathers its own pieces of the cells' columns. Joining every cell's
+    # gathers its own row range of the sweep's columns. Joining every cell's
     # float columns before the first block read 2.6 -> 8.7 MB (JSON) here.
     for points in (1_000, 4_000):
         name, _, _, columns = prototype_columns(tmp_path, points)
         top = float(columns[cli._F_SPA].max())
-        rows = [(name, ratio, columns, top, top) for ratio in np.linspace(0.125, 1.5, 24).tolist()]
-        cells = [(f"{name},{ratio:.6f},5.000000,", columns, f",{top:.6f},{top:.6f}") for name, ratio, *_ in rows]
-        peaks["csv", points] = writer_peak(cli.csv_text(cli._CELL_HEAD + cli.STATE_COLUMNS + cli._CELL_TAIL, cells))
-        peaks["json", points] = writer_peak(cli._sweep_json_text(rows, 5.0))
+        rows = [(name, ratio, points, top, top) for ratio in np.linspace(0.125, 1.5, 24).tolist()]
+        cells = [(f"{name},{ratio:.6f},5.000000,", points, f",{top:.6f},{top:.6f}") for name, ratio, *_ in rows]
+        # The sweep's columns: the 24 cells' rows one after another.
+        grid = [np.tile(column, len(rows)) for column in columns]
+        peaks["csv", points] = writer_peak(cli.csv_text(cli._CELL_HEAD + cli.STATE_COLUMNS + cli._CELL_TAIL, grid, cells))
+        peaks["json", points] = writer_peak(cli._sweep_json_text(rows, grid, 5.0))
     for name in ("csv", "json"):
         for small, large in ((20_001, 98_902), (1_000, 4_000)):
             assert abs(peaks[name, large] - peaks[name, small]) < 100_000, peaks

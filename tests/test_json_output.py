@@ -62,7 +62,8 @@ def state_dicts(state_list):
 
 def columns_of(state_list):
     # The writers' input, as simulate_cells hands it on: one array per
-    # ActuationState field, float64 but for the flag's object array.
+    # ActuationState field, float64 but for the flag's object array, with a
+    # row per state.
     *numbers, flags = list(zip(*state_list)) or [()] * len(ActuationState._fields)
     return [np.array(column, dtype=float) for column in numbers] + [np.array(flags, dtype=object)]
 
@@ -123,9 +124,11 @@ def control_state(value: float, flag: str) -> ActuationState:
     0.25,
 )
 def test_sweep_json_equals_json_dumps(rows, h_ch):
-    column_rows = [(name, ratio, columns_of(state_list), top, mean_max)
+    # The writer takes every cell's states as rows of one set of columns.
+    column_rows = [(name, ratio, len(state_list), top, mean_max)
                    for name, ratio, state_list, top, mean_max in rows]
-    assert cli._sweep_json(column_rows, h_ch) == oracle(sweep_payload(rows, h_ch))
+    columns = columns_of([state for row in rows for state in row[2]])
+    assert cli._sweep_json(column_rows, columns, h_ch) == oracle(sweep_payload(rows, h_ch))
 
 
 def float_texts(values) -> list[str]:

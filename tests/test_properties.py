@@ -40,6 +40,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import mpmath
@@ -281,6 +282,12 @@ def test_sweep_states_equal_single_pressure_states(spec, end, intervals):
             assert getattr(state, name) == getattr(alone, name), name
 
 
+def per_cell(columns, counts):
+    # Each cell's columns: its row range of simulate_cells' columns.
+    bounds = list(accumulate(counts, initial=0))
+    return [[column[a:b] for column in columns] for a, b in zip(bounds, bounds[1:])]
+
+
 @st.composite
 def study_cells(draw):
     """A (spec, sweep) cell of the wall-ratio study: a built-in material, a
@@ -324,7 +331,7 @@ def test_cells_equal_their_own_sweeps(cells):
             simulate_cells(cells)
         assert str(info.value) == error
         return
-    results = simulate_cells(cells)
+    results = per_cell(*simulate_cells(cells))
     assert len(results) == len(cells)
     for columns, alone in zip(results, expected):
         assert all(type(state) is ActuationState for state in alone)
@@ -1126,7 +1133,9 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
     names = tuple(f"c{i}" for i in range(width + 1))
-    pieces = list(csv_text(names, cells))
+    # The writer takes the whole table's columns and each cell's row count.
+    counted = [(head, len(columns[0]), tail) for head, columns, tail in cells]
+    pieces = list(csv_text(names, [*table.T, texts], counted))
     assert "".join(pieces) == per_row_csv(names, cells)
     # The header, then the rows in blocks of BLOCK_ROWS.
     assert [piece.count("\n") for piece in pieces] == [1] + [
@@ -1141,9 +1150,9 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
 def test_csv_text_rejects_a_nul(head, label, tail):
     # The writer drops every NUL byte of a block, so a NUL in a cell's text
     # would vanish from the CSV: it is refused instead.
-    cells = [(head, [np.array([1.5]), np.array([label], dtype=object)], tail)]
+    columns, cells = [np.array([1.5]), np.array([label], dtype=object)], [(head, 1, tail)]
     with pytest.raises(ValueError, match="NUL"):
-        list(csv_text(("x", "flag"), cells))
+        list(csv_text(("x", "flag"), columns, cells))
 
 
 # ------------------------------------------------------------ curve CSV read

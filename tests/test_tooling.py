@@ -49,6 +49,24 @@ def test_same_output_names_each_operation_that_differs(tmp_path):
     assert not any("json" in line or "exit code" in line or "stderr" in line for line in differ)
 
 
+def test_same_output_names_each_validate_operation_that_differs(tmp_path):
+    # A tree whose validate prints R^2 to five decimals: every validate run
+    # differs in its stdout, and no other operation differs.
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    module = tmp_path / "src" / "apmsim" / "cli.py"
+    source = module.read_text(encoding="utf-8")
+    line = 'print(f"{name}={value:.6f}")'
+    assert source.count(line) == 1
+    broken = 'print(f"{name}={value:.5f}" if name == "r_squared" else f"{name}={value:.6f}")'
+    module.write_text(source.replace(line, broken), encoding="utf-8")
+    run = same_output(tmp_path)
+    assert run.returncode == 1, run.stdout + run.stderr
+    differ = run.stdout.splitlines()[:-1]
+    assert "differs: validate_long/0 json seed 3: stdout" in differ
+    assert "differs: validate_batch/47 swapped csv seed 3: stdout" in differ
+    assert all(line.startswith("differs: validate_") and line.endswith(": stdout") for line in differ), differ
+
+
 @pytest.mark.parametrize("module", sorted((ROOT / "src" / "apmsim").glob("*.py")), ids=lambda path: path.name)
 def test_each_module_stays_under_the_parser_step(module):
     with module.open("rb") as source:

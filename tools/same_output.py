@@ -9,13 +9,16 @@ through cli.main of this tree and of DIR's, each tree in its own
 interpreter, with the same argv on the same input files:
 - perfbench's fine_sweep inputs at each seed, in CSV and in JSON, and its
   design_study inputs at each seed
+- perfbench's validate_long and validate_batch inputs at each seed, with
+  the model and reference curves in both orders, each writing its report
+  with --out in JSON and in CSV (with the .qq.csv beside it)
 - simulate and sweep of both shipped configs, in both formats, to stdout
   and to --out
 - a corpus of runs that exit 2 (input errors) or 3 (model errors),
   including a sweep whose later cell fails
 
-The exit code, stdout, stderr and the bytes of the --out file must be
-equal. Each operation that differs is printed with what differs, then a
+The exit code, stdout, stderr and the bytes of the --out file and of the
+.qq.csv file beside it must be equal. Each operation that differs is printed with what differs, then a
 summary line; the exit is 1 on any difference, else 0.
 """
 
@@ -36,7 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
 MATERIALS = "ecoflex-00-30,elastosil-m4601,smooth-sil-950,dragonskin-30"
 # What each operation's record holds, in order.
-FIELDS = ("exit code", "stdout", "stderr", "--out file")
+FIELDS = ("exit code", "stdout", "stderr", "--out file", ".qq.csv file")
 
 # One operation: a key, the argv of cli.main and the --out file or None.
 Op = tuple[str, list[str], str | None]
@@ -48,10 +51,16 @@ def _digest(data: str | bytes | None) -> str | None:
     return None if data is None else hashlib.sha256(data).hexdigest()
 
 
+def _outputs(out: str | None) -> list[Path]:
+    # The files an operation may write: its --out file and the Q-Q table
+    # that validate writes beside a CSV report.
+    return [Path(out), Path(out).with_suffix(".qq.csv")] if out else []
+
+
 def run_ops(src: Path, ops: list[Op]) -> dict[str, list]:
-    """Each operation's exit code and the SHA-256 of its stdout, stderr and
-    --out file (None when there is none), run through cli.main of the
-    apmsim under src."""
+    """Each operation's exit code and the SHA-256 of its stdout, stderr,
+    --out file and the .qq.csv file beside it (None when there is none),
+    run through cli.main of the apmsim under src."""
     sys.path.insert(0, str(src))
     import apmsim.cli
 
@@ -59,8 +68,8 @@ def run_ops(src: Path, ops: list[Op]) -> dict[str, list]:
         sys.exit(f"same_output: imported apmsim from {apmsim.cli.__file__}, not {src}")
     records = {}
     for key, argv, out in ops:
-        if out:
-            Path(out).unlink(missing_ok=True)
+        for path in _outputs(out):
+            path.unlink(missing_ok=True)
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
@@ -70,15 +79,16 @@ def run_ops(src: Path, ops: list[Op]) -> dict[str, list]:
             except Exception:
                 code = "raised"
                 traceback.print_exc()
-        data = Path(out).read_bytes() if out and Path(out).is_file() else None
-        records[key] = [code, _digest(stdout.getvalue()), _digest(stderr.getvalue()), _digest(data)]
-        if out:
-            Path(out).unlink(missing_ok=True)
+        files = [path.read_bytes() if path.is_file() else None for path in _outputs(out)] or [None, None]
+        records[key] = [code, *map(_digest, [stdout.getvalue(), stderr.getvalue(), *files])]
+        for path in _outputs(out):
+            path.unlink(missing_ok=True)
     return records
 
 
-def _writer_ops(seeds: list[int], work: Path) -> list[Op]:
-    # perfbench's inputs for the two workloads that write states.
+def _perfbench_ops(seeds: list[int], work: Path) -> list[Op]:
+    # perfbench's inputs for the two workloads that write states, and for
+    # the two that validate.
     sys.path.insert(0, str(ROOT / "perfbench"))
     import inputs
 
@@ -93,6 +103,15 @@ def _writer_ops(seeds: list[int], work: Path) -> list[Op]:
                     out = str(op.out.with_suffix(".json"))
                     argv = [out if arg == str(op.out) else "json" if arg == "csv" else arg for arg in op.argv]
                     ops.append((f"{op.key} json seed {seed}", argv, out))
+        for workload in ("validate_long", "validate_batch"):
+            for op in inputs.workload_ops(workload, seed, folder):
+                # The curves, then --qq and the flags; without --out.
+                command, model, reference, *flags = op.argv[:op.argv.index("--out")] if op.out else op.argv
+                for order, curves in (("", [model, reference]), (" swapped", [reference, model])):
+                    for fmt in ("json", "csv"):
+                        out = str(folder / f"{op.key.replace('/', '_')}{order.replace(' ', '_')}.{fmt}")
+                        argv = [command, *curves, *flags, "--format", fmt, "--out", out]
+                        ops.append((f"{op.key}{order} {fmt} seed {seed}", argv, out))
     return ops
 
 
@@ -155,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"no src/apmsim/cli.py under {args.base}")
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        ops = _writer_ops(args.seeds, work) + _config_ops(work)
+        ops = _perfbench_ops(args.seeds, work) + _config_ops(work)
         (work / "ops.json").write_text(json.dumps(ops), encoding="utf-8")
         records = []
         for root in (ROOT, args.base):
