@@ -10,18 +10,15 @@ import functools
 import math
 import sys
 import warnings
-from collections.abc import Iterable, Iterator
-from itertools import accumulate, chain, islice
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from collections.abc import Iterable
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry
 from ._csvtext import csv_text
-from ._floattext import json_floats
-from ._jsontext import state_text
+from ._jsontext import report_json, simulate_json, sweep_json
 from ._numeric import check_positive_finite
 from .actuation import MAX_GRID_POINTS, ActuationState, PressureSweep, simulate_cells
 from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simulate_sweep)
@@ -65,77 +62,6 @@ _CELL_TAIL = (
 _SweepRow = tuple[str, float, int, float, float]
 _F_SPA = ActuationState._fields.index("f_spa")
 
-# JSON output is byte for byte json.dumps(payload, indent=2, sort_keys=True)
-# plus a newline, written by _json_object and _json_array from the texts of
-# the values, and by state_text for the states. Floats are json_floats'
-# texts; strings are escaped to ASCII by json's own encoder; ints are
-# int.__repr__ texts.
-
-
-@functools.cache
-def _object_template(keys: tuple[str, ...], indent: int) -> tuple[str, itemgetter]:
-    # A JSON object with a %s for each key's value in sorted key order, closed
-    # at indent spaces, and the itemgetter that puts values given in keys'
-    # order into that order. Keys are plain names that need no escaping.
-    pad = " " * indent
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    body = ",\n".join(f'{pad}  "{keys[i]}": %s' for i in order)
-    return f"{{\n{body}\n{pad}}}", itemgetter(*order)
-
-
-def _json_object(indent: int, **texts: str) -> str:
-    # A JSON object of the value texts under their keys.
-    template, _ = _object_template(tuple(texts), indent)
-    # From a list, not a generator: a tuple resized from a generator's guess
-    # joins the free list of its new size, one more per call up to 2000.
-    return template % tuple([texts[key] for key in sorted(texts)])
-
-
-def _json_array(items, indent: int) -> str:
-    # A JSON array of the item texts, closed at indent spaces.
-    pad = " " * (indent + 2)
-    body = f",\n{pad}".join(items)
-    return f"[\n{pad}{body}\n{' ' * indent}]" if body else "[]"
-
-
-# The place of the state arrays in the text around them: no text that
-# json_floats or encode_basestring_ascii gives holds a NUL.
-_STATES = "\0"
-
-
-def _simulate_json_text(material: str, n: int, sweep: PressureSweep, columns: list[np.ndarray]) -> Iterator[str]:
-    # The grid's fields under their own names; the states are written in
-    # blocks between the text before and after them.
-    grid = dict(zip(vars(sweep), json_floats(vars(sweep).values())))
-    metadata = _json_object(
-        2,
-        material=encode_basestring_ascii(material),
-        n=int.__repr__(n),
-        sweep=_json_object(4, **grid),
-    )
-    around = _json_object(0, metadata=metadata, states=_STATES) + "\n"
-    return state_text(STATE_COLUMNS, around.split(_STATES), columns, [len(columns[0])], 4)
-
-
-def _sweep_json_text(rows: list[_SweepRow], columns: list[np.ndarray], h_ch: float) -> Iterator[str]:
-    # Every cell's text around its states, its floats' texts made in one
-    # call; all cells' states, the rows of columns, in blocks.
-    template, pick = _object_template((*_CELL_HEAD, *_CELL_TAIL, "states"), 4)
-    floats = iter(json_floats(chain.from_iterable((row[1], h_ch, *row[3:]) for row in rows)))
-    cells = [template % pick((encode_basestring_ascii(row[0]), *islice(floats, 4), _STATES)) for row in rows]
-    around = _json_object(0, cells=_json_array(cells, 2)) + "\n"
-    return state_text(STATE_COLUMNS, around.split(_STATES), columns, [row[2] for row in rows], 8)
-
-
-# The whole texts that the commands write in pieces.
-def _simulate_json(material: str, n: int, sweep: PressureSweep, columns: list[np.ndarray]) -> str:
-    return "".join(_simulate_json_text(material, n, sweep, columns))
-
-
-def _sweep_json(rows: list[_SweepRow], columns: list[np.ndarray], h_ch: float) -> str:
-    return "".join(_sweep_json_text(rows, columns, h_ch))
-
-
 def _emit(texts: Iterable[str], out_path: str | Path | None) -> None:
     # Writes the texts, in order, to the output file, or to stdout without one.
     if out_path:
@@ -171,7 +97,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
     if fmt == "json":
-        _emit(_simulate_json_text(config.material.name, spec.n, sweep, columns), out_path)
+        _emit(simulate_json(STATE_COLUMNS, config.material.name, spec.n, sweep, columns), out_path)
     else:
         _emit(csv_text(STATE_COLUMNS, columns, [("", counts[0], "")]), out_path)
     return 0
@@ -197,11 +123,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             qq_csv = "\n".join(["p,reference,model", *rows, ""])
             _emit([qq_csv], Path(args.out).with_suffix(".qq.csv"))
     elif args.out:
-        texts = dict(zip(numbers, json_floats(numbers.values())))
-        texts["resampled"] = "true" if report.resampled else "false"
-        if pairs is not None:
-            texts["qq_pairs"] = _json_array([_json_array(json_floats(q), 4) for q in pairs], 2)
-        _emit([_json_object(0, **texts) + "\n"], args.out)
+        _emit([report_json(numbers, report.resampled, pairs)], args.out)
     # Every number but the first, the plain normalized distance, which its
     # percentage restates.
     for name, value in list(numbers.items())[1:]:
@@ -269,7 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fmt = args.format or config.out_format
     h_ch = config.assumed_h_ch
     if fmt == "json":
-        _emit(_sweep_json_text(rows, columns, h_ch), out_path)
+        _emit(sweep_json(_CELL_HEAD + _CELL_TAIL, STATE_COLUMNS, rows, columns, h_ch), out_path)
     else:
         csv_cells = [
             (f"{name},{ratio:.6f},{h_ch:.6f},", count, f",{top:.6f},{mean_max:.6f}")

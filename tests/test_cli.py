@@ -20,7 +20,7 @@ from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import apmsim
-from apmsim import actuation, cli, validation
+from apmsim import _jsontext, actuation, cli, validation
 from apmsim.actuation import MAX_GRID_POINTS, ActuationState, simulate_sweep
 from apmsim.cli import main
 from apmsim.config import GRAMMAR, RunConfig, builtin_material, load_config, parse_ratio
@@ -1498,7 +1498,7 @@ def test_writers_memory_does_not_grow_with_the_grid(tmp_path):
     for points in (20_001, 98_902):
         name, n, sweep, columns = prototype_columns(tmp_path, points)
         peaks["csv", points] = writer_peak(cli.csv_text(cli.STATE_COLUMNS, columns, [("", points, "")]))
-        peaks["json", points] = writer_peak(cli._simulate_json_text(name, n, sweep, columns))
+        peaks["json", points] = writer_peak(_jsontext.simulate_json(cli.STATE_COLUMNS, name, n, sweep, columns))
     # The same over a sweep of 24 cells of 1 000 and of 4 000 rows: each block
     # gathers its own row range of the sweep's columns. Joining every cell's
     # float columns before the first block read 2.6 -> 8.7 MB (JSON) here.
@@ -1510,7 +1510,7 @@ def test_writers_memory_does_not_grow_with_the_grid(tmp_path):
         # The sweep's columns: the 24 cells' rows one after another.
         grid = [np.tile(column, len(rows)) for column in columns]
         peaks["csv", points] = writer_peak(cli.csv_text(cli._CELL_HEAD + cli.STATE_COLUMNS + cli._CELL_TAIL, grid, cells))
-        peaks["json", points] = writer_peak(cli._sweep_json_text(rows, grid, 5.0))
+        peaks["json", points] = writer_peak(_jsontext.sweep_json(cli._CELL_HEAD + cli._CELL_TAIL, cli.STATE_COLUMNS, rows, grid, 5.0))
     for name in ("csv", "json"):
         for small, large in ((20_001, 98_902), (1_000, 4_000)):
             assert abs(peaks[name, large] - peaks[name, small]) < 100_000, peaks

@@ -1,7 +1,10 @@
 """The JSON output of simulate, sweep and validate against json.dumps as the
 oracle.
 
-The CLI writes JSON through its own templates; the text must be exactly
+Every JSON text comes from apmsim._jsontext: its three payload writers,
+simulate_json, sweep_json and report_json, lay out objects and arrays
+through its one layout, and write the states in numpy blocks in the
+places left for them. The text must be exactly
 json.dumps(payload, indent=2, sort_keys=True) plus a newline, where payload
 is the dict form of the output, built from rows of states: float fields of
 any value (signed zero, subnormals, the largest floats, NaN and infinities),
@@ -25,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from apmsim import _floattext, cli
+from apmsim import _floattext, _jsontext, cli
 from apmsim.actuation import ActuationState, simulate_sweep
 from apmsim.config import builtin_material, load_config, parse_ratio
 from apmsim.validation import AgreementReport
@@ -102,7 +105,8 @@ def test_simulate_json_equals_json_dumps(material, n, start, end, step, state_li
     # stand in for a PressureSweep here.
     sweep = SimpleNamespace(start=start, end=end, step=step)
     expected = oracle(simulate_payload(material, n, sweep, state_list))
-    assert cli._simulate_json(material, n, sweep, columns_of(state_list)) == expected
+    text = "".join(_jsontext.simulate_json(cli.STATE_COLUMNS, material, n, sweep, columns_of(state_list)))
+    assert text == expected
 
 
 def control_state(value: float, flag: str) -> ActuationState:
@@ -128,7 +132,8 @@ def test_sweep_json_equals_json_dumps(rows, h_ch):
     column_rows = [(name, ratio, len(state_list), top, mean_max)
                    for name, ratio, state_list, top, mean_max in rows]
     columns = columns_of([state for row in rows for state in row[2]])
-    assert cli._sweep_json(column_rows, columns, h_ch) == oracle(sweep_payload(rows, h_ch))
+    pieces = _jsontext.sweep_json(cli._CELL_HEAD + cli._CELL_TAIL, cli.STATE_COLUMNS, column_rows, columns, h_ch)
+    assert "".join(pieces) == oracle(sweep_payload(rows, h_ch))
 
 
 def float_texts(values) -> list[str]:

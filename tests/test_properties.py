@@ -714,6 +714,42 @@ def test_frechet_proves_an_end_cell_bound_in_one_scan(monkeypatch, reach_results
     assert wavefront_runs == []
 
 
+def rescan_pair(seed):
+    """Two noisy curves of 40-119 points on one wide x range, y on one of
+    three scales."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(40, 120, 2)
+    xa = np.sort(rng.uniform(-1e6, 3e6, m))
+    xb = np.sort(rng.uniform(-1e6, 3e6, n))
+    scale = rng.choice([1.0, 1e3, 1e5])
+    a = Curve(xa, rng.normal(0, scale, m))
+    b = Curve(xb, rng.normal(0, scale, n))
+    return a, b
+
+
+# The reach at t_end fails, and the bound B that the banded scan at t_end
+# takes is not yet the row and column minima: at seed 8 it exceeds the
+# minima of the wider band at B; at seed 0 a column lies outside every
+# band of the scan at t_end, so B is inf. The scan at that B joins and
+# takes the minima, whose lower B needs a last scan. Proving the first B
+# that joins would miss the value.
+@pytest.mark.parametrize("seed, shape, thresholds", [
+    (8, (97, 66), [39950.19, 131486.82, 104035.13]),
+    (0, (108, 90), [14692.21, math.inf, 115219.32]),
+])
+def test_frechet_rescans_until_its_bound_is_the_minima(monkeypatch, seed, shape, thresholds, reach_results, wavefront_runs):
+    a, b = rescan_pair(seed)
+    assert (len(a), len(b)) == shape
+    scans = []
+    blocks = validation._Scan.blocks
+    monkeypatch.setattr(validation._Scan, "blocks", lambda scan, t: scans.append(t) or blocks(scan, t))
+    value = discrete_frechet(a, b)
+    assert [round(t, 2) for t in scans] == thresholds
+    assert reach_results == [False, True, True]
+    assert wavefront_runs == []
+    assert value == row_by_row_frechet(a, b)
+
+
 def out_of_order(rng, values):
     """values with two neighbours swapped, or a run of them shuffled."""
     values = values.copy()

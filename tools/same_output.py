@@ -12,6 +12,11 @@ interpreter, with the same argv on the same input files:
 - perfbench's validate_long and validate_batch inputs at each seed, with
   the model and reference curves in both orders, each writing its report
   with --out in JSON and in CSV (with the .qq.csv beside it)
+- the Frechet DP's worst cases, made once per run from fixed seeds, each a
+  validate run with a JSON report, with the curves in both orders: noise
+  and zig-zag pairs of 400 and of 1000 points each, noise pairs of 5000 x 3
+  and 3 x 5000 points, a smooth and an offset pair of 2000 points each, and
+  two pairs whose proof scans again at a lower bound
 - simulate and sweep of both shipped configs, in both formats, to stdout
   and to --out
 - a corpus of runs that exit 2 (input errors) or 3 (model errors),
@@ -34,6 +39,8 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = ROOT / "configs"
@@ -115,6 +122,56 @@ def _perfbench_ops(seeds: list[int], work: Path) -> list[Op]:
     return ops
 
 
+def _noise(rng, size: int):
+    # Increasing x in (0, 1] under N(0, 1) noise in y.
+    x = np.cumsum(rng.uniform(0.5, 1.0, size))
+    return x / x[-1], rng.normal(0.0, 1.0, size)
+
+
+def _zigzag(size: int, phase: int):
+    return np.linspace(0.0, 1.0, size), np.where(np.arange(size) % 2 == phase, 1.0, -1.0)
+
+
+def _rescan(seed: int):
+    # A pair whose first bound B is not yet the row and column minima, so
+    # the DP's proof scans again at a lower one.
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(40, 120, 2)
+    xa = np.sort(rng.uniform(-1e6, 3e6, m))
+    xb = np.sort(rng.uniform(-1e6, 3e6, n))
+    scale = rng.choice([1.0, 1e3, 1e5])
+    return (xa, rng.normal(0, scale, m)), (xb, rng.normal(0, scale, n))
+
+
+def _frechet_ops(work: Path) -> list[Op]:
+    # The Frechet DP's worst cases: pairs without a free path at their
+    # bound, a free path along every other cell, very unequal shapes, a
+    # window of many near ties, and bounds that need a second scan.
+    rng = np.random.default_rng(0)
+    x, w = np.linspace(0.0, 1.0, 2000), np.linspace(0.0, 2.0 * np.pi, 2000)
+    pairs = {
+        **{f"noise_{k}": (_noise(rng, k), _noise(rng, k)) for k in (400, 1000)},
+        **{f"zigzag_{k}": (_zigzag(k, 0), _zigzag(k, 1)) for k in (400, 1000)},
+        "noise_5000x3": (_noise(rng, 5000), _noise(rng, 3)),
+        "noise_3x5000": (_noise(rng, 3), _noise(rng, 5000)),
+        "smooth_2000": ((x, np.sin(2.0 * np.pi * x)), (1.01 * x, 1.05 * np.sin(2.0 * np.pi * x) + 0.02)),
+        "offset_2000": ((w, np.sin(3.0 * w)), (w, np.sin(3.0 * w) + 0.01)),
+        "rescan_8": _rescan(8),
+        "rescan_0": _rescan(0),
+    }
+    ops: list[Op] = []
+    for name, curves in pairs.items():
+        paths = [work / f"{name}_{side}.csv" for side in "ab"]
+        for path, (cx, cy) in zip(paths, curves):
+            rows = map("%r,%r".__mod__, zip(cx.tolist(), cy.tolist()))
+            path.write_text("\n".join(["x,y", *rows, ""]), encoding="utf-8")
+        for order, (model, reference) in (("", paths), (" swapped", paths[::-1])):
+            out = str(work / f"{name}{order.replace(' ', '_')}.json")
+            argv = ["validate", str(model), str(reference), "--resample", "--qq", "9", "--format", "json", "--out", out]
+            ops.append((f"validate_frechet/{name}{order} json", argv, out))
+    return ops
+
+
 def _config_ops(work: Path) -> list[Op]:
     # The shipped configs in both formats, and runs that exit 2 or 3.
     prototype = CONFIGS / "prototype.ini"
@@ -174,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"no src/apmsim/cli.py under {args.base}")
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        ops = _perfbench_ops(args.seeds, work) + _config_ops(work)
+        ops = _perfbench_ops(args.seeds, work) + _frechet_ops(work) + _config_ops(work)
         (work / "ops.json").write_text(json.dumps(ops), encoding="utf-8")
         records = []
         for root in (ROOT, args.base):
