@@ -36,7 +36,8 @@ import numpy as np
 BLOCK_ROWS = 512
 # The slot words are read back as bytes, so they are little-endian on every
 # machine. Every byte of a word is below 0x80, so a word is a non-negative
-# int64, and fields in disjoint bytes add without a carry.
+# int64: a shift is a product or quotient by a power of two, and fields in
+# disjoint bytes add without a carry.
 _WORD = np.dtype("<i8")
 _SLOT = 16
 # Per code 2*digits + sign (digits less one, sign 1 when negative): what to

@@ -55,13 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvtext import _table
+from ._csvtext import _WORD, _table
 
-# The slot words are read back as bytes, so they are little-endian on every
-# machine. Every byte of a word is below 0x80, so a word is a non-negative
-# int64: a shift is a product or quotient by a power of two, and fields in
-# disjoint bytes add without a carry.
-_WORD = np.dtype("<i8")
 _SLOT = 24
 # The largest float below 1e16: clamping |x| into [1e-4, _TOP] changes
 # every float that repr writes with an exponent, and NaN.

@@ -25,7 +25,8 @@ from .actuation import simulate_sweep  # noqa: F401  (perfbench traces cli.simul
 from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
 from .geometry import MyofibrilSpec
-from .validation import MAX_QUANTILES, Curve, check_quantile_count, compare_curves, quantile_grid
+from .validation import MAX_QUANTILES, Curve, check_frechet_cells, check_quantile_count
+from .validation import compare_curves, quantile_grid
 
 # The simulate output columns: each ActuationState field's name, with its
 # unit appended where it has one, in field order, which is also the order of
@@ -106,10 +107,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     model = Curve.from_csv(args.model_csv, "model")
     reference = Curve.from_csv(args.reference_csv, "reference")
-    # K is checked with or without --out, before any Frechet DP; the
-    # quantiles are computed only when --out writes them.
+    # K and the DP's cells are checked with or without --out, before any
+    # Frechet DP; the quantiles are computed only when --out writes them.
     if args.qq is not None:
         check_quantile_count(args.qq)
+    check_frechet_cells(len(model), len(reference))
     qq = args.qq if args.out else None
     report = compare_curves(model, reference, qq=qq, resample=args.resample)
     numbers, pairs = report.numbers(), report.qq_pairs

@@ -1571,6 +1571,31 @@ def test_validate_checks_qq_before_any_frechet_dp(qq, tmp_path, monkeypatch, cap
     assert calls == []
 
 
+@pytest.mark.parametrize("cap, code", [(11, 2), (12, 0)], ids=["one-cell-over", "at-the-cap"])
+def test_validate_checks_frechet_cells_before_any_dp(cap, code, tmp_path, monkeypatch, capsys):
+    # Curves of 3 and 4 points make a DP of 12 cells.
+    calls = []
+    frechet = validation.discrete_frechet
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return frechet(a, b)
+
+    monkeypatch.setattr(validation, "discrete_frechet", counted)
+    monkeypatch.setattr(validation, "MAX_FRECHET_CELLS", cap)
+    model, reference = tmp_path / "m.csv", tmp_path / "r.csv"
+    write_curve(model, [0.0, 1.0, 2.0], [1.0, 2.0, 0.0])
+    write_curve(reference, [0.0, 1.0, 2.0, 3.0], [1.0, 2.0, 0.0, 1.0])
+    assert main(["validate", str(model), str(reference), "--resample", "--qq", "5"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == "error: curves of 3 and 4 points need 12 Frechet DP cells, more than 11\n"
+        assert calls == []
+    else:
+        assert err == ""
+        assert calls == [(3, 4), (3, 4)]
+
+
 def test_validate_computes_quantiles_only_when_out_writes_them(tmp_path, monkeypatch):
     counts = []
     qq_pairs = validation.qq_pairs

@@ -49,7 +49,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from apmsim import _numeric, geometry, validation
+from apmsim import _frechet, _numeric, geometry, validation
 from apmsim._csvtext import BLOCK_ROWS, csv_text
 from apmsim.actuation import (
     ActuationState,
@@ -533,20 +533,20 @@ def test_fast_distance_slack_holds():
     strided[::2] = dz
     for fast in (np.abs(dz), np.abs(strided[::2])):
         fast = np.minimum(fast, big)
-        slack = validation.FAST_DISTANCE_REL * exact + validation.FAST_DISTANCE_ABS
+        slack = _frechet.FAST_DISTANCE_REL * exact + _frechet.FAST_DISTANCE_ABS
         assert np.all(np.abs(fast - exact) <= slack)
 
 
 def spy(monkeypatch, name, record):
-    """Patch validation.<name> to pass each call's result to record."""
-    real = getattr(validation, name)
+    """Patch _frechet.<name> to pass each call's result to record."""
+    real = getattr(_frechet, name)
 
     def spied(*args):
         result = real(*args)
         record(result)
         return result
 
-    monkeypatch.setattr(validation, name, spied)
+    monkeypatch.setattr(_frechet, name, spied)
 
 
 @pytest.fixture
@@ -654,8 +654,8 @@ def test_frechet_lower_bound_takes_every_part(a_points, b_points, bound, reach_r
 def test_reach_needs_a_free_cell_in_every_row_and_at_both_ends(a_points, b_points):
     # Below the lower bound such cells can be missing; at the threshold 1.0
     # no free path joins the end cells, and the reach must not find one.
-    scan = validation._Scan(*(validation._points(Curve.from_points(p)) for p in (a_points, b_points)))
-    assert not validation._reaches(scan, scan.blocks(1.0), validation._Window(1.0).fast_free)
+    scan = _frechet._Scan(*(_frechet._points(Curve.from_points(p)) for p in (a_points, b_points)))
+    assert not _frechet._reaches(scan, scan.blocks(1.0), _frechet._Window(1.0).fast_free)
 
 
 def test_frechet_restores_numpy_settings():
@@ -703,8 +703,8 @@ def test_frechet_proves_an_end_cell_bound_in_one_scan(monkeypatch, reach_results
     # raw and normalized: the scan at the end cells' distance takes the
     # minima and finds the path, so no second scan or reach runs.
     scans = []
-    blocks = validation._Scan.blocks
-    monkeypatch.setattr(validation._Scan, "blocks", lambda scan, t: scans.append(t) or blocks(scan, t))
+    blocks = _frechet._Scan.blocks
+    monkeypatch.setattr(_frechet._Scan, "blocks", lambda scan, t: scans.append(t) or blocks(scan, t))
     for model, ref in force_curve_pairs(3):
         for frechet in (discrete_frechet, validation.normalized_frechet):
             scans.clear()
@@ -741,8 +741,8 @@ def test_frechet_rescans_until_its_bound_is_the_minima(monkeypatch, seed, shape,
     a, b = rescan_pair(seed)
     assert (len(a), len(b)) == shape
     scans = []
-    blocks = validation._Scan.blocks
-    monkeypatch.setattr(validation._Scan, "blocks", lambda scan, t: scans.append(t) or blocks(scan, t))
+    blocks = _frechet._Scan.blocks
+    monkeypatch.setattr(_frechet._Scan, "blocks", lambda scan, t: scans.append(t) or blocks(scan, t))
     value = discrete_frechet(a, b)
     assert [round(t, 2) for t in scans] == thresholds
     assert reach_results == [False, True, True]
@@ -766,7 +766,7 @@ def test_raw_force_curves_scan_a_band_in_y(monkeypatch):
     # the x span or more, so the x band keeps nearly every cell, and the y
     # band leaves most of them out of the first scan.
     fractions = []
-    blocks = validation._Scan.blocks
+    blocks = _frechet._Scan.blocks
 
     def counted(scan, t):
         cells = 0
@@ -775,7 +775,7 @@ def test_raw_force_curves_scan_a_band_in_y(monkeypatch):
             yield block
         fractions.append(cells / (scan.za.size * scan.zb.size))
 
-    monkeypatch.setattr(validation._Scan, "blocks", counted)
+    monkeypatch.setattr(_frechet._Scan, "blocks", counted)
     for model, ref in force_curve_pairs(3):
         fractions.clear()
         discrete_frechet(model, ref)
@@ -808,11 +808,11 @@ def band_cases(draw):
                 c.x = out_of_order(rng, c.x)
             else:
                 c.x = np.floor(c.x / scale * 8.0) if kind == "equal_x" else c.x / scale * 0.9 * FLOAT_MAX
-    za, zb = validation._points(a), validation._points(b)
+    za, zb = _frechet._points(a), _frechet._points(b)
     i, j = draw(st.integers(0, len(a) - 1)), draw(st.integers(0, len(b) - 1))
     with np.errstate(over="ignore"):
         dz = za[i : i + 1] - zb[j : j + 1]
-        t = draw(st.sampled_from([np.abs(dz)[0], validation._exact_distances(dz)[0], 0.0, FLOAT_MAX, math.inf]))
+        t = draw(st.sampled_from([np.abs(dz)[0], _frechet._exact_distances(dz)[0], 0.0, FLOAT_MAX, math.inf]))
         for _ in range(draw(st.integers(0, 4))):
             t = np.nextafter(t, math.inf)
         for _ in range(draw(st.integers(0, 4))):
@@ -830,13 +830,13 @@ def band_cases(draw):
 @given(band_cases())
 def test_scan_band_leaves_out_only_cells_above_the_window(case):
     a, b, t = case
-    za, zb = validation._points(a), validation._points(b)
+    za, zb = _frechet._points(a), _frechet._points(b)
     covered = np.zeros((za.size, zb.size), bool)
     rows = 0
     with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
         # Blocks of 64 cells: pairs of a few dozen points have many.
-        patch.setattr(validation, "_SCAN_BLOCK_CELLS", 64)
-        scan = validation._Scan(za, zb)
+        patch.setattr(_frechet, "_SCAN_BLOCK_CELLS", 64)
+        scan = _frechet._Scan(za, zb)
         for start, first, dz, d in scan.blocks(t):
             # The blocks take the rows in order, each with one run of columns.
             assert start == rows
@@ -845,7 +845,7 @@ def test_scan_band_leaves_out_only_cells_above_the_window(case):
             covered[start:rows, first : first + d.shape[1]] = True
         fast = np.abs(za[:, None] - zb)
     assert rows == za.size
-    assert np.all(fast[~covered] > validation._Window(t).high)
+    assert np.all(fast[~covered] > _frechet._Window(t).high)
 
 
 def with_x(x, y):
@@ -880,11 +880,11 @@ def test_frechet_with_x_out_of_order_equals_row_by_row_dp(pair):
     a, b = pair
     with pytest.MonkeyPatch.context() as patch:
         # One row per block, so that a band could apply to every pair.
-        patch.setattr(validation, "_SCAN_BLOCK_CELLS", 1)
+        patch.setattr(_frechet, "_SCAN_BLOCK_CELLS", 1)
         assert discrete_frechet(a, b) == discrete_frechet(b, a) == row_by_row_frechet(a, b)
 
 
-class MaskScan(validation._Scan):
+class MaskScan(_frechet._Scan):
     """A _Scan with the real block layout whose fast distances are 0 on
     the free cells of `free` and 2 elsewhere, so threshold 1 frees exactly
     those cells."""
@@ -944,7 +944,7 @@ def free_masks(draw):
 @given(free_masks())
 def test_reach_equals_cell_by_cell_reachability(free):
     scan = MaskScan(free)
-    assert validation._reaches(scan, scan.blocks(1.0), validation._Window(1.0).fast_free) == cell_by_cell_reach(free)
+    assert _frechet._reaches(scan, scan.blocks(1.0), _frechet._Window(1.0).fast_free) == cell_by_cell_reach(free)
 
 
 FLOAT_MAX = float(np.finfo(float).max)
@@ -993,8 +993,8 @@ def test_exact_reach_frees_the_cells_of_exact_distance_at_most_t(block):
     with np.errstate(over="ignore"):
         d = np.abs(dz)
     free = np.empty(dz.shape, bool)
-    validation._Window(t).exact_free(dz, d, free)
-    exact = validation._exact_distances(dz.ravel()).reshape(dz.shape)
+    _frechet._Window(t).exact_free(dz, d, free)
+    exact = _frechet._exact_distances(dz.ravel()).reshape(dz.shape)
     assert np.array_equal(free, exact <= t)
 
 

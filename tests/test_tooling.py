@@ -1,25 +1,28 @@
 """The repository's own checks: the two-tree output comparison of
-tools/same_output.py, the size of each apmsim module for the parser, and
-the files and test names that the CI workflow's steps name.
+tools/same_output.py, the size of each apmsim module for the parser, as
+tools/module_sizes.py counts it, and the files and test names that the CI
+workflow's steps name.
 """
 
+import importlib.util
 import re
 import shlex
 import shutil
 import subprocess
 import sys
-import tokenize
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SAME_OUTPUT = ROOT / "tools" / "same_output.py"
+MODULE_SIZES = ROOT / "tools" / "module_sizes.py"
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
-# CPython 3.11's parser doubles its token array past this many tokens, so a
-# module past it raises the peak memory of its compile, and with it that of
-# every command run without bytecode caches, by about 0.22 MB.
-PARSER_STEP = 4096
+MODULES = sorted((ROOT / "src" / "apmsim").glob("*.py"))
+
+_spec = importlib.util.spec_from_file_location("module_sizes", MODULE_SIZES)
+module_sizes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(module_sizes)
 
 
 def same_output(base: Path) -> subprocess.CompletedProcess:
@@ -101,15 +104,28 @@ def test_same_output_names_each_json_operation_that_differs(tmp_path):
         assert fields in ("stdout", "--out file"), line
 
 
-@pytest.mark.parametrize("module", sorted((ROOT / "src" / "apmsim").glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
 def test_each_module_stays_under_the_parser_step(module):
-    with module.open("rb") as source:
-        skipped = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
-        count = sum(token.type not in skipped for token in tokenize.tokenize(source.readline))
-    assert count < PARSER_STEP, (
-        f"{module.name} has {count} tokens, the parser's step is {PARSER_STEP}: move code out of "
+    count, step = module_sizes.tokens(module), module_sizes.PARSER_STEP
+    assert count < step, (
+        f"{module.name} has {count} tokens, the parser's step is {step}: move code out of "
         "the module rather than cross it, which raises every command's peak memory"
     )
+
+
+def test_module_sizes_lists_every_module():
+    run = subprocess.run(
+        [sys.executable, str(MODULE_SIZES), "--runs", "1"], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    header, *rows, rss = run.stdout.splitlines()
+    assert header.split() == ["module", "lines", "tokens", "compile", "KB"]
+    assert [row.split()[0] for row in rows] == [path.name for path in MODULES]
+    for row, path in zip(rows, MODULES):
+        lines, tokens, peak = map(int, row.split()[1:])
+        assert (lines, tokens) == (len(path.read_bytes().splitlines()), module_sizes.tokens(path))
+        assert peak > 0
+    assert re.fullmatch(r"max RSS of 1 x import apmsim\.cli: \d+\.\d\d-\d+\.\d\d MB", rss), rss
 
 
 def workflow_commands() -> list[str]:

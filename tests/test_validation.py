@@ -1,10 +1,11 @@
+import importlib.util
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from apmsim import cli
+from apmsim import _frechet, cli, validation
 from apmsim.errors import DomainError
 from apmsim.validation import (
     MAX_QUANTILES,
@@ -170,6 +171,23 @@ def test_frechet_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_frechet_proof_lives_only_in_its_module():
+    # validation holds none of the proof's names, only discrete_frechet
+    # itself. Loaded alone, outside the package, _frechet still computes the
+    # distance: it imports nothing of the package, validation included, at
+    # run time.
+    moved = ["FAST_DISTANCE_REL", "FAST_DISTANCE_ABS", "_SCAN_BLOCK_CELLS", "_UFUNC_BUFSIZE", "_FLOAT_MAX",
+             "_points", "_exact_distances", "_wavefront", "_Scan", "_Window", "_minima", "_reaches"]
+    assert [name for name in moved if hasattr(validation, name)] == []
+    assert all(hasattr(_frechet, name) for name in moved)
+    assert validation.discrete_frechet is _frechet.discrete_frechet
+    spec = importlib.util.spec_from_file_location("frechet_alone", _frechet.__file__)
+    alone = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(alone)
+    a, b = Curve([0.0, 1.0, 2.0], [0.0, 3.0, 0.0]), Curve([0.0, 2.0], [1.0, 1.0])
+    assert alone.discrete_frechet(a, b) == discrete_frechet(a, b) == math.hypot(1.0, 2.0)
 
 
 # --------------------------------------------------------- normalized Frechet
