@@ -1,9 +1,9 @@
-"""The CSV text of simulate and sweep, built in numpy a block of rows at a
-time.
+"""Every CSV text: simulate's and sweep's, built in numpy a block of rows
+at a time, and validate's report with its Q-Q table.
 
-A row is its cell's head text, "%.6f," of each float column, the text of
-the last column (the length-ratio flag), its cell's tail text and a
-newline; simulate's one cell has an empty head and tail. csv_text hands
+A row is its cell's head values, "%.6f," of each float column, the text
+of the last column (the length-ratio flag), its cell's tail values and a
+newline; simulate's one cell has no head or tail values. csv_text hands
 the text out in blocks of BLOCK_ROWS rows, so neither a Python value per
 number, nor the whole text, nor an index over every row is ever held.
 
@@ -30,6 +30,8 @@ from collections.abc import Iterator, Sequence
 from itertools import accumulate
 
 import numpy as np
+
+from .validation import quantile_grid
 
 # Rows per block: 512 ran fastest of 256-4096, and a block's buffers take
 # about 1.5 KB a row.
@@ -189,13 +191,21 @@ def _rows(cells: list[tuple[str, int, str]], columns: list[np.ndarray], pieces: 
     return text
 
 
-def csv_text(names: tuple[str, ...], columns: list[np.ndarray], cells: list[tuple[str, int, str]]) -> Iterator[str]:
+def _texts(values) -> list[str]:
+    # Each value's CSV text: a text as it is, a float as "%.6f".
+    return [value if isinstance(value, str) else "%.6f" % value for value in values]
+
+
+def csv_text(names: tuple[str, ...], columns: list[np.ndarray], cells: list[tuple[tuple, int, tuple]]) -> Iterator[str]:
     """The CSV text of the cells' rows of columns under a header of names,
     in pieces: the header line, then blocks of up to BLOCK_ROWS rows. The
     columns are float64 columns, then a last column of texts, all of one
-    length; a cell is (head, count, tail), and its rows are the count rows
-    of the columns after those of the cells before it. No head, label or
-    tail may hold a NUL (ValueError)."""
+    length; a cell is (head, count, tail), and its rows are its head
+    values, the count rows of the columns after those of the cells before
+    it, and its tail values. A head or tail value is a text, written as it
+    is, or a float, written as "%.6f". No head, label or tail text may
+    hold a NUL (ValueError)."""
+    cells = [(",".join([*_texts(head), ""]), count, ",".join(["", *_texts(tail)])) for head, count, tail in cells]
     if any("\0" in head + tail for head, _, tail in cells):
         raise ValueError("a CSV head or tail holds a NUL")
     yield ",".join(names) + "\n"
@@ -209,3 +219,15 @@ def csv_text(names: tuple[str, ...], columns: list[np.ndarray], cells: list[tupl
         # numpy's code.
         text = _rows(cells, columns, pieces, tables)
         yield text[text.astype(bool)].tobytes().decode("utf-8")
+
+
+def report_csv(numbers: dict[str, float], pairs: list[tuple[float, float]] | None) -> tuple[str, str | None]:
+    """validate's CSV report, its numbers' names over their "%.6f" texts,
+    and, when there are Q-Q pairs, their table under the header
+    p,reference,model: each pair's probability, quantile_grid's, then its
+    reference and model quantiles, each "%.6f"."""
+    report = ",".join(numbers) + "\n" + ",".join(_texts(numbers.values())) + "\n"
+    if pairs is None:
+        return report, None
+    rows = [",".join(_texts((p, *q))) + "\n" for p, q in zip(quantile_grid(len(pairs)), pairs)]
+    return report, "".join(["p,reference,model\n", *rows])

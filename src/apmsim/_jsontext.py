@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 from codecs import ascii_decode
 from collections.abc import Iterator
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
@@ -85,21 +85,20 @@ def simulate_json(names: tuple[str, ...], material: str, n: int, sweep, columns:
     return state_text(names, text, columns, [count], 4)
 
 
-def sweep_json(keys: tuple[str, ...], names: tuple[str, ...], rows: list[tuple], columns: list[np.ndarray], h_ch: float) -> Iterator[str]:
-    """sweep's JSON text, in pieces. Each row of (material, wall ratio,
-    count, largest f_spa, the material's mean of maxima) is a cell whose
-    values under keys are the row's with h_ch in place of the count, and
-    whose states are its count rows of columns, keyed by names."""
+def sweep_json(keys: tuple[str, ...], names: tuple[str, ...], cells: list[tuple[tuple, int, tuple]], columns: list[np.ndarray]) -> Iterator[str]:
+    """sweep's JSON text, in pieces. A cell is (head, count, tail): its
+    values under keys are its head's then its tail's, each a text or a
+    float, and its states are its count rows of columns, after those of
+    the cells before it, keyed by names."""
     # Every cell's text around its states, its floats' texts made in one call.
     template, pick = _object_template((*keys, "states"), 4)
-    floats = iter(json_floats(chain.from_iterable((row[1], h_ch, *row[3:]) for row in rows)))
+    values = [value for head, _, tail in cells for value in (*head, *tail)]
+    floats = iter(json_floats([value for value in values if not isinstance(value, str)]))
+    texts = iter([encode_basestring_ascii(value) if isinstance(value, str) else next(floats) for value in values])
     empty = _json_array([], 6)
-    cells = [
-        template % pick((encode_basestring_ascii(row[0]), *islice(floats, 4), _STATES if row[2] else empty))
-        for row in rows
-    ]
-    text = _json_object(0, cells=_json_array(cells, 2)) + "\n"
-    return state_text(names, text, columns, [row[2] for row in rows], 8)
+    objects = [template % pick((*islice(texts, len(keys)), _STATES if count else empty)) for _, count, _ in cells]
+    text = _json_object(0, cells=_json_array(objects, 2)) + "\n"
+    return state_text(names, text, columns, [count for _, count, _ in cells], 8)
 
 
 def report_json(numbers: dict[str, float], resampled: bool, pairs: list[tuple[float, float]] | None) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry
-from ._csvtext import csv_text
+from ._csvtext import csv_text, report_csv
 from ._jsontext import report_json, simulate_json, sweep_json
 from ._numeric import check_positive_finite
 from .actuation import MAX_GRID_POINTS, ActuationState, PressureSweep, simulate_cells
@@ -26,7 +26,7 @@ from .config import ConfigError, builtin_material, load_config, parse_ratio
 from .errors import DomainError
 from .geometry import MyofibrilSpec
 from .validation import MAX_QUANTILES, Curve, check_frechet_cells, check_quantile_count
-from .validation import compare_curves, quantile_grid
+from .validation import compare_curves
 
 # The simulate output columns: each ActuationState field's name, with its
 # unit appended where it has one, in field order, which is also the order of
@@ -47,8 +47,10 @@ STATE_COLUMNS = (
     "length_ratio",
     "ratio_flag",
 )
-# The names of a sweep cell besides its states: in CSV the columns before
-# and after the state columns, in JSON the cell's other keys.
+# The names of a sweep cell's values besides its states: in CSV the columns
+# before and after the state columns, in JSON the cell's other keys. A cell
+# is (head, count, tail): its values under _CELL_HEAD, its count of rows of
+# the sweep's columns and its values under _CELL_TAIL.
 _CELL_HEAD = (
     "material",
     "tw_hch_ratio",
@@ -58,9 +60,6 @@ _CELL_TAIL = (
     "max_f_spa_n",
     "mean_max_f_spa_n",
 )
-# One sweep cell: material, wall ratio, its count of rows of the sweep's
-# columns, their largest f_spa and the material's mean of those maxima.
-_SweepRow = tuple[str, float, int, float, float]
 _F_SPA = ActuationState._fields.index("f_spa")
 
 def _emit(texts: Iterable[str], out_path: str | Path | None) -> None:
@@ -100,7 +99,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if fmt == "json":
         _emit(simulate_json(STATE_COLUMNS, config.material.name, spec.n, sweep, columns), out_path)
     else:
-        _emit(csv_text(STATE_COLUMNS, columns, [("", counts[0], "")]), out_path)
+        _emit(csv_text(STATE_COLUMNS, columns, [((), counts[0], ())]), out_path)
     return 0
 
 
@@ -118,12 +117,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     # The report is written before anything is printed, so that a failing
     # write leaves stdout empty as every other error does.
     if args.out and args.format == "csv":
-        row = ",".join(["%.6f"] * len(numbers)) % tuple(numbers.values())
-        _emit([f"{','.join(numbers)}\n{row}\n"], args.out)
-        if pairs is not None:
-            rows = ["%.6f,%.6f,%.6f" % (p, *q) for p, q in zip(quantile_grid(len(pairs)), pairs)]
-            qq_csv = "\n".join(["p,reference,model", *rows, ""])
-            _emit([qq_csv], Path(args.out).with_suffix(".qq.csv"))
+        text, qq_text = report_csv(numbers, pairs)
+        _emit([text], args.out)
+        if qq_text is not None:
+            _emit([qq_text], Path(args.out).with_suffix(".qq.csv"))
     elif args.out:
         _emit([report_json(numbers, report.resampled, pairs)], args.out)
     # Every number but the first, the plain normalized distance, which its
@@ -175,7 +172,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Every cell's largest f_spa, in cell order, taken in one call.
     tops = np.maximum.reduceat(columns[_F_SPA], list(accumulate(counts[:-1], initial=0))).tolist()
 
-    rows: list[_SweepRow] = []
+    sweep_cells: list[tuple[tuple, int, tuple]] = []
     for at, name in zip(range(0, len(cells), len(ratios)), names):
         maxima = tops[at:at + len(ratios)]
         try:
@@ -185,21 +182,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise DomainError(
                 f"material {name!r}: the mean of its f_spa maxima overflows a float"
             ) from None
-        rows.extend(
-            (name, ratio, count, top, mean_max) for ratio, count, top in zip(ratios, counts[at:], maxima)
+        sweep_cells.extend(
+            ((name, ratio, config.assumed_h_ch), count, (top, mean_max))
+            for ratio, count, top in zip(ratios, counts[at:], maxima)
         )
 
     out_path = args.out or config.out_path
     fmt = args.format or config.out_format
-    h_ch = config.assumed_h_ch
     if fmt == "json":
-        _emit(sweep_json(_CELL_HEAD + _CELL_TAIL, STATE_COLUMNS, rows, columns, h_ch), out_path)
+        _emit(sweep_json(_CELL_HEAD + _CELL_TAIL, STATE_COLUMNS, sweep_cells, columns), out_path)
     else:
-        csv_cells = [
-            (f"{name},{ratio:.6f},{h_ch:.6f},", count, f",{top:.6f},{mean_max:.6f}")
-            for name, ratio, count, top, mean_max in rows
-        ]
-        _emit(csv_text(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL, columns, csv_cells), out_path)
+        _emit(csv_text(_CELL_HEAD + STATE_COLUMNS + _CELL_TAIL, columns, sweep_cells), out_path)
     return 0
 
 

@@ -14,7 +14,7 @@ import copy
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,10 @@ CURVE_CSV_HEADER = ("x", "y")
 # Most paired quantiles qq_pairs computes, the pressure-grid cap's value: the
 # cost grows linearly with the count, so an unbounded one exhausts memory.
 MAX_QUANTILES = 100_000
+# Most points Curve.from_csv reads from a file, the pressure-grid cap's value:
+# a model curve is simulate's output, which obeys that cap. A file's rows are
+# held as texts while it is read, about 310 bytes a row.
+MAX_CURVE_POINTS = 100_000
 # Most cells, m * n, of a Frechet DP that validate runs: a DP takes up to
 # about 15 ns a cell, on noise pairs, so about 1.5 s at the cap.
 MAX_FRECHET_CELLS = 10**8
@@ -68,14 +72,20 @@ class Curve:
         """Read a two-column CSV with the mandatory header row ``x,y``.
 
         Blank lines are skipped; every other row must have exactly two fields.
-        A file that is not UTF-8 text, or that csv cannot split, raises
-        DomainError naming the path.
+        At most MAX_CURVE_POINTS data rows are read, and a file with more is
+        not read to its end. Each fault raises DomainError naming the path;
+        the first of these decides: a file that is not UTF-8 text, or that
+        csv cannot split, in the rows read; a missing header; more than
+        MAX_CURVE_POINTS data rows; a row without two fields; a field that
+        is not a float.
         """
         path = Path(path)
         try:
             # utf-8-sig drops the byte-order mark that some spreadsheets write.
             with open(path, newline="", encoding="utf-8-sig") as fh:
-                rows = list(csv.reader(fh))
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                body = list(islice(filter(None, reader), MAX_CURVE_POINTS + 1))
         except UnicodeDecodeError as err:
             # Its position counts from the start of the chunk the codec was
             # given, and after a mark; the whole file's bytes give the
@@ -87,9 +97,10 @@ class Curve:
             raise DomainError(f"{path}: {err}") from None
         except csv.Error as err:
             raise DomainError(f"{path}: {err}") from None
-        if not rows or tuple(c.strip() for c in rows[0]) != CURVE_CSV_HEADER:
+        if header is None or tuple(c.strip() for c in header) != CURVE_CSV_HEADER:
             raise DomainError(f"{path}: expected header row 'x,y'")
-        body = [r for r in rows[1:] if r]
+        if len(body) > MAX_CURVE_POINTS:
+            raise DomainError(f"{path}: more than {MAX_CURVE_POINTS} points")
         for r in body:
             if len(r) != 2:
                 raise DomainError(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import resource
 import string
 import subprocess
 import sys
@@ -1497,7 +1498,7 @@ def test_writers_memory_does_not_grow_with_the_grid(tmp_path):
     peaks = {}
     for points in (20_001, 98_902):
         name, n, sweep, columns = prototype_columns(tmp_path, points)
-        peaks["csv", points] = writer_peak(cli.csv_text(cli.STATE_COLUMNS, columns, [("", points, "")]))
+        peaks["csv", points] = writer_peak(cli.csv_text(cli.STATE_COLUMNS, columns, [((), points, ())]))
         peaks["json", points] = writer_peak(_jsontext.simulate_json(cli.STATE_COLUMNS, name, n, sweep, columns))
     # The same over a sweep of 24 cells of 1 000 and of 4 000 rows: each block
     # gathers its own row range of the sweep's columns. Joining every cell's
@@ -1505,12 +1506,11 @@ def test_writers_memory_does_not_grow_with_the_grid(tmp_path):
     for points in (1_000, 4_000):
         name, _, _, columns = prototype_columns(tmp_path, points)
         top = float(columns[cli._F_SPA].max())
-        rows = [(name, ratio, points, top, top) for ratio in np.linspace(0.125, 1.5, 24).tolist()]
-        cells = [(f"{name},{ratio:.6f},5.000000,", points, f",{top:.6f},{top:.6f}") for name, ratio, *_ in rows]
+        cells = [((name, ratio, 5.0), points, (top, top)) for ratio in np.linspace(0.125, 1.5, 24).tolist()]
         # The sweep's columns: the 24 cells' rows one after another.
-        grid = [np.tile(column, len(rows)) for column in columns]
+        grid = [np.tile(column, len(cells)) for column in columns]
         peaks["csv", points] = writer_peak(cli.csv_text(cli._CELL_HEAD + cli.STATE_COLUMNS + cli._CELL_TAIL, grid, cells))
-        peaks["json", points] = writer_peak(_jsontext.sweep_json(cli._CELL_HEAD + cli._CELL_TAIL, cli.STATE_COLUMNS, rows, grid, 5.0))
+        peaks["json", points] = writer_peak(_jsontext.sweep_json(cli._CELL_HEAD + cli._CELL_TAIL, cli.STATE_COLUMNS, cells, grid))
     for name in ("csv", "json"):
         for small, large in ((20_001, 98_902), (1_000, 4_000)):
             assert abs(peaks[name, large] - peaks[name, small]) < 100_000, peaks
@@ -1594,6 +1594,52 @@ def test_validate_checks_frechet_cells_before_any_dp(cap, code, tmp_path, monkey
     else:
         assert err == ""
         assert calls == [(3, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("points, code", [(4, 2), (3, 0)], ids=["one-point-over", "at-the-cap"])
+def test_validate_caps_a_curves_points_before_any_dp(points, code, tmp_path, monkeypatch, capsys):
+    calls = []
+    frechet = validation.discrete_frechet
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return frechet(a, b)
+
+    monkeypatch.setattr(validation, "discrete_frechet", counted)
+    monkeypatch.setattr(validation, "MAX_CURVE_POINTS", 3)
+    # Blank lines between the rows, and after them, are not points.
+    curve = tmp_path / "c.csv"
+    curve.write_text("x,y\n\n" + "".join(f"{i},{i % 2}\n\n" for i in range(points)), encoding="utf-8")
+    assert main(["validate", str(curve), str(curve)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err == f"error: {curve}: more than 3 points\n"
+        assert calls == []
+    else:
+        assert err == ""
+        assert calls == [(3, 3), (3, 3)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmPeak from /proc")
+def test_validate_far_over_the_curve_cap_exits_2_under_a_memory_limit(tmp_path):
+    # A 600 000-row curve held whole needs well over 100 MB. The limit is
+    # the child's own import peak plus 64 MB, about twice what the capped
+    # read holds, so only a read that stops at the cap ends in exit 2; one
+    # that holds every row ends in a MemoryError, exit 1. The limit is set
+    # in the child alone, with one BLAS thread, whose stacks count too.
+    env = {**os.environ, "PYTHONPATH": str(Path(apmsim.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    probe = "import apmsim.cli; print(open('/proc/self/status').read().split('VmPeak:')[1].split()[0])"
+    peak_kb = int(subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                 env=env, check=True).stdout)
+    limit = (peak_kb << 10) + (64 << 20)
+    curve = tmp_path / "big.csv"
+    curve.write_text("x,y\n" + "".join(f"{i},{i % 100}\n" for i in range(600_000)), encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-m", "apmsim", "validate", str(curve), str(curve)],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, "", f"error: {curve}: more than 100000 points\n")
 
 
 def test_validate_computes_quantiles_only_when_out_writes_them(tmp_path, monkeypatch):

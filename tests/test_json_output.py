@@ -129,10 +129,10 @@ def control_state(value: float, flag: str) -> ActuationState:
 )
 def test_sweep_json_equals_json_dumps(rows, h_ch):
     # The writer takes every cell's states as rows of one set of columns.
-    column_rows = [(name, ratio, len(state_list), top, mean_max)
-                   for name, ratio, state_list, top, mean_max in rows]
+    cells = [((name, ratio, h_ch), len(state_list), (top, mean_max))
+             for name, ratio, state_list, top, mean_max in rows]
     columns = columns_of([state for row in rows for state in row[2]])
-    pieces = _jsontext.sweep_json(cli._CELL_HEAD + cli._CELL_TAIL, cli.STATE_COLUMNS, column_rows, columns, h_ch)
+    pieces = _jsontext.sweep_json(cli._CELL_HEAD + cli._CELL_TAIL, cli.STATE_COLUMNS, cells, columns)
     assert "".join(pieces) == oracle(sweep_payload(rows, h_ch))
 
 

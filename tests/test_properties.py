@@ -1123,12 +1123,16 @@ hard_floats = st.tuples(
 
 
 def per_row_csv(names, cells):
-    # The CSV text row by row with CPython's %: each cell's head, "%.6f,"
-    # of each float column, the last column's text, its tail and a newline.
+    # The CSV text row by row, one CPython % per row: each cell's head
+    # values, "%.6f," of each float column, the last column's text, its tail
+    # values and a newline; a head or tail value is "%s" if it is a text and
+    # "%.6f" if it is a float.
     lines = [",".join(names) + "\n"]
     for head, columns, tail in cells:
-        row = "%.6f," * (len(columns) - 1) + "%s"
-        lines += [head + row % values + tail + "\n" for values in zip(*(c.tolist() for c in columns))]
+        row = "".join("%s," if isinstance(v, str) else "%.6f," for v in head)
+        row += "%.6f," * (len(columns) - 1) + "%s"
+        row += "".join(",%s" if isinstance(v, str) else ",%.6f" for v in tail)
+        lines += [row % (*head, *values, *tail) + "\n" for values in zip(*(c.tolist() for c in columns))]
     return "".join(lines)
 
 
@@ -1165,7 +1169,7 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
     texts = np.array([labels[i % len(labels)] for i in range(rows)], dtype=object)
     bounds = np.linspace(0, rows, min(cell_count, rows) + 1).astype(int)
     cells = [
-        (f"m{i},{i}.5,", [*table[a:b].T, texts[a:b]], f",tail{i}")
+        ((f"m{i}", i + 0.5), [*table[a:b].T, texts[a:b]], (f"tail{i}", -0.25 * i))
         for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
     ]
     names = tuple(f"c{i}" for i in range(width + 1))
@@ -1180,7 +1184,7 @@ def test_csv_floats_are_cpython_text(values, rows, width, shift, cell_count, lab
 
 
 @pytest.mark.parametrize(
-    "head, label, tail", [("m\0,", "valid", ""), ("", "val\0id", ""), ("", "valid", ",\0")],
+    "head, label, tail", [(("m\0",), "valid", ()), ((), "val\0id", ()), ((), "valid", ("\0",))],
     ids=["head", "label", "tail"],
 )
 def test_csv_text_rejects_a_nul(head, label, tail):

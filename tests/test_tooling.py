@@ -52,6 +52,7 @@ def test_same_output_names_each_operation_that_differs(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     differ = run.stdout.splitlines()[:-1]
     assert "differs: fine_sweep/0 seed 3: --out file" in differ
+    assert "differs: design_study/0 csv seed 3: --out file" in differ
     assert "differs: sweep_study csv stdout: stdout" in differ
     assert not any("json" in line or "exit code" in line or "stderr" in line for line in differ)
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apmsim import _frechet, cli, validation
+from apmsim import _frechet, actuation, cli, validation
 from apmsim.errors import DomainError
 from apmsim.validation import (
     MAX_QUANTILES,
@@ -118,6 +118,35 @@ def test_curve_from_csv_decode_error_names_the_file_offset(data, offset, tmp_pat
     with pytest.raises(DomainError) as raised:
         Curve.from_csv(path)
     assert str(raised.value) == message
+
+
+def test_curve_cap_is_the_grid_cap():
+    # A model curve is simulate's output, which obeys the grid's cap.
+    assert validation.MAX_CURVE_POINTS == actuation.MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0,1\n1,2\n2,3\n3,4\n", "expected header row 'x,y'"),
+    ("x,y\n0,1\n1,2,5\n2,oops\n3,4\n", "more than 3 points"),
+    ("x,y\n0,1\n1,2,5\n2,oops\n", "malformed data row ['1', '2', '5']: expected 2 fields, got 3"),
+], ids=["header-before-the-cap", "cap-before-the-rows", "rows-at-the-cap"])
+def test_curve_from_csv_checks_the_cap_between_header_and_rows(text, message, tmp_path, monkeypatch):
+    monkeypatch.setattr(validation, "MAX_CURVE_POINTS", 3)
+    path = tmp_path / "curve.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DomainError) as raised:
+        Curve.from_csv(path)
+    assert str(raised.value) == f"{path}: {message}"
+
+
+def test_curve_from_csv_reads_no_further_than_the_cap(tmp_path, monkeypatch):
+    # A bad byte after the rows that the cap lets in, and past the text
+    # reader's first 8 KB chunk, is never decoded.
+    monkeypatch.setattr(validation, "MAX_CURVE_POINTS", 3)
+    path = tmp_path / "curve.csv"
+    path.write_bytes(b"x,y\n0,1\n1,2\n2,3\n3,4\n" + b"\n" * 9000 + b"4,\xff\n")
+    with pytest.raises(DomainError, match=f"{path}: more than 3 points"):
+        Curve.from_csv(path)
 
 
 # ----------------------------------------------------------- discrete Frechet

@@ -7,8 +7,8 @@ DIR is the root of another source tree of apmsim (with src/apmsim under
 it), such as a git worktree of the parent commit. Every operation runs
 through cli.main of this tree and of DIR's, each tree in its own
 interpreter, with the same argv on the same input files:
-- perfbench's fine_sweep inputs at each seed, in CSV and in JSON, and its
-  design_study inputs at each seed
+- perfbench's fine_sweep and design_study inputs at each seed, each in
+  CSV and in JSON
 - perfbench's validate_long and validate_batch inputs at each seed, with
   the model and reference curves in both orders, each writing its report
   with --out in JSON and in CSV (with the .qq.csv beside it)
@@ -103,13 +103,13 @@ def _perfbench_ops(seeds: list[int], work: Path) -> list[Op]:
     for seed in seeds:
         folder = work / f"seed{seed}"
         folder.mkdir()
-        for workload in ("fine_sweep", "design_study"):
+        # Each operation, and its twin in the other format.
+        for workload, twin in (("fine_sweep", "json"), ("design_study", "csv")):
             for op in inputs.workload_ops(workload, seed, folder):
                 ops.append((f"{op.key} seed {seed}", op.argv, str(op.out)))
-                if workload == "fine_sweep":
-                    out = str(op.out.with_suffix(".json"))
-                    argv = [out if arg == str(op.out) else "json" if arg == "csv" else arg for arg in op.argv]
-                    ops.append((f"{op.key} json seed {seed}", argv, out))
+                out = str(op.out.with_suffix(f".{twin}"))
+                argv = [out if arg == str(op.out) else twin if arg in ("csv", "json") else arg for arg in op.argv]
+                ops.append((f"{op.key} {twin} seed {seed}", argv, out))
         for workload in ("validate_long", "validate_batch"):
             for op in inputs.workload_ops(workload, seed, folder):
                 # The curves, then --qq and the flags; without --out.
